@@ -64,11 +64,35 @@ def _verdict(result: Optional[bool], witness: Optional[Vec], alphabet=None) -> i
     return EXIT_TRUE if result else (EXIT_UNKNOWN if result is None else EXIT_FALSE)
 
 
-def _parse_caps(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise MonomialError("expected run,cycle cap pair like 10,8")
-    return int(parts[0]), int(parts[1])
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _nonneg_pair(names: str, example: str):
+    """Argument type for a flag taking two nonnegative integers `a,b`."""
+
+    def parse(text: str) -> tuple[int, int]:
+        parts = text.split(",")
+        try:
+            pair = tuple(int(x) for x in parts)
+        except ValueError:
+            pair = ()
+        if len(pair) != 2 or min(pair) < 0:
+            raise argparse.ArgumentTypeError(
+                f"expected {names} as two nonnegative integers like {example}, got {text!r}"
+            )
+        return pair[0], pair[1]
+
+    return parse
+
+
+_caps_pair = _nonneg_pair("run,cycle", "10,8")
 
 
 def _build_parser() -> _Parser:
@@ -88,13 +112,18 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar")
     p.add_argument("vector", help="monomial, e.g. 'a^3 b^-2'")
     p.add_argument("--bound", type=int, default=None, help="run bound for the regular engine")
-    p.add_argument("--caps", default=None, help="run,cycle caps for the general engine")
-    p.add_argument("--oracle", default=None, help="depth,window for the enumeration engine")
+    p.add_argument(
+        "--caps", type=_caps_pair, default=None, help="run,cycle caps for the general engine"
+    )
+    p.add_argument(
+        "--oracle", type=_nonneg_pair("depth,window", "20,8"), default=None,
+        help="depth,window for the enumeration engine",
+    )
 
     p = sub.add_parser("oracle", help="enumerate derivable vectors by brute force")
     p.add_argument("grammar")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--depth", type=_nonneg_int, required=True)
+    p.add_argument("--window", type=_nonneg_int, required=True)
 
     p = sub.add_parser("order", help="order a subrun into a firable sequence")
     p.add_argument("grammar")
@@ -110,7 +139,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cycles", help="list simple cycles from a nonterminal")
     p.add_argument("grammar")
     p.add_argument("--at", required=True, help="anchoring nonterminal")
-    p.add_argument("--cap", type=int, default=None, help="cycle size cap")
+    p.add_argument("--cap", type=_nonneg_int, default=None, help="cycle size cap")
 
     p = sub.add_parser("bundles", help="bundle representation of the language")
     p.add_argument("grammar")
@@ -123,20 +152,20 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar1")
     p.add_argument("grammar2")
     p.add_argument("--mode", choices=("include", "equiv", "disjoint"), required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_nonneg_int, required=True)
     p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--caps", default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--caps", type=_caps_pair, default=None)
+    p.add_argument("--depth", type=_nonneg_int, default=None)
 
     p = sub.add_parser("universal", help="window-sweep universality")
     p.add_argument("grammar")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_nonneg_int, required=True)
     p.add_argument("--ambient", choices=("nat", "int"), default="nat")
     p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--caps", default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--caps", type=_caps_pair, default=None)
+    p.add_argument("--depth", type=_nonneg_int, default=None)
 
     p = sub.add_parser("bound-report", help="computable window-bound ingredients for a pair")
     p.add_argument("grammar1")
@@ -166,7 +195,7 @@ def _engine_params(args) -> dict:
     if getattr(args, "bound", None) is not None:
         params["bound"] = args.bound
     if getattr(args, "caps", None):
-        params["run_cap"], params["cycle_cap"] = _parse_caps(args.caps)
+        params["run_cap"], params["cycle_cap"] = args.caps
     if getattr(args, "depth", None) is not None:
         params["depth"] = args.depth
     return params
@@ -176,11 +205,11 @@ def _cmd_member(args) -> int:
     g = _load_grammar(args.grammar)
     v = parse_monomial(args.vector)
     if args.oracle:
-        depth, window = _parse_caps(args.oracle)
+        depth, window = args.oracle
         members = membership.oracle_language(g, depth, window)
         return _verdict(v in members, v if v in members else None, g.alphabet)
     if args.caps or not g.is_regular():
-        run_cap, cycle_cap = _parse_caps(args.caps) if args.caps else (10, 8)
+        run_cap, cycle_cap = args.caps or (10, 8)
         res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
     else:
         bound = args.bound if args.bound is not None else min(
@@ -243,6 +272,16 @@ def _cmd_gen(args) -> int:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except SearchCapExceeded as e:
+        print(f"truncated: {e}", file=sys.stderr)
+        if args.command in ("member", "compare", "universal"):
+            return _verdict(None, None)
+        return EXIT_UNKNOWN
+
+
+def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "parse":
@@ -329,7 +368,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return run(argv)
-    except (GrammarError, MonomialError, ValueError, OSError, SearchCapExceeded) as e:
+    except (GrammarError, MonomialError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

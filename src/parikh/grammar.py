@@ -22,7 +22,7 @@ positive.  Nonterminals are not declared, they are inferred from use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .vector import Vec, format_monomial, is_name, parse_monomial
@@ -108,14 +108,22 @@ class Grammar:
                 if count < 0:
                     raise GrammarError(f"transition {t.tid}: negative target multiplicity")
 
+    @cached_property
+    def compiled(self) -> CompiledGrammar:
+        """Integer view for the search loops, built on first use and kept
+        on this instance (so it lives and dies with the grammar)."""
+        return CompiledGrammar(self)
+
     def transition(self, tid: str) -> Transition:
         try:
-            return _transition_index(self)[tid]
+            return self.transitions[self.compiled.tid_index[tid]]
         except KeyError:
             raise GrammarError(f"no transition with id {tid!r}") from None
 
     def transitions_from(self, q: str) -> tuple[Transition, ...]:
-        return _source_index(self).get(q, ())
+        cg = self.compiled
+        i = cg.nt_index.get(q)
+        return () if i is None else tuple(self.transitions[j] for j in cg.from_source[i])
 
     def is_regular(self) -> bool:
         return all(t.targets.total() <= 1 and t.output.norm1() <= 1 for t in self.transitions)
@@ -127,17 +135,63 @@ class Grammar:
         return all(t.output.nonneg() for t in self.transitions)
 
 
-@lru_cache(maxsize=None)
-def _transition_index(g: Grammar) -> dict[str, Transition]:
-    return {t.tid: t for t in g.transitions}
+class CompiledGrammar:
+    """Dense integer view of one grammar.
 
+    Letters are numbered in alphabet order, nonterminals in the order of
+    `Grammar.nonterminals` (sorted) and transitions in grammar order, so
+    "first id" means "first name" or "first rule" wherever the search
+    loops break ties.  Per transition `i`:
 
-@lru_cache(maxsize=None)
-def _source_index(g: Grammar) -> dict[str, tuple[Transition, ...]]:
-    by_source: dict[str, list[Transition]] = {}
-    for t in g.transitions:
-        by_source.setdefault(t.source, []).append(t)
-    return {q: tuple(ts) for q, ts in by_source.items()}
+    - `source[i]`: nonterminal id of its source;
+    - `output[i]`: letter counts over the whole alphabet;
+    - `delta[i]`: marking change over all nonterminals (targets minus
+      the consumed source);
+    - `targets[i]`: target nonterminal ids with multiplicity, ascending;
+    - `target_count[i]`: number of targets.
+
+    `from_source[q]` lists the ids of the transitions out of nonterminal
+    id `q`, ascending.  `Vec` stays the API type; this view is internal
+    to the loops that would otherwise build a `Vec` per search state.
+    """
+
+    __slots__ = (
+        "letters", "nonterminals", "tids", "nt_index", "tid_index",
+        "source", "output", "delta", "targets", "target_count", "from_source",
+    )
+
+    def __init__(self, g: Grammar):
+        self.letters = g.alphabet
+        self.nonterminals = g.nonterminals
+        self.tids = tuple(t.tid for t in g.transitions)
+        self.nt_index = {q: i for i, q in enumerate(g.nonterminals)}
+        self.tid_index = {tid: i for i, tid in enumerate(self.tids)}
+        self.source = tuple(self.nt_index[t.source] for t in g.transitions)
+        self.output = tuple(t.output.to_tuple(g.alphabet) for t in g.transitions)
+        self.delta = tuple(
+            tuple(t.targets.get(q) - (q == t.source) for q in g.nonterminals)
+            for t in g.transitions
+        )
+        self.targets = tuple(
+            tuple(sorted(self.nt_index[q] for q, c in t.targets for _ in range(c)))
+            for t in g.transitions
+        )
+        self.target_count = tuple(len(ts) for ts in self.targets)
+        by_source: list[list[int]] = [[] for _ in g.nonterminals]
+        for i, q in enumerate(self.source):
+            by_source[q].append(i)
+        self.from_source = tuple(tuple(ids) for ids in by_source)
+
+    def counts(self, v: Vec) -> tuple[int, ...]:
+        """Dense per-transition counts of a multiset keyed by transition id."""
+        dense = [0] * len(self.tids)
+        for tid, c in v:
+            dense[self.tid_index[tid]] = c
+        return tuple(dense)
+
+    def multiset(self, counts: Sequence[int]) -> Vec:
+        """The `Vec` of transition ids for dense per-transition counts."""
+        return Vec(tuple((tid, c) for tid, c in zip(self.tids, counts) if c))
 
 
 def grammar_from_rules(

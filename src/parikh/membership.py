@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .decomposition import CycleTerm, base_run_bound
@@ -56,18 +57,36 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
     or all-nonpositive emissions).  Always an under-approximation of the
     language; exact whenever every in-window vector has a derivation
     within `depth` steps.
-    """
-    order = g.alphabet
-    rising = {
-        i for i, sym in enumerate(order)
-        if all(t.output.get(sym) >= 0 for t in g.transitions)
-    }
-    falling = {
-        i for i, sym in enumerate(order)
-        if all(t.output.get(sym) <= 0 for t in g.transitions)
-    }
 
-    start = (Vec.unit(g.start), (0,) * len(order))
+    A state is (ascending tuple of pending nonterminal ids, dense letter
+    tuple), on the grammar's compiled view.
+    """
+    cg = g.compiled
+    dim = len(cg.letters)
+    rising = [all(out[j] >= 0 for out in cg.output) for j in range(dim)]
+    falling = [all(out[j] <= 0 for out in cg.output) for j in range(dim)]
+    # per source nonterminal: (targets, target count, output or None,
+    # guards) per transition, where a guard (j, s) prunes when
+    # s * value[j] > window; only the letters a transition moves can
+    # newly leave the window
+    moves = [
+        [
+            (
+                cg.targets[i],
+                cg.target_count[i],
+                cg.output[i] if any(cg.output[i]) else None,
+                tuple(
+                    (j, 1 if x > 0 else -1)
+                    for j, x in enumerate(cg.output[i])
+                    if (x > 0 and rising[j]) or (x < 0 and falling[j])
+                ),
+            )
+            for i in ids
+        ]
+        for ids in cg.from_source
+    ]
+
+    start = ((cg.nt_index[g.start],), (0,) * dim)
     visited = {start}
     frontier = [start]
     done: set[IntTuple] = set()
@@ -78,21 +97,18 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
             # expand one occurrence of the least pending nonterminal; the
             # language of completed derivations is unaffected by the
             # expansion policy
-            q = marking.support()[0]
-            unit_q = Vec.unit(q)
-            for t in g.transitions_from(q):
-                new_marking = marking - unit_q + t.targets
-                if new_marking.total() > budget - 1:
+            rest = marking[1:]
+            for targets, count, out, guards in moves[marking[0]]:
+                if len(rest) + count > budget - 1:
                     continue
-                new_value = tuple(
-                    v + t.output.get(sym) for v, sym in zip(value, order)
-                ) if not t.output.is_zero() else value
-                if any(
-                    (i in rising and x > window) or (i in falling and x < -window)
-                    for i, x in enumerate(new_value)
-                ):
+                new_value = value if out is None else tuple(map(add, value, out))
+                if any(s * new_value[j] > window for j, s in guards):
                     continue
-                if new_marking.is_zero():
+                if targets:
+                    new_marking = tuple(sorted(rest + targets))
+                elif rest:
+                    new_marking = rest
+                else:
                     done.add(new_value)
                     continue
                 state = (new_marking, new_value)
@@ -103,7 +119,7 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
         if not frontier:
             break
     return frozenset(
-        Vec.from_tuple(v, order) for v in done if all(abs(x) <= window for x in v)
+        Vec.from_tuple(v, cg.letters) for v in done if all(abs(x) <= window for x in v)
     )
 
 
@@ -156,17 +172,16 @@ def _run_cells(
 
     Also reports whether the frontier emptied before the bound, i.e. the
     grammar has no runs at all beyond the tabulated ones."""
-    order = g.alphabet
-    zero = (0,) * len(order)
+    cg = g.compiled
+    names = cg.nonterminals
+    zero = (0,) * len(cg.letters)
     finals: dict[str, list[IntTuple]] = {}
     unaries: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q, out)]
-    for t in g.transitions:
-        out = t.output.to_tuple(order)
-        if t.targets.is_zero():
-            finals.setdefault(t.source, []).append(out)
+    for src, targets, out in zip(cg.source, cg.targets, cg.output):
+        if targets:
+            unaries.setdefault(names[targets[0]], []).append((names[src], out))
         else:
-            r = t.targets.support()[0]
-            unaries.setdefault(r, []).append((t.source, out))
+            finals.setdefault(names[src], []).append(out)
 
     cells: dict[Cell, dict[IntTuple, int]] = {}
     frontier: dict[Cell, list[IntTuple]] = {}
@@ -194,7 +209,7 @@ def _run_cells(
                     cell = cells.setdefault(key, {})
                     bucket = None
                     for vec in vecs:
-                        new_vec = tuple(a + b for a, b in zip(vec, out)) if out != zero else vec
+                        new_vec = tuple(map(add, vec, out)) if out != zero else vec
                         if new_vec not in cell:
                             cell[new_vec] = level
                             if bucket is None:
@@ -222,25 +237,25 @@ def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None)
 
 
 def _path_cells(g: Grammar, bound: int) -> dict[tuple[str, str], dict[IntTuple, int]]:
-    order = g.alphabet
+    cg = g.compiled
+    names = cg.nonterminals
     cells: dict[tuple[str, str], dict[IntTuple, int]] = {}
-    zero = (0,) * len(order)
+    zero = (0,) * len(cg.letters)
     frontier: dict[tuple[str, str], list[IntTuple]] = {}
-    for q in g.nonterminals:
+    for q in names:
         cells[(q, q)] = {zero: 0}
         frontier[(q, q)] = [zero]
     steps: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q1, out)]
-    for t in g.transitions:
-        if not t.targets.is_zero():
-            r = t.targets.support()[0]
-            steps.setdefault(r, []).append((t.source, t.output.to_tuple(order)))
+    for src, targets, out in zip(cg.source, cg.targets, cg.output):
+        if targets:
+            steps.setdefault(names[targets[0]], []).append((names[src], out))
     for level in range(1, bound + 1):
         new_frontier: dict[tuple[str, str], list[IntTuple]] = {}
         for (r, q2), vecs in frontier.items():
             for q1, out in steps.get(r, ()):
                 cell = cells.setdefault((q1, q2), {})
                 for vec in vecs:
-                    new_vec = tuple(a + b for a, b in zip(vec, out))
+                    new_vec = tuple(map(add, vec, out))
                     if new_vec not in cell:
                         cell[new_vec] = level
                         new_frontier.setdefault((q1, q2), []).append(new_vec)
@@ -567,56 +582,57 @@ class RegularMembership:
 
     def _reconstruct_run(self, key: Cell, vec: IntTuple) -> TransitionMultiset:
         g = self.grammar
+        cg = g.compiled
+        names = cg.nonterminals
         counts: dict[str, int] = {}
         level = self._cells[key][vec]
         while True:
+            p, q = key
+            out_of_q = cg.from_source[cg.nt_index[q]]
             if level == 1:
                 final = next(
-                    t
-                    for t in g.transitions
-                    if t.source == key[1]
-                    and t.targets.is_zero()
-                    and t.output.to_tuple(self.order) == vec
+                    i for i in out_of_q if not cg.targets[i] and cg.output[i] == vec
                 )
-                counts[final.tid] = counts.get(final.tid, 0) + 1
+                counts[cg.tids[final]] = counts.get(cg.tids[final], 0) + 1
                 break
-            p, q = key
             step = None
-            for t in g.transitions:
-                if t.source != q or t.targets.is_zero():
+            for i in out_of_q:
+                if not cg.targets[i]:
                     continue
-                r = t.targets.support()[0]
+                r = names[cg.targets[i][0]]
                 prev_key = (p - {r}, r)
-                prev_vec = tuple(a - b for a, b in zip(vec, t.output.to_tuple(self.order)))
+                prev_vec = tuple(map(sub, vec, cg.output[i]))
                 prev_level = self._cells.get(prev_key, {}).get(prev_vec)
                 if prev_level is not None and prev_level <= level - 1:
-                    step = (t, prev_key, prev_vec, prev_level)
+                    step = (i, prev_key, prev_vec, prev_level)
                     break
             if step is None:  # pragma: no cover - table construction guarantees a parent
                 raise AssertionError("run table walk failed")
-            t, key, vec, level = step
-            counts[t.tid] = counts.get(t.tid, 0) + 1
+            i, key, vec, level = step
+            counts[cg.tids[i]] = counts.get(cg.tids[i], 0) + 1
         return TransitionMultiset.from_counts(g, counts)
 
     def _reconstruct_cycle(self, q: str, vec: IntTuple) -> TransitionMultiset:
         g = self.grammar
+        cg = g.compiled
+        names = cg.nonterminals
         counts: dict[str, int] = {}
         cur, level = q, self._paths[(q, q)][vec]
         while level > 0:
             step = None
-            for t in g.transitions:
-                if t.source != cur or t.targets.is_zero():
+            for i in cg.from_source[cg.nt_index[cur]]:
+                if not cg.targets[i]:
                     continue
-                r = t.targets.support()[0]
-                prev_vec = tuple(a - b for a, b in zip(vec, t.output.to_tuple(self.order)))
+                r = names[cg.targets[i][0]]
+                prev_vec = tuple(map(sub, vec, cg.output[i]))
                 prev_level = self._paths.get((r, q), {}).get(prev_vec)
                 if prev_level is not None and prev_level <= level - 1:
-                    step = (t, r, prev_vec, prev_level)
+                    step = (i, r, prev_vec, prev_level)
                     break
             if step is None:  # pragma: no cover
                 raise AssertionError("path table walk failed")
-            t, cur, vec, level = step
-            counts[t.tid] = counts.get(t.tid, 0) + 1
+            i, cur, vec, level = step
+            counts[cg.tids[i]] = counts.get(cg.tids[i], 0) + 1
         return TransitionMultiset.from_counts(g, counts)
 
 
@@ -725,6 +741,8 @@ class GeneralMembership:
         return subsets
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        if any(sym not in self.grammar.alphabet for sym in v.support()):
+            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
         for (w, supp), run in self._bases:
             delta = v - w
             for vecs, reps in self._zs_for_support(supp):

@@ -14,9 +14,10 @@ nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Optional, Sequence
 
-from .grammar import Grammar
+from .grammar import CompiledGrammar, Grammar
 from .vector import Vec
 
 
@@ -145,28 +146,49 @@ def is_subrun(ms: TransitionMultiset, src: Vec, dst: Vec) -> SubrunCheck:
     The balance check is tried first, so an invalid multiset failing both
     conditions reports 'euler'.
     """
-    if ms.source() - src != ms.target() - dst:
+    cg = ms.grammar.compiled
+    ends = _dense_ends(cg, src, dst)
+    if ends is None:
         return SubrunCheck(False, "euler")
-    g = ms.grammar
-    edges: dict[str, set[str]] = {}
-    used_sources = set()
-    for tid, c in ms.counts:
-        if c <= 0:
-            continue
-        t = g.transition(tid)
-        used_sources.add(t.source)
-        edges.setdefault(t.source, set()).update(t.targets.support())
-    seen = {q for q, c in src if c > 0}
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for r in edges.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    if used_sources - seen:
+    counts = cg.counts(ms.counts)
+    balance = [e - s for s, e in zip(*ends)]  # must equal targets(R) - source(R)
+    for i, c in enumerate(counts):
+        if c:
+            balance[cg.source[i]] += c
+            for r in cg.targets[i]:
+                balance[r] -= c
+    if any(balance):
+        return SubrunCheck(False, "euler")
+    if not _reaches_used(cg, counts, ends[0]):
         return SubrunCheck(False, "connectivity")
     return SubrunCheck(True)
+
+
+def _dense_ends(
+    cg: CompiledGrammar, src: Vec, dst: Vec
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Nonterminal counts of two markings as dense tuples, or None when
+    they differ on a symbol that is not a nonterminal (no transition
+    touches it, so no multiset can balance the difference)."""
+    index = cg.nt_index
+    if [x for x in src if x[0] not in index] != [x for x in dst if x[0] not in index]:
+        return None
+    return tuple(src.get(q) for q in cg.nonterminals), tuple(dst.get(q) for q in cg.nonterminals)
+
+
+def _reaches_used(cg: CompiledGrammar, counts: Sequence[int], marking: Sequence[int]) -> bool:
+    """Whether the source of every used transition is reachable from the
+    marking's positive entries along the used transitions."""
+    seen = [c > 0 for c in marking]
+    stack = [q for q, hit in enumerate(seen) if hit]
+    while stack:
+        for i in cg.from_source[stack.pop()]:
+            if counts[i] > 0:
+                for r in cg.targets[i]:
+                    if not seen[r]:
+                        seen[r] = True
+                        stack.append(r)
+    return all(seen[cg.source[i]] for i, c in enumerate(counts) if c > 0)
 
 
 @dataclass(frozen=True)
@@ -203,23 +225,30 @@ def order_subrun(ms: TransitionMultiset, src: Vec, dst: Vec) -> list[str]:
     """
     if not is_subrun(ms, src, dst):
         raise ValueError("not a valid subrun certificate")
-    g = ms.grammar
-    remaining = ms
-    marking = src
+    cg = ms.grammar.compiled
+    counts = list(cg.counts(ms.counts))
+    marking = [src.get(q) for q in cg.nonterminals]
+    left = sum(counts)
     seq: list[str] = []
-    while not remaining.is_zero():
-        counts = remaining.counts
-        for t in g.transitions:
-            c = counts.get(t.tid)
-            if c <= 0 or marking.get(t.source) < 1:
+    while left:
+        for i, q in enumerate(cg.source):
+            if counts[i] <= 0 or marking[q] < 1:
                 continue
-            rest = TransitionMultiset(g, counts - Vec.unit(t.tid))
-            advanced = marking - Vec.unit(t.source) + t.targets
-            if is_subrun(rest, advanced, dst):
-                seq.append(t.tid)
-                remaining = rest
-                marking = advanced
+            # firing i shifts both sides of the balance equation by the
+            # same amount, so the rest stays balanced; only reachability
+            # can fail
+            counts[i] -= 1
+            marking[q] -= 1
+            for r in cg.targets[i]:
+                marking[r] += 1
+            if _reaches_used(cg, counts, marking):
+                seq.append(cg.tids[i])
+                left -= 1
                 break
+            counts[i] += 1
+            marking[q] += 1
+            for r in cg.targets[i]:
+                marking[r] -= 1
         else:  # pragma: no cover - impossible for valid certificates
             raise AssertionError("no firable transition found in a valid subrun")
     return seq
@@ -332,6 +361,22 @@ def tree_size_bound(depth: int, regular: bool) -> int:
     return depth + 1 if regular else 2 ** (depth + 1)
 
 
+def _dense_unit(cg: CompiledGrammar, q: str) -> tuple[int, ...]:
+    i = cg.nt_index.get(q)
+    if i is None:
+        raise ValueError(f"unknown nonterminal {q!r}")
+    return tuple(int(j == i) for j in range(len(cg.nonterminals)))
+
+
+def _bump(used: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return used[:i] + (used[i] + 1,) + used[i + 1:]
+
+
+def _in_vec_order(cg: CompiledGrammar, found) -> list[tuple[Vec, tuple[int, ...]]]:
+    """(multiset Vec, dense use counts) pairs in `Vec.sort_key` order."""
+    return sorted(((cg.multiset(used), used) for used in found), key=lambda p: p[0].sort_key())
+
+
 def iter_cycles(
     g: Grammar,
     anchors: Sequence[str],
@@ -344,45 +389,56 @@ def iter_cycles(
     Yields (multiset, anchor) pairs, deduplicated across anchors (the
     least anchor wins).  `within` restricts the search to sub-multisets
     of the given bound.  Raises SearchCapExceeded when the breadth-first
-    state count outgrows `state_cap`.
+    state count outgrows `state_cap`, and ValueError for an anchor that
+    is not a nonterminal.
+
+    A search state is (marking, used): dense nonterminal counts and
+    dense per-transition use counts.
     """
+    cg = g.compiled
     anchors = sorted(set(anchors))
-    limit = None if within is None else within.counts
-    frontiers: dict[str, list[tuple[Vec, Vec]]] = {}
-    visited: dict[str, set[tuple[Vec, Vec]]] = {}
+    units = {q: _dense_unit(cg, q) for q in anchors}
+    limit = None if within is None else cg.counts(within.counts)
+    steps = [
+        (i, cg.source[i], cg.delta[i], None if limit is None else limit[i])
+        for i in range(len(cg.tids))
+        if limit is None or limit[i] > 0
+    ]
+    no_use = (0,) * len(cg.tids)
+    frontiers: dict[str, list] = {}
+    visited: dict[str, set] = {}
     for q in anchors:
-        start = (Vec.unit(q), Vec.zero())
+        start = (units[q], no_use)
         frontiers[q] = [start]
         visited[q] = {start}
     states = len(anchors)
     for _size in range(1, max_size + 1):
-        level: dict[Vec, str] = {}
-        new_frontiers: dict[str, list[tuple[Vec, Vec]]] = {q: [] for q in anchors}
+        level: dict[tuple[int, ...], str] = {}
+        new_frontiers: dict[str, list] = {q: [] for q in anchors}
         for q in anchors:
-            unit_q = Vec.unit(q)
+            unit_q = units[q]
+            seen = visited[q]
+            out = new_frontiers[q]
             for marking, used in frontiers[q]:
-                for t in g.transitions:
-                    if marking.get(t.source) < 1:
+                for i, src, delta, cap in steps:
+                    if marking[src] < 1 or (cap is not None and used[i] >= cap):
                         continue
-                    new_used = used + Vec.unit(t.tid)
-                    if limit is not None and not new_used <= limit:
-                        continue
-                    new_marking = marking - Vec.unit(t.source) + t.targets
+                    new_marking = tuple(map(add, marking, delta))
+                    new_used = _bump(used, i)
                     state = (new_marking, new_used)
-                    if state in visited[q]:
+                    if state in seen:
                         continue
-                    visited[q].add(state)
+                    seen.add(state)
                     states += 1
                     if states > state_cap:
                         raise SearchCapExceeded(
                             f"cycle search exceeded {state_cap} states; raise the cap"
                         )
-                    new_frontiers[q].append(state)
-                    if new_marking == unit_q and not new_used.is_zero():
-                        if new_used not in level:
-                            level[new_used] = q
-        for used in sorted(level, key=Vec.sort_key):
-            yield TransitionMultiset(g, used), level[used]
+                    out.append(state)
+                    if new_marking == unit_q and new_used not in level:
+                        level[new_used] = q
+        for vec, used in _in_vec_order(cg, level):
+            yield TransitionMultiset(g, vec), level[used]
         frontiers = new_frontiers
         if all(not f for f in frontiers.values()):
             return
@@ -403,8 +459,16 @@ def enumerate_runs(
     max_size: int,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> RunSearch:
-    """All runs from `p` of size <= max_size, by breadth-first firing."""
-    start = (Vec.unit(p), Vec.zero())
+    """All runs from `p` of size <= max_size, by breadth-first firing.
+
+    Search states are (marking, used) dense tuples as in `iter_cycles`;
+    transitions are tried in grammar order, so a capped search stops at
+    the same state on every run.  Raises ValueError when `p` is not a
+    nonterminal.
+    """
+    cg = g.compiled
+    steps = list(zip(range(len(cg.tids)), cg.source, cg.delta))
+    start = (_dense_unit(cg, p), (0,) * len(cg.tids))
     frontier = [start]
     visited = {start}
     found: list[TransitionMultiset] = []
@@ -413,12 +477,13 @@ def enumerate_runs(
     states = 1
     for _size in range(1, max_size + 1):
         new_frontier = []
-        level: set[Vec] = set()
+        level = []
         for marking, used in frontier:
-            for t in g.transitions:
-                if marking.get(t.source) < 1:
+            for i, src, delta in steps:
+                if marking[src] < 1:
                     continue
-                state = (marking - Vec.unit(t.source) + t.targets, used + Vec.unit(t.tid))
+                new_marking = tuple(map(add, marking, delta))
+                state = (new_marking, _bump(used, i))
                 if state in visited:
                     continue
                 visited.add(state)
@@ -427,11 +492,11 @@ def enumerate_runs(
                     capped = True
                     break
                 new_frontier.append(state)
-                if state[0].is_zero():
-                    level.add(state[1])
+                if not any(new_marking):
+                    level.append(state[1])
             if capped:
                 break
-        found.extend(TransitionMultiset(g, u) for u in sorted(level, key=Vec.sort_key))
+        found.extend(TransitionMultiset(g, vec) for vec, _used in _in_vec_order(cg, level))
         frontier = new_frontier
         if capped:
             break

@@ -194,3 +194,158 @@ def brute_force_multisets(g: Grammar, max_total: int):
                 del acc[tids[i]]
 
     yield from rec(0, max_total, {})
+
+
+# ---------------------------------------------------------------------------
+# Vec-based reference searches: the plain loops the library's searches on
+# the compiled grammar view must reproduce exactly (same sets, same order,
+# same cap behaviour).
+
+
+def ref_oracle_language(g: Grammar, depth: int, window: int) -> frozenset:
+    order = g.alphabet
+    rising = {i for i, s in enumerate(order) if all(t.output.get(s) >= 0 for t in g.transitions)}
+    falling = {i for i, s in enumerate(order) if all(t.output.get(s) <= 0 for t in g.transitions)}
+    start = (Vec.unit(g.start), (0,) * len(order))
+    visited, frontier, done = {start}, [start], set()
+    for level in range(depth):
+        budget = depth - level
+        new_frontier = []
+        for marking, value in frontier:
+            q = marking.support()[0]
+            for t in g.transitions:
+                if t.source != q:
+                    continue
+                new_marking = marking - Vec.unit(q) + t.targets
+                if new_marking.total() > budget - 1:
+                    continue
+                new_value = tuple(v + t.output.get(s) for v, s in zip(value, order))
+                if any((i in rising and x > window) or (i in falling and x < -window)
+                       for i, x in enumerate(new_value)):
+                    continue
+                if new_marking.is_zero():
+                    done.add(new_value)
+                elif (new_marking, new_value) not in visited:
+                    visited.add((new_marking, new_value))
+                    new_frontier.append((new_marking, new_value))
+        frontier = new_frontier
+    return frozenset(Vec.from_tuple(v, order) for v in done if all(abs(x) <= window for x in v))
+
+
+def ref_enumerate_runs(g: Grammar, p: str, max_size: int, state_cap: int):
+    """(runs, complete, capped) as plain values."""
+    start = (Vec.unit(p), Vec.zero())
+    frontier, visited, found = [start], {start}, []
+    capped = exhausted = False
+    states = 1
+    for _size in range(1, max_size + 1):
+        new_frontier, level = [], set()
+        for marking, used in frontier:
+            for t in g.transitions:
+                if marking.get(t.source) < 1:
+                    continue
+                state = (marking - Vec.unit(t.source) + t.targets, used + Vec.unit(t.tid))
+                if state in visited:
+                    continue
+                visited.add(state)
+                states += 1
+                if states > state_cap:
+                    capped = True
+                    break
+                new_frontier.append(state)
+                if state[0].is_zero():
+                    level.add(state[1])
+            if capped:
+                break
+        found.extend(sorted(level, key=Vec.sort_key))
+        frontier = new_frontier
+        if capped:
+            break
+        if not frontier:
+            exhausted = True
+            break
+    return found, exhausted and not capped, capped
+
+
+def ref_iter_cycles(g: Grammar, anchors, max_size: int, within=None, state_cap: int = 500_000):
+    """Yields (counts Vec, anchor); raises RuntimeError('cap') past the cap."""
+    anchors = sorted(set(anchors))
+    frontiers = {q: [(Vec.unit(q), Vec.zero())] for q in anchors}
+    visited = {q: set(f) for q, f in frontiers.items()}
+    states = len(anchors)
+    for _size in range(1, max_size + 1):
+        level: dict = {}
+        new_frontiers: dict = {q: [] for q in anchors}
+        for q in anchors:
+            for marking, used in frontiers[q]:
+                for t in g.transitions:
+                    if marking.get(t.source) < 1:
+                        continue
+                    new_used = used + Vec.unit(t.tid)
+                    if within is not None and not new_used <= within:
+                        continue
+                    state = (marking - Vec.unit(t.source) + t.targets, new_used)
+                    if state in visited[q]:
+                        continue
+                    visited[q].add(state)
+                    states += 1
+                    if states > state_cap:
+                        raise RuntimeError("cap")
+                    new_frontiers[q].append(state)
+                    if state[0] == Vec.unit(q) and new_used not in level:
+                        level[new_used] = q
+        for used in sorted(level, key=Vec.sort_key):
+            yield used, level[used]
+        frontiers = new_frontiers
+        if all(not f for f in frontiers.values()):
+            return
+
+
+def ref_is_subrun(g: Grammar, counts: Vec, src: Vec, dst: Vec) -> Optional[str]:
+    """None when valid, else 'euler' or 'connectivity'."""
+    ms = TransitionMultiset(g, counts)
+    if ms.source() - src != ms.target() - dst:
+        return "euler"
+    edges: dict = {}
+    for tid, _c in counts:
+        t = g.transition(tid)
+        edges.setdefault(t.source, set()).update(t.targets.support())
+    seen = {q for q, c in src if c > 0}
+    stack = list(seen)
+    while stack:
+        for r in edges.get(stack.pop(), ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return None if ms.supp() <= seen else "connectivity"
+
+
+def ref_order_subrun(g: Grammar, counts: Vec, src: Vec, dst: Vec) -> list:
+    seq, marking = [], src
+    while not counts.is_zero():
+        for t in g.transitions:
+            if counts.get(t.tid) <= 0 or marking.get(t.source) < 1:
+                continue
+            rest = counts - Vec.unit(t.tid)
+            advanced = marking - Vec.unit(t.source) + t.targets
+            if ref_is_subrun(g, rest, advanced, dst) is None:
+                seq.append(t.tid)
+                counts, marking = rest, advanced
+                break
+        else:
+            raise AssertionError("stuck")
+    return seq
+
+
+def ref_simple_cycles(g: Grammar, q: str, limit: int) -> list:
+    """Simple cycles from q of size <= limit, via the reference search."""
+    out = []
+    for cand, _ in ref_iter_cycles(g, [q], limit):
+        size = cand.total()
+        simple = size == 1 or not any(
+            ref_is_subrun(g, cand - part, Vec.unit(q), Vec.unit(q)) is None
+            for part, _ in ref_iter_cycles(g, [q], size - 1, within=cand)
+        )
+        if simple:
+            out.append(cand)
+    return out

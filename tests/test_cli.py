@@ -209,3 +209,54 @@ class TestErrorHandling:
         ]
         runs = [subprocess.run(cmd, capture_output=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("universal", "{ga}", "--window", "-1"),
+            ("universal", "{ga}", "--window", "3", "--depth", "-1"),
+            ("compare", "{ga}", "{gb}", "--mode", "include", "--window", "-2"),
+            ("oracle", "{ga}", "--depth", "-1", "--window", "3"),
+            ("oracle", "{ga}", "--depth", "4", "--window", "-1"),
+            ("cycles", "{gb}", "--at", "S", "--cap", "-3"),
+        ],
+    )
+    def test_negative_size_flag_is_a_usage_error(self, capsys, ga_file, gb_file, argv):
+        argv = [a.format(ga=ga_file, gb=gb_file) for a in argv]
+        code, err = usage_error(capsys, *argv)
+        assert code == 64 and "must be nonnegative" in err
+
+    def test_cycles_at_unknown_nonterminal(self, capsys, gb_file):
+        code, out, err = run_cli(capsys, "cycles", gb_file, "--at", "Nope")
+        assert code == 65 and out == ""
+        assert "unknown nonterminal 'Nope'" in err
+
+    def test_search_cap_exceeded_is_truncation(self, capsys, monkeypatch, gb_file):
+        from parikh import membership, runs
+
+        def tiny_cap(g, q, cap, state_cap):
+            return runs.enumerate_simple_cycles(g, q, cap, state_cap=2)
+
+        monkeypatch.setattr(membership, "enumerate_simple_cycles", tiny_cap)
+        membership._general_state.cache_clear()  # an equal grammar may be cached
+        code, out, err = run_cli(capsys, "member", gb_file, "a^4", "--caps", "4,3")
+        assert code == 2
+        assert out == "VERDICT unknown WITNESS -\n"
+        assert err.startswith("truncated: cycle search exceeded 2 states")
+
+    def test_malformed_oracle_pair_names_the_flag(self, capsys, gb_file):
+        code, err = usage_error(capsys, "member", gb_file, "a^2", "--oracle", "5")
+        assert code == 64
+        assert "--oracle" in err and "depth,window" in err and "run,cycle" not in err
+
+    def test_letter_outside_alphabet_with_general_engine(self, capsys, gb_file):
+        code, out, _ = run_cli(capsys, "member", gb_file, "b", "--caps", "3,3")
+        assert code == 1 and out == "VERDICT false WITNESS -\n"

@@ -166,3 +166,8 @@ class TestAgainstOracle:
             members = state.window_members(8)
             assert members == lang14
             done += 1
+
+
+def test_general_engine_rejects_letters_outside_the_alphabet():
+    for res in (member_general(gb(), Vec.unit("b"), 3, 3), member_regular(gb(), Vec.unit("b"))):
+        assert res.status == NON_MEMBER and res.note == "letters outside the alphabet"
