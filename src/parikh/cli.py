@@ -10,6 +10,7 @@ bundle blocks) on stdout.  Usage errors exit 64, bad input files 65.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -39,8 +40,6 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 
-DESK_BOUND_CAP = windows.DESK_BOUND_CAP
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
@@ -64,13 +63,24 @@ def _verdict(result: Optional[bool], witness: Optional[Vec], alphabet=None) -> i
     return EXIT_TRUE if result else (EXIT_UNKNOWN if result is None else EXIT_FALSE)
 
 
-def _nonneg_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _nonneg_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -93,8 +103,10 @@ def _nonneg_pair(names: str, example: str):
 
 
 _caps_pair = _nonneg_pair("run,cycle", "10,8")
+_oracle_pair = _nonneg_pair("depth,window", "20,8")
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     top = _Parser(prog="parikh", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -111,13 +123,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("member", help="decide membership of a letter vector")
     p.add_argument("grammar")
     p.add_argument("vector", help="monomial, e.g. 'a^3 b^-2'")
-    p.add_argument("--bound", type=int, default=None, help="run bound for the regular engine")
+    p.add_argument(
+        "--bound", type=_positive_int, default=None, help="run bound for the regular engine"
+    )
     p.add_argument(
         "--caps", type=_caps_pair, default=None, help="run,cycle caps for the general engine"
     )
     p.add_argument(
-        "--oracle", type=_nonneg_pair("depth,window", "20,8"), default=None,
-        help="depth,window for the enumeration engine",
+        "--oracle", type=_oracle_pair, default=None, help="depth,window for the enumeration engine"
     )
 
     p = sub.add_parser("oracle", help="enumerate derivable vectors by brute force")
@@ -143,10 +156,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bundles", help="bundle representation of the language")
     p.add_argument("grammar")
-    p.add_argument("--run-cap", type=int, required=True)
+    p.add_argument("--run-cap", type=_positive_int, required=True)
     p.add_argument("--two-letter", action="store_true", help="use the two-letter construction")
-    p.add_argument("--cycle-cap", type=int, default=None)
-    p.add_argument("--fold-cap", type=int, default=None)
+    p.add_argument("--cycle-cap", type=_nonneg_int, default=None)
+    p.add_argument("--fold-cap", type=_nonneg_int, default=None)
 
     p = sub.add_parser("compare", help="window-sweep inclusion/equivalence/disjointness")
     p.add_argument("grammar1")
@@ -154,7 +167,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("include", "equiv", "disjoint"), required=True)
     p.add_argument("--window", type=_nonneg_int, required=True)
     p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_positive_int, default=None)
     p.add_argument("--caps", type=_caps_pair, default=None)
     p.add_argument("--depth", type=_nonneg_int, default=None)
 
@@ -163,7 +176,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=_nonneg_int, required=True)
     p.add_argument("--ambient", choices=("nat", "int"), default="nat")
     p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_positive_int, default=None)
     p.add_argument("--caps", type=_caps_pair, default=None)
     p.add_argument("--depth", type=_nonneg_int, default=None)
 
@@ -175,7 +188,7 @@ def _build_parser() -> _Parser:
         dest="family", required=True
     )
     p = gen.add_parser("hard", help="staircase family with exponential hulls")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--variant", choices=("full", "stripped", "cone"), default="full")
     p = gen.add_parser("qsat2", help="quantified-CNF inclusion/universality encodings")
     p.add_argument("--formula", required=True)
@@ -213,7 +226,7 @@ def _cmd_member(args) -> int:
         res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
     else:
         bound = args.bound if args.bound is not None else min(
-            decomposition.base_run_bound(g).value, DESK_BOUND_CAP
+            decomposition.base_run_bound(g).value, windows.DESK_BOUND_CAP
         )
         res = membership.member_regular(g, v, bound)
     if res.status == membership.MEMBER:

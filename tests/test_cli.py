@@ -1,10 +1,31 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
-from parikh.cli import main
+import parikh
+from parikh.cli import _build_parser, main
 from helpers import GA_TEXT, GB_TEXT
+
+# Child interpreters import the same package as this one, installed or not.
+_SRC = os.path.dirname(os.path.dirname(parikh.__file__))
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
+
+COMMANDS = [
+    "parse", "normalize", "classify", "member", "oracle", "order", "decompose",
+    "cycles", "bundles", "compare", "universal", "bound-report", "gen",
+]
+
+
+def run_child(*args):
+    """Run `python <args>` in a fresh interpreter; text mode."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_CHILD_ENV
+    )
 
 
 @pytest.fixture
@@ -155,16 +176,11 @@ class TestArtifactCommands:
 
 class TestErrorHandling:
     def test_usage_error_unknown_flag(self, ga_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "parikh", "member", ga_file, "a", "--wat"],
-            capture_output=True,
-        )
+        proc = run_child("-m", "parikh", "member", ga_file, "a", "--wat")
         assert proc.returncode == 64
 
     def test_usage_error_bad_command(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "parikh", "frobnicate"], capture_output=True
-        )
+        proc = run_child("-m", "parikh", "frobnicate")
         assert proc.returncode == 64
 
     def test_input_error_missing_file(self, capsys):
@@ -182,32 +198,22 @@ class TestErrorHandling:
         assert code == 65
 
     def test_help_lists_flags(self, ga_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "parikh", "member", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_child("-m", "parikh", "member", "--help")
         assert proc.returncode == 0
         for flag in ("--bound", "--caps", "--oracle"):
             assert flag in proc.stdout
 
-    @pytest.mark.parametrize(
-        "command",
-        ["parse", "normalize", "classify", "member", "oracle", "order", "decompose",
-         "cycles", "bundles", "compare", "universal", "bound-report", "gen"],
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_every_subcommand_has_help(self, command):
-        proc = subprocess.run(
-            [sys.executable, "-m", "parikh", command, "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_child("-m", "parikh", command, "--help")
         assert proc.returncode == 0 and "usage" in proc.stdout
 
     def test_byte_stable_output(self, ga_file, gb_file):
         cmd = [
-            sys.executable, "-m", "parikh", "compare", ga_file, gb_file,
+            "-m", "parikh", "compare", ga_file, gb_file,
             "--mode", "include", "--window", "4", "--depth", "16",
         ]
-        runs = [subprocess.run(cmd, capture_output=True).stdout for _ in range(2)]
+        runs = [run_child(*cmd).stdout for _ in range(2)]
         assert runs[0] == runs[1]
 
 
@@ -227,12 +233,23 @@ class TestInputValidation:
             ("oracle", "{ga}", "--depth", "-1", "--window", "3"),
             ("oracle", "{ga}", "--depth", "4", "--window", "-1"),
             ("cycles", "{gb}", "--at", "S", "--cap", "-3"),
+            ("member", "{gb}", "a^2", "--bound", "0"),
+            ("member", "{gb}", "a^2", "--bound", "-1"),
+            ("compare", "{ga}", "{gb}", "--mode", "include", "--window", "2", "--bound", "-1"),
+            ("universal", "{ga}", "--window", "2", "--bound", "-1"),
+            ("bundles", "{gb}", "--run-cap", "-1"),
+            ("bundles", "{gb}", "--run-cap", "5", "--two-letter", "--cycle-cap", "-1"),
+            ("bundles", "{gb}", "--run-cap", "5", "--two-letter", "--fold-cap", "-1"),
+            ("gen", "hard", "--n", "-1"),
         ],
     )
     def test_negative_size_flag_is_a_usage_error(self, capsys, ga_file, gb_file, argv):
         argv = [a.format(ga=ga_file, gb=gb_file) for a in argv]
+        bad = next(i for i, a in enumerate(argv) if a.lstrip("-").isdigit() and int(a) < 1)
+        flag, value = argv[bad - 1], int(argv[bad])
         code, err = usage_error(capsys, *argv)
-        assert code == 64 and "must be nonnegative" in err
+        floor = "must be at least 1" if flag in ("--bound", "--run-cap") else "must be nonnegative"
+        assert code == 64 and f"argument {flag}: {floor}, got {value}" in err
 
     def test_cycles_at_unknown_nonterminal(self, capsys, gb_file):
         code, out, err = run_cli(capsys, "cycles", gb_file, "--at", "Nope")
@@ -260,3 +277,44 @@ class TestInputValidation:
     def test_letter_outside_alphabet_with_general_engine(self, capsys, gb_file):
         code, out, _ = run_cli(capsys, "member", gb_file, "b", "--caps", "3,3")
         assert code == 1 and out == "VERDICT false WITNESS -\n"
+
+
+class TestParserReuse:
+    """One parser serves every `main` call in a process."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        proc = run_child(
+            "-c", "import parikh.cli as c; print(c._build_parser.cache_info().currsize)"
+        )
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    def test_no_value_leaks_between_calls(self, capsys, ga_file, gb_file):
+        sequence = [
+            ("member", gb_file, "a^4", "--wat"),
+            ("member", gb_file, "a^4", "--bound", "40"),
+            ("member", gb_file, "a^4"),
+            ("compare", ga_file, gb_file, "--mode", "include", "--window", "4",
+             "--engine", "regular-dp"),
+            ("compare", ga_file, gb_file, "--mode", "include", "--window", "4"),
+        ]
+        for argv in sequence:
+            try:
+                got = run_cli(capsys, *argv)
+            except SystemExit as e:
+                out = capsys.readouterr()
+                got = (e.code, out.out, out.err)
+            alone = run_child("-m", "parikh", *argv)
+            assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_repeats(self, capsys, command):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: parikh " + command)
