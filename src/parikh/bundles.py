@@ -14,6 +14,7 @@ astronomically large outside toy sizes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -135,23 +136,17 @@ def _angular(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def _direction_reps(vecs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One representative per direction (the 1-norm-smallest vector),
-    sorted by angle from the positive x axis."""
+    """One representative per direction of the given nonzero vectors (the
+    1-norm-smallest vector), sorted by angle from the positive x axis."""
     groups: dict[tuple[int, int], tuple[int, int]] = {}
     for v in vecs:
         x, y = v
-        g = _gcd(abs(x), abs(y))
+        g = math.gcd(x, y)
         key = (x // g, y // g)
         cur = groups.get(key)
         if cur is None or (abs(x) + abs(y), v) < (abs(cur[0]) + abs(cur[1]), cur):
             groups[key] = v
     return sorted(groups.values(), key=functools.cmp_to_key(_angular))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _sector_period_sets(vecs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:

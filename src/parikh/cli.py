@@ -203,14 +203,29 @@ def _build_parser() -> _Parser:
     return top
 
 
+# the one size flag each window engine reads
+_ENGINE_FLAG = {"regular-dp": "--bound", "general-caps": "--caps", "oracle": "--depth"}
+
+
 def _engine_params(args) -> dict:
+    """Engine keyword arguments from the size flags; names on stderr the
+    flags the selected engine does not read."""
     params = {}
-    if getattr(args, "bound", None) is not None:
+    given = []
+    if args.bound is not None:
         params["bound"] = args.bound
-    if getattr(args, "caps", None):
+        given.append("--bound")
+    if args.caps:
         params["run_cap"], params["cycle_cap"] = args.caps
-    if getattr(args, "depth", None) is not None:
+        given.append("--caps")
+    if args.depth is not None:
         params["depth"] = args.depth
+        given.append("--depth")
+    ignored = [flag for flag in given if flag != _ENGINE_FLAG[args.engine]]
+    if ignored:
+        verb = "is" if len(ignored) == 1 else "are"
+        print(f"note: {', '.join(ignored)} {verb} not used by the {args.engine} engine",
+              file=sys.stderr)
     return params
 
 

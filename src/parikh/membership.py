@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from itertools import product
+from math import gcd
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .decomposition import CycleTerm, base_run_bound
@@ -349,6 +351,40 @@ class _CosetIndex:
         kern = tuple(sum(u[i] * v[i] for i in range(len(v))) for u in self.kernel)
         return (kern, tuple(c % self.det for c in scaled)), scaled
 
+    def box_points(self, lo: int, hi: int) -> set[IntTuple]:
+        """Members of the indexed set inside the box [lo..hi]^dim.
+
+        A member v = w + sum(c_i z_i) is fixed by its pivot coordinates
+        u = v[rows], because adj * (u - w[rows]) = det * c.  So each
+        Pareto-minimal base w tries every u in [lo..hi]^k once and keeps
+        it when every det * c_i is a nonnegative multiple of det and v
+        lies in the box: at most (hi - lo + 1)^k candidates per base.
+        """
+        det = self.det
+        columns = list(zip(*self.zs))  # columns[i][j] = z_j[i]
+        # adj * u for every pivot tuple, bucketed by its residues mod det;
+        # a class's residue key selects the tuples whose c is integral
+        images: dict[IntTuple, list[IntTuple]] = {}
+        for u in product(range(lo, hi + 1), repeat=len(self.zs)):
+            image = tuple(sum(a * x for a, x in zip(row, u)) for row in self.adj)
+            images.setdefault(tuple(c % det for c in image), []).append(image)
+        found: set[IntTuple] = set()
+        for (_kern, residues), entries in self.groups.items():
+            candidates = images.get(residues, ())
+            for base_coords, w in entries:
+                for image in candidates:
+                    scaled = tuple(map(sub, image, base_coords))
+                    if any(c < 0 for c in scaled):
+                        continue
+                    # det * v = det * w + sum(scaled_j * z_j), divisible here
+                    v = tuple(
+                        (det * x + sum(map(mul, scaled, col))) // det
+                        for x, col in zip(w, columns)
+                    )
+                    if all(lo <= x <= hi for x in v):
+                        found.add(v)
+        return found
+
     def lookup(self, v: IntTuple) -> Optional[tuple[IntTuple, tuple[int, ...]]]:
         """Return (base vector, coefficients) or None."""
         key, coords = self._key_coords(v)
@@ -440,15 +476,9 @@ def _kernel_basis(zs: list[IntTuple], dim: int) -> list[IntTuple]:
             vec[pc] = -row[fc]
         lcm = 1
         for x in vec:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
         basis.append(tuple(int(x * lcm) for x in vec))
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
@@ -550,15 +580,22 @@ class RegularMembership:
     def contains(self, v: Vec) -> bool:
         return self.result(v, want_witness=False).status == MEMBER
 
-    def window_members(self, window: int) -> frozenset[Vec]:
-        from itertools import product
+    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
+        """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
+        that `result` answers MEMBER, enumerated group by group instead of
+        asked point by point."""
+        found: set[IntTuple] = set()
+        for _key, _zs, index, bases, _anchors in self._queries:
+            if index is None:
+                found.update(w for w in bases if all(lo <= x <= hi for x in w))
+            else:
+                found |= index.box_points(lo, hi)
+        return frozenset(found)
 
-        members = []
-        for values in product(range(-window, window + 1), repeat=len(self.order)):
-            v = Vec.from_tuple(values, self.order)
-            if self.contains(v):
-                members.append(v)
-        return frozenset(members)
+    def window_members(self, window: int) -> frozenset[Vec]:
+        return frozenset(
+            Vec.from_tuple(t, self.order) for t in self.box_members(-window, window)
+        )
 
     # -- witness reconstruction ------------------------------------------
 

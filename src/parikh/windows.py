@@ -18,12 +18,7 @@ from typing import Callable, Iterator, Optional
 from .decomposition import base_run_bound
 from .grammar import Grammar
 from .intlinalg import hadamard_bound
-from .membership import (
-    MEMBER,
-    GeneralMembership,
-    RegularMembership,
-    oracle_language,
-)
+from .membership import GeneralMembership, IntTuple, _regular_state, oracle_language
 from .runs import tree_size_bound
 from .vector import Vec
 
@@ -70,7 +65,7 @@ def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
     return WindowBoundReport(_grammar_bounds(g1), _grammar_bounds(g2))
 
 
-MemberFn = Callable[[Vec], Optional[bool]]  # None = unknown
+MemberFn = Callable[[IntTuple], Optional[bool]]  # dense tuple in; None = unknown
 
 
 def membership_engine(
@@ -82,48 +77,48 @@ def membership_engine(
     cycle_cap: int = 8,
     depth: Optional[int] = None,
 ) -> tuple[MemberFn, str]:
-    """Build a per-vector membership test plus a provenance note.
+    """Build a membership test on dense tuples (alphabet order) for the
+    box [-window..window]^alphabet, plus a provenance note.
 
     regular-dp: exact up to its run bound (default min of the theoretical
-    bound and a desk cap); a bounded no counts as no.  general-caps:
-    sound yes, unknown otherwise.  oracle: brute-force enumeration, exact
-    only when every in-window vector derives within `depth` steps.
+    bound and a desk cap); a bounded no counts as no.  Its in-box members
+    are enumerated once, on the `RegularMembership` shared through
+    `_regular_state`, and answered by set lookup.  general-caps: sound
+    yes, unknown otherwise; one point query per tuple.  oracle:
+    brute-force enumeration, exact only when every in-window vector
+    derives within `depth` steps; its members become one tuple set.
     """
     if engine == "regular-dp":
         if bound is None:
             bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
-        state = RegularMembership(g, bound)
-
-        def regular_fn(v: Vec) -> Optional[bool]:
-            return state.result(v, want_witness=False).status == MEMBER
-
+        state = _regular_state(g, bound)
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"
         )
-        return regular_fn, note
+        return state.box_members(-window, window).__contains__, note
     if engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
+        alphabet = g.alphabet
 
-        def general_fn(v: Vec) -> Optional[bool]:
-            return state.contains(v)
+        def general_fn(t: IntTuple) -> Optional[bool]:
+            return state.contains(Vec.from_tuple(t, alphabet))
 
         return general_fn, f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
     if engine == "oracle":
         if depth is None:
             depth = 4 * window + 4
-        members = oracle_language(g, depth, window)
-
-        def oracle_fn(v: Vec) -> Optional[bool]:
-            return v in members
-
-        return oracle_fn, f"oracle with depth {depth}, window {window}"
+        members = {v.to_tuple(g.alphabet) for v in oracle_language(g, depth, window)}
+        return members.__contains__, f"oracle with depth {depth}, window {window}"
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
-def iter_window(alphabet: tuple[str, ...], window: int, nonneg: bool = False) -> Iterator[Vec]:
+def iter_window(
+    alphabet: tuple[str, ...], window: int, nonneg: bool = False
+) -> Iterator[IntTuple]:
+    """Dense tuples of the box [-window..window]^alphabet (or
+    [0..window]^alphabet) in lexicographic order."""
     lo = 0 if nonneg else -window
-    for values in product(range(lo, window + 1), repeat=len(alphabet)):
-        yield Vec.from_tuple(values, alphabet)
+    return product(range(lo, window + 1), repeat=len(alphabet))
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,9 @@ def compare_within_window(
     f1, note1 = membership_engine(g1, engine, window, **engine_params)
     f2, note2 = membership_engine(g2, engine, window, **engine_params)
     notes = (note1, note2)
-    unknown_at: Optional[Vec] = None
-    for v in iter_window(g1.alphabet, window):
+    alphabet = g1.alphabet
+    unknown_at: Optional[IntTuple] = None
+    for v in iter_window(alphabet, window):
         m1 = f1(v)
         m2 = f2(v)
         if mode == "inclusion":
@@ -178,11 +174,11 @@ def compare_within_window(
             bad = m1 is True and m2 is True
             unk = (m1 is None and m2 is not False) or (m2 is None and m1 is not False)
         if bad:
-            return CompareResult(mode, window, False, v, notes)
+            return CompareResult(mode, window, False, Vec.from_tuple(v, alphabet), notes)
         if unk and unknown_at is None:
             unknown_at = v
     if unknown_at is not None:
-        return CompareResult(mode, window, None, unknown_at, notes)
+        return CompareResult(mode, window, None, Vec.from_tuple(unknown_at, alphabet), notes)
     return CompareResult(mode, window, True, None, notes)
 
 
@@ -217,13 +213,17 @@ def universality_within_window(
     if ambient not in ("naturals", "integers"):
         raise ValueError(f"unknown ambient {ambient!r}")
     fn, note = membership_engine(g, engine, window, **engine_params)
-    unknown_at: Optional[Vec] = None
+    unknown_at: Optional[IntTuple] = None
     for v in iter_window(g.alphabet, window, nonneg=ambient == "naturals"):
         m = fn(v)
         if m is False:
-            return UniversalityResult(ambient, window, False, v, (note,))
+            return UniversalityResult(
+                ambient, window, False, Vec.from_tuple(v, g.alphabet), (note,)
+            )
         if m is None and unknown_at is None:
             unknown_at = v
     if unknown_at is not None:
-        return UniversalityResult(ambient, window, None, unknown_at, (note,))
+        return UniversalityResult(
+            ambient, window, None, Vec.from_tuple(unknown_at, g.alphabet), (note,)
+        )
     return UniversalityResult(ambient, window, True, None, (note,))

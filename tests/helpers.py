@@ -10,6 +10,9 @@ from itertools import product
 from typing import Optional, Sequence
 
 from parikh import Grammar, TransitionMultiset, Vec, grammar_from_rules, parse_grammar
+from parikh.decomposition import base_run_bound
+from parikh.membership import MEMBER, GeneralMembership, RegularMembership, oracle_language
+from parikh.windows import DESK_BOUND_CAP
 
 GA_TEXT = "alphabet: a\nstart: S\nS -> a : S\nS -> :\n"
 GB_TEXT = "alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nS -> :\n"
@@ -349,3 +352,84 @@ def ref_simple_cycles(g: Grammar, q: str, limit: int) -> list:
         if simple:
             out.append(cand)
     return out
+
+
+# Point-by-point window sweeps: the reference the set-at-a-time sweeps in
+# `parikh.windows` must reproduce (same verdict, witness and notes).  Each
+# engine answers one Vec at a time, on a freshly built decision state.
+
+
+def ref_box_members(state, lo: int, hi: int) -> frozenset:
+    """Dense tuples in [lo..hi]^alphabet that `state.result` accepts."""
+    return frozenset(
+        t
+        for t in product(range(lo, hi + 1), repeat=len(state.order))
+        if state.result(Vec.from_tuple(t, state.order), want_witness=False).status == MEMBER
+    )
+
+
+def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
+                  cycle_cap=8, depth=None):
+    if engine == "regular-dp":
+        if bound is None:
+            bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
+        state = RegularMembership(g, bound)
+        note = f"regular-dp with run bound {bound}" + (
+            "" if bound >= state.complete_bound else " (below the completeness threshold)"
+        )
+        return (lambda v: state.result(v, want_witness=False).status == MEMBER), note
+    if engine == "general-caps":
+        state = GeneralMembership(g, run_cap, cycle_cap)
+        return state.contains, f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
+    if depth is None:
+        depth = 4 * window + 4
+    members = oracle_language(g, depth, window)
+    return (lambda v: v in members), f"oracle with depth {depth}, window {window}"
+
+
+def _ref_box(alphabet, window: int, nonneg: bool = False):
+    lo = 0 if nonneg else -window
+    for values in product(range(lo, window + 1), repeat=len(alphabet)):
+        yield Vec.from_tuple(values, alphabet)
+
+
+def ref_compare_within_window(g1: Grammar, g2: Grammar, window: int, mode: str,
+                              engine: str, **params):
+    """(verdict, witness, notes) of the point-by-point comparison sweep."""
+    f1, note1 = ref_member_fn(g1, engine, window, **params)
+    f2, note2 = ref_member_fn(g2, engine, window, **params)
+    unknown_at = None
+    for v in _ref_box(g1.alphabet, window):
+        m1, m2 = f1(v), f2(v)
+        if mode == "inclusion":
+            bad = m1 is True and m2 is False
+            unk = (m1 is None and m2 is not True) or (m1 is True and m2 is None)
+        elif mode == "equivalence":
+            bad = (m1 is True and m2 is False) or (m2 is True and m1 is False)
+            unk = m1 is None or m2 is None
+        else:
+            bad = m1 is True and m2 is True
+            unk = (m1 is None and m2 is not False) or (m2 is None and m1 is not False)
+        if bad:
+            return False, v, (note1, note2)
+        if unk and unknown_at is None:
+            unknown_at = v
+    if unknown_at is not None:
+        return None, unknown_at, (note1, note2)
+    return True, None, (note1, note2)
+
+
+def ref_universality_within_window(g: Grammar, window: int, ambient: str, engine: str,
+                                   **params):
+    """(verdict, witness, notes) of the point-by-point universality sweep."""
+    fn, note = ref_member_fn(g, engine, window, **params)
+    unknown_at = None
+    for v in _ref_box(g.alphabet, window, nonneg=ambient == "naturals"):
+        m = fn(v)
+        if m is False:
+            return False, v, (note,)
+        if m is None and unknown_at is None:
+            unknown_at = v
+    if unknown_at is not None:
+        return None, unknown_at, (note,)
+    return True, None, (note,)

@@ -10,7 +10,8 @@ from parikh import (
     regular_bundles,
     two_letter_bundles,
 )
-from parikh.bundles import _sector_period_sets
+from parikh import bundles
+from parikh.bundles import _direction_reps, _sector_period_sets
 from helpers import ga, gb, random_grammar
 from parikh.hardness import hard_grammar
 
@@ -83,6 +84,10 @@ class TestSectorPeriodSets:
     def test_empty(self):
         assert _sector_period_sets([]) == [()]
 
+    def test_direction_reps(self):
+        vecs = [(0, 3), (0, 1), (2, 4), (1, 2), (-3, 0), (-2, -2)]
+        assert _direction_reps(vecs) == [(1, 2), (0, 1), (-3, 0), (-2, -2)]
+
 
 class TestTwoLetterBundles:
     def test_two_cycle_directions(self):
@@ -124,6 +129,25 @@ class TestTwoLetterBundles:
             for j in range(-6, 7):
                 v = Vec({"x": i, "y": j})
                 assert result.member(v) == (v in lang)
+
+    def test_zero_cycles_never_reach_direction_reps(self, monkeypatch):
+        # S -> T -> S and T -> S -> T are cycles with a zero vector; they
+        # are filtered out before the direction grouping, which may
+        # therefore divide by gcd(x, y) without a zero case
+        seen = []
+
+        def recording(vecs):
+            seen.extend(vecs)
+            return _direction_reps(vecs)
+
+        monkeypatch.setattr(bundles, "_direction_reps", recording)
+        g = parse_grammar(
+            "alphabet: x y\nstart: S\n"
+            "S -> x : S\nS -> : T\nT -> : S\nT -> y^-1 : T\nS -> :"
+        )
+        assert any(c.parikh().is_zero() for c in bundles.enumerate_simple_cycles(g, "S", 4))
+        two_letter_bundles(g, run_cap=6)
+        assert seen and (0, 0) not in seen
 
     def test_needs_two_letters(self):
         with pytest.raises(ValueError):

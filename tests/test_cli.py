@@ -92,6 +92,26 @@ class TestDecisionCommands:
         )
         assert code == 0 and "true" in out
 
+    @pytest.mark.parametrize("engine, flags, note", [
+        ("oracle", ("--bound", "5", "--caps", "3,3"),
+         "note: --bound, --caps are not used by the oracle engine\n"),
+        ("regular-dp", ("--bound", "40", "--depth", "20"),
+         "note: --depth is not used by the regular-dp engine\n"),
+        ("general-caps", ("--caps", "6,4", "--bound", "40", "--depth", "20"),
+         "note: --bound, --depth are not used by the general-caps engine\n"),
+    ])
+    def test_ignored_engine_flags_are_named(self, capsys, ga_file, gb_file, engine, flags, note):
+        used = {"oracle": ("--depth", "20"), "regular-dp": ("--bound", "40"),
+                "general-caps": ("--caps", "6,4")}[engine]
+        for cmd in (("compare", gb_file, ga_file, "--mode", "include"),
+                    ("universal", ga_file, "--ambient", "nat")):
+            base = (*cmd, "--window", "4", "--engine", engine)
+            code, out, err = run_cli(capsys, *base, *used)
+            assert "not used" not in err
+            extra_code, extra_out, extra_err = run_cli(capsys, *base, *flags)
+            assert (extra_code, extra_out) == (code, out)
+            assert extra_err == note + err
+
     def test_universal(self, capsys, ga_file, gb_file):
         code, out, _ = run_cli(capsys, "universal", ga_file, "--window", "6", "--depth", "10")
         assert code == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from parikh import (
+    RegularMembership,
     Vec,
     compare_within_window,
     difference_grammar,
@@ -11,7 +12,16 @@ from parikh import (
     universality_within_window,
     window_bound_report,
 )
-from helpers import ga, gb, random_grammar
+from parikh.decomposition import base_run_bound
+from parikh.membership import _regular_state
+from helpers import (
+    ga,
+    gb,
+    random_grammar,
+    ref_box_members,
+    ref_compare_within_window,
+    ref_universality_within_window,
+)
 
 
 class TestWindowBoundReport:
@@ -126,3 +136,127 @@ class TestDisjointnessDifferenceConsistency:
             zero_in_diff = Vec.zero() in oracle_language(diff, 33, 0)
             assert sweep.verdict is expect_disjoint
             assert zero_in_diff == (not expect_disjoint)
+
+
+# Bounds at the completeness threshold are only tabulated where it is
+# small (one letter); every grammar is also tried below its threshold.
+SMALL_COMPLETE_BOUND = 300
+
+
+def _regular_cases(seed: int, count: int):
+    """(grammar, bound) pairs over random regular grammars with negative
+    emissions on 1-3 letters."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        g = random_grammar(rng, max_nonterminals=3, max_letters=3, regular=True, neg_prob=0.4)
+        complete = base_run_bound(g).value
+        cases.append((g, rng.randint(1, min(12, complete - 1))))
+        if complete <= SMALL_COMPLETE_BOUND:
+            cases.append((g, complete))
+    return cases
+
+
+class TestBoxEnumeration:
+    def test_box_members_equal_point_queries(self):
+        rng = random.Random(83)
+        seen_det, seen_complete = False, False
+        for g, bound in _regular_cases(83, 80):
+            state = RegularMembership(g, bound)
+            window = rng.randint(0, 6 if len(g.alphabet) < 3 else 4)
+            for lo, hi in ((-window, window), (0, window)):
+                assert state.box_members(lo, hi) == ref_box_members(state, lo, hi)
+            assert state.window_members(window) == frozenset(
+                Vec.from_tuple(t, g.alphabet) for t in ref_box_members(state, -window, window)
+            )
+            seen_det |= any(
+                index is not None and index.det > 1 and len(zs) > 1
+                for _key, zs, index, _bases, _anchors in state._queries
+            )
+            seen_complete |= bound == state.complete_bound and bool(state.window_members(window))
+        # the residue filter and the threshold bound were both exercised
+        assert seen_det and seen_complete
+
+    def test_negative_periods_reach_back_into_the_box(self):
+        # the base a^9 b lies outside the box; the cycle a^-2 b^-1 pumps
+        # it back in
+        chain = "".join(f"A{i} -> a : A{i + 1}\n" for i in range(9))
+        g = parse_grammar(
+            "alphabet: a b\nstart: A0\n" + chain + "A9 -> b : T\n"
+            "T -> a^-1 : U\nU -> a^-1 : V\nV -> b^-1 : T\nT -> :"
+        )
+        state = RegularMembership(g, 40)
+        inside = {(9 - 2 * n, 1 - n) for n in (3, 4)}
+        assert state.box_members(-3, 3) == inside
+        assert state.box_members(-3, 3) == ref_box_members(state, -3, 3)
+
+
+ENGINE_PARAMS = (
+    ("general-caps", {"run_cap": 6, "cycle_cap": 4}),
+    ("oracle", {"depth": 12}),
+)
+
+
+def _sweep_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        g1 = random_grammar(rng, max_nonterminals=3, max_letters=2, regular=True, neg_prob=0.4)
+        g2 = random_grammar(rng, max_nonterminals=3, max_letters=2, regular=True, neg_prob=0.4)
+        if g1.alphabet == g2.alphabet:
+            pairs.append((g1, g2, rng.randint(0, 4), rng.randint(1, 12)))
+    return pairs
+
+
+class TestSweepsMatchPointQueries:
+    @pytest.mark.parametrize("mode", ["inclusion", "equivalence", "disjointness"])
+    def test_compare(self, mode):
+        verdicts = set()
+        for g1, g2, window, bound in _sweep_pairs(89, 20):
+            runs = ENGINE_PARAMS + (("regular-dp", {"bound": bound}),)
+            if len(g1.alphabet) == 1:
+                runs += (("regular-dp", {}),)  # default bound: the threshold
+            for engine, params in runs:
+                res = compare_within_window(g1, g2, window, mode, engine=engine, **params)
+                ref = ref_compare_within_window(g1, g2, window, mode, engine, **params)
+                assert (res.verdict, res.witness, res.notes) == ref
+                verdicts.add(res.verdict)
+        assert verdicts == {True, False, None}
+
+    @pytest.mark.parametrize("ambient", ["naturals", "integers"])
+    def test_universality(self, ambient):
+        verdicts = set()
+        for g, _g2, window, bound in _sweep_pairs(97, 20):
+            runs = ENGINE_PARAMS + (("regular-dp", {"bound": bound}),)
+            for engine, params in runs:
+                res = universality_within_window(g, window, ambient, engine=engine, **params)
+                ref = ref_universality_within_window(g, window, ambient, engine, **params)
+                assert (res.verdict, res.witness, res.notes) == ref
+                verdicts.add(res.verdict)
+        assert verdicts >= {True, False}
+
+
+class TestEngineReuse:
+    def test_one_build_per_grammar_and_bound(self, monkeypatch):
+        builds = []
+        build = RegularMembership.__init__
+
+        def counting(self, g, bound=None):
+            builds.append(bound)
+            build(self, g, bound)
+
+        monkeypatch.setattr(RegularMembership, "__init__", counting)
+        _regular_state.cache_clear()
+        compare_within_window(gb(), gb(), 4, "equivalence", engine="regular-dp", bound=40)
+        universality_within_window(gb(), 4, "naturals", engine="regular-dp", bound=40)
+        assert builds == [40]
+        universality_within_window(gb(), 4, "naturals", engine="regular-dp", bound=41)
+        assert builds == [40, 41]
+
+    def test_cache_stays_bounded(self):
+        assert _regular_state.cache_info().maxsize == 32
+        _regular_state.cache_clear()
+        for n in range(1, 41):
+            g = parse_grammar(f"alphabet: a\nstart: S{n}\nS{n} -> a : S{n}\nS{n} -> :")
+            universality_within_window(g, 1, "naturals", engine="regular-dp", bound=3)
+        assert _regular_state.cache_info().currsize == 32
