@@ -30,11 +30,13 @@ from .grammar import (
     serialize_grammar,
 )
 from .intlinalg import (
+    PeriodLattice,
     cramer_solve,
     determinant,
     find_integer_dependency,
     hadamard_bound,
     is_linearly_independent,
+    maximal_independent_subsets,
     nonneg_integer_solve,
     reduce_multiplicities,
 )

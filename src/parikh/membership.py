@@ -21,16 +21,14 @@ expansion of sentential forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .decomposition import CycleTerm, base_run_bound
 from .grammar import Grammar
-from .intlinalg import is_linearly_independent, nonneg_integer_solve
+from .intlinalg import PeriodLattice, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
     TransitionMultiset,
@@ -327,29 +325,22 @@ class _CosetIndex:
     """
 
     def __init__(self, zs: list[IntTuple], bases: dict[IntTuple, int], dim: int):
-        self.zs = zs
-        k = len(zs)
-        rows = _pivot_rows(zs, dim)
-        square = [[zs[j][r] for j in range(k)] for r in rows]
-        det, adj = _det_adjugate(square)
-        if det < 0:
-            det = -det
-            adj = [[-x for x in row] for row in adj]
-        self.rows = rows
-        self.det = det
-        self.adj = adj
-        self.kernel = _kernel_basis(zs, dim)
+        self.lattice = PeriodLattice(zs, dim)
         groups: dict[tuple, list[tuple[IntTuple, IntTuple]]] = {}
         for w in bases:
             key, coords = self._key_coords(w)
             groups.setdefault(key, []).append((coords, w))
         self.groups = {key: _pareto_min(entries) for key, entries in groups.items()}
 
+    @property
+    def det(self) -> int:
+        return self.lattice.det
+
     def _key_coords(self, v: IntTuple) -> tuple[tuple, IntTuple]:
-        pivot = [v[r] for r in self.rows]
-        scaled = tuple(sum(a * x for a, x in zip(row, pivot)) for row in self.adj)
-        kern = tuple(sum(u[i] * v[i] for i in range(len(v))) for u in self.kernel)
-        return (kern, tuple(c % self.det for c in scaled)), scaled
+        lattice = self.lattice
+        scaled = lattice.scaled(v)
+        det = lattice.det
+        return (lattice.functionals(v), tuple(c % det for c in scaled)), scaled
 
     def box_points(self, lo: int, hi: int) -> set[IntTuple]:
         """Members of the indexed set inside the box [lo..hi]^dim.
@@ -360,13 +351,14 @@ class _CosetIndex:
         it when every det * c_i is a nonnegative multiple of det and v
         lies in the box: at most (hi - lo + 1)^k candidates per base.
         """
-        det = self.det
-        columns = list(zip(*self.zs))  # columns[i][j] = z_j[i]
+        lattice = self.lattice
+        det = lattice.det
+        columns = list(zip(*lattice.zs))  # columns[i][j] = z_j[i]
         # adj * u for every pivot tuple, bucketed by its residues mod det;
         # a class's residue key selects the tuples whose c is integral
         images: dict[IntTuple, list[IntTuple]] = {}
-        for u in product(range(lo, hi + 1), repeat=len(self.zs)):
-            image = tuple(sum(a * x for a, x in zip(row, u)) for row in self.adj)
+        for u in product(range(lo, hi + 1), repeat=len(lattice.zs)):
+            image = tuple(sum(map(mul, row, u)) for row in lattice.adj)
             images.setdefault(tuple(c % det for c in image), []).append(image)
         found: set[IntTuple] = set()
         for (_kern, residues), entries in self.groups.items():
@@ -393,92 +385,6 @@ class _CosetIndex:
                 coeffs = tuple((c - b) // self.det for b, c in zip(base_coords, coords))
                 return w, coeffs
         return None
-
-
-def _pivot_rows(zs: list[IntTuple], dim: int) -> list[int]:
-    """Greedy row choice giving a full-rank square submatrix."""
-    rows: list[int] = []
-    picked: list[list[Fraction]] = []
-    for r in range(dim):
-        candidate = picked + [[Fraction(z[r]) for z in zs]]
-        if _frac_rank(candidate) == len(candidate):
-            picked = candidate
-            rows.append(r)
-            if len(rows) == len(zs):
-                break
-    return rows
-
-
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pr[col]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-        rank += 1
-    return rank
-
-
-def _det_adjugate(square: list[list[int]]) -> tuple[int, list[list[int]]]:
-    from .intlinalg import determinant
-
-    n = len(square)
-    det = determinant(square)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * determinant(
-                [
-                    [square[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-            )
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    return det, adj
-
-
-def _kernel_basis(zs: list[IntTuple], dim: int) -> list[IntTuple]:
-    """Integer basis of the functionals vanishing on every z."""
-    m = [[Fraction(z[i]) for i in range(dim)] for z in zs]
-    rank = 0
-    pivots: list[int] = []
-    for col in range(dim):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        f = m[rank][col]
-        m[rank] = [x / f for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                g = m[i][col]
-                m[i] = [x - g * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m[:rank], pivots):
-            vec[pc] = -row[fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        basis.append(tuple(int(x * lcm) for x in vec))
-    return basis
 
 
 def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
@@ -544,7 +450,8 @@ class RegularMembership:
             bases = self._cells[key]
             anchors = sorted(set(key[0]) | {start})
             pool: list[IntTuple] = sorted({v for q in anchors for v in self._pools[q]})
-            for zs in _maximal_independent(pool, dim):
+            for subset in maximal_independent_subsets(pool):
+                zs = tuple(pool[i] for i in subset)
                 sig = (id(bases), zs)
                 if sig in seen:
                     continue
@@ -673,38 +580,6 @@ class RegularMembership:
         return TransitionMultiset.from_counts(g, counts)
 
 
-def _maximal_independent(pool: list[IntTuple], dim: int) -> list[tuple[IntTuple, ...]]:
-    """Maximal linearly independent subsets of the pool, in sorted order.
-
-    Nonnegative combinations over a subset are covered by any superset,
-    so only maximal subsets need solving; the empty tuple stands in when
-    the pool is empty.
-    """
-    vecs = [Vec.from_tuple(v, [str(i) for i in range(dim)]) for v in pool]
-    results: list[tuple[IntTuple, ...]] = []
-
-    def extend(chosen_idx: list[int], start: int) -> None:
-        extended = False
-        for i in range(start, len(pool)):
-            cand = [vecs[j] for j in chosen_idx] + [vecs[i]]
-            if is_linearly_independent(cand):
-                extended = True
-                extend(chosen_idx + [i], i + 1)
-        if not extended:
-            # maximal w.r.t. forward extension; check no earlier vector fits
-            chosen = [vecs[j] for j in chosen_idx]
-            for i in range(len(pool)):
-                if i in chosen_idx:
-                    continue
-                if is_linearly_independent(chosen + [vecs[i]]):
-                    return
-            results.append(tuple(pool[j] for j in chosen_idx))
-
-    extend([], 0)
-    out = sorted(set(results))
-    return out or [()]
-
-
 def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> MembershipResult:
     """Decide membership for a regular grammar.
 
@@ -745,20 +620,28 @@ class GeneralMembership:
             key = (run.parikh(), run.supp())
             if key not in bases:
                 bases[key] = run
-        self._bases = sorted(
-            bases.items(), key=lambda kv: (kv[1].size(), kv[0][0].sort_key())
-        )
-        anchors = sorted({q for (_v, supp), _run in self._bases for q in supp})
+        # (dense base vector, support, run), smallest runs first
+        self._bases = [
+            (w.to_tuple(g.alphabet), supp, run)
+            for (w, supp), run in sorted(
+                bases.items(), key=lambda kv: (kv[1].size(), kv[0][0].sort_key())
+            )
+        ]
+        anchors = sorted({q for _w, supp, _run in self._bases for q in supp})
         cycles: dict[str, list[TransitionMultiset]] = {
             q: enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap) for q in anchors
         }
         self._cycles = cycles
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
-        self._zs_cache: dict[frozenset, list[tuple[tuple[Vec, ...], tuple]] ] = {}
+        self._zs_cache: dict[frozenset, list[tuple[PeriodLattice, tuple]]] = {}
 
-    def _zs_for_support(self, supp: frozenset):
+    def _zs_for_support(self, supp: frozenset) -> list[tuple[PeriodLattice, tuple]]:
+        """One lattice per maximal independent subset of the nonzero cycle
+        vectors anchored in supp, with the (cycle, anchor) behind each
+        period; subsets come in the order of their dense vector tuples."""
         if supp in self._zs_cache:
             return self._zs_cache[supp]
+        alphabet = self.grammar.alphabet
         pool: dict[Vec, tuple[TransitionMultiset, str]] = {}
         for q in sorted(supp):
             for cyc in self._cycles.get(q, ()):
@@ -766,36 +649,34 @@ class GeneralMembership:
                 if not key.is_zero() and key not in pool:
                     pool[key] = (cyc, q)
         vec_list = sorted(pool, key=Vec.sort_key)
-        dim = len(self.grammar.alphabet)
-        tuples = [v.to_tuple(self.grammar.alphabet) for v in vec_list]
-        back = dict(zip(tuples, vec_list))
-        subsets = []
-        for zs in _maximal_independent(tuples, dim):
-            vecs = tuple(back[z] for z in zs)
-            reps = tuple(pool[v] for v in vecs)
-            subsets.append((vecs, reps))
-        self._zs_cache[supp] = subsets
-        return subsets
+        tuples = [v.to_tuple(alphabet) for v in vec_list]
+        subsets = sorted(
+            maximal_independent_subsets(tuples), key=lambda idx: [tuples[i] for i in idx]
+        )
+        lattices = [
+            (
+                PeriodLattice([tuples[i] for i in idx], len(alphabet)),
+                tuple(pool[vec_list[i]] for i in idx),
+            )
+            for idx in subsets
+        ]
+        self._zs_cache[supp] = lattices
+        return lattices
 
-    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        if any(sym not in self.grammar.alphabet for sym in v.support()):
-            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        for (w, supp), run in self._bases:
-            delta = v - w
-            for vecs, reps in self._zs_for_support(supp):
-                if not vecs:
-                    if delta.is_zero():
-                        return MembershipResult(MEMBER, Witness(run, ()) if want_witness else None)
-                    continue
-                coeffs = nonneg_integer_solve(list(vecs), delta)
-                if coeffs is None:
-                    continue
-                terms = tuple(
-                    CycleTerm(rep, anchor, n)
-                    for (rep, anchor), n in zip(reps, coeffs)
-                    if n > 0
-                )
-                return MembershipResult(MEMBER, Witness(run, terms) if want_witness else None)
+    def _match(self, t: IntTuple) -> Optional[tuple[TransitionMultiset, tuple, IntTuple]]:
+        """(base run, per-period (cycle, anchor), coefficients) for the first
+        base and cycle subset that reach the dense tuple t, or None."""
+        for w, supp, run in self._bases:
+            delta = tuple(map(sub, t, w))
+            for lattice, reps in self._zs_for_support(supp):
+                coeffs = lattice.solve(delta)
+                if coeffs is not None:
+                    return run, reps, coeffs
+        return None
+
+    @cached_property
+    def _miss(self) -> MembershipResult:
+        """The answer for a vector no base and cycle subset reaches."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
         if (
@@ -804,6 +685,21 @@ class GeneralMembership:
         ):
             return MembershipResult(NON_MEMBER)
         return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
+
+    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        alphabet = self.grammar.alphabet
+        if any(sym not in alphabet for sym in v.support()):
+            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
+        hit = self._match(v.to_tuple(alphabet))
+        if hit is None:
+            return self._miss
+        if not want_witness:
+            return MembershipResult(MEMBER)
+        run, reps, coeffs = hit
+        terms = tuple(
+            CycleTerm(rep, anchor, n) for (rep, anchor), n in zip(reps, coeffs) if n > 0
+        )
+        return MembershipResult(MEMBER, Witness(run, terms))
 
     def contains(self, v: Vec) -> Optional[bool]:
         r = self.result(v, want_witness=False)

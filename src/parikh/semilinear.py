@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
-from .intlinalg import hadamard_bound, is_linearly_independent, nonneg_integer_solve
+from .intlinalg import (
+    hadamard_bound,
+    is_linearly_independent,
+    maximal_independent_subsets,
+    nonneg_integer_solve,
+)
 from .vector import Vec
 
 
@@ -53,26 +57,6 @@ class SemilinearSet:
     components: tuple[LinearSet, ...]
 
 
-def _maximal_independent_subsets(periods: Sequence[Vec]) -> list[tuple[int, ...]]:
-    results: list[tuple[int, ...]] = []
-
-    def extend(chosen: list[int], start: int) -> None:
-        extended = False
-        for i in range(start, len(periods)):
-            if is_linearly_independent([periods[j] for j in chosen] + [periods[i]]):
-                extended = True
-                extend(chosen + [i], i + 1)
-        if not extended:
-            vecs = [periods[j] for j in chosen]
-            for i in range(len(periods)):
-                if i not in chosen and is_linearly_independent(vecs + [periods[i]]):
-                    return
-            results.append(tuple(chosen))
-
-    extend([], 0)
-    return sorted(set(results)) or [()]
-
-
 def linear_member(ls: LinearSet, v: Vec, coeff_bound: int | None = None) -> bool:
     """Exact membership in base + N-combinations of the periods.
 
@@ -89,7 +73,8 @@ def linear_member(ls: LinearSet, v: Vec, coeff_bound: int | None = None) -> bool
     if coeff_bound is None:
         dims = {s for p in periods for s in p.support()} | set(target.support())
         coeff_bound = hadamard_bound(len(dims), max(p.norm_inf() for p in periods))
-    for core in _maximal_independent_subsets(periods):
+    symbols = sorted({sym for p in periods for sym in p.support()})
+    for core in maximal_independent_subsets([p.to_tuple(symbols) for p in periods]):
         core_vecs = [periods[i] for i in core]
         rest = [i for i in range(len(periods)) if i not in core]
         for assignment in product(range(coeff_bound + 1), repeat=len(rest)):

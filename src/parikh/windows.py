@@ -18,7 +18,13 @@ from typing import Callable, Iterator, Optional
 from .decomposition import base_run_bound
 from .grammar import Grammar
 from .intlinalg import hadamard_bound
-from .membership import GeneralMembership, IntTuple, _regular_state, oracle_language
+from .membership import (
+    NON_MEMBER,
+    GeneralMembership,
+    IntTuple,
+    _regular_state,
+    oracle_language,
+)
 from .runs import tree_size_bound
 from .vector import Vec
 
@@ -84,7 +90,7 @@ def membership_engine(
     bound and a desk cap); a bounded no counts as no.  Its in-box members
     are enumerated once, on the `RegularMembership` shared through
     `_regular_state`, and answered by set lookup.  general-caps: sound
-    yes, unknown otherwise; one point query per tuple.  oracle:
+    yes, unknown otherwise; one tuple-level match per point.  oracle:
     brute-force enumeration, exact only when every in-window vector
     derives within `depth` steps; its members become one tuple set.
     """
@@ -98,10 +104,11 @@ def membership_engine(
         return state.box_members(-window, window).__contains__, note
     if engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
-        alphabet = g.alphabet
 
         def general_fn(t: IntTuple) -> Optional[bool]:
-            return state.contains(Vec.from_tuple(t, alphabet))
+            if state._match(t) is not None:
+                return True
+            return False if state._miss.status == NON_MEMBER else None
 
         return general_fn, f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
     if engine == "oracle":

@@ -9,9 +9,27 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from parikh import Grammar, TransitionMultiset, Vec, grammar_from_rules, parse_grammar
+from parikh import (
+    CycleTerm,
+    Grammar,
+    TransitionMultiset,
+    Vec,
+    Witness,
+    grammar_from_rules,
+    nonneg_integer_solve,
+    parse_grammar,
+)
 from parikh.decomposition import base_run_bound
-from parikh.membership import MEMBER, GeneralMembership, RegularMembership, oracle_language
+from parikh.membership import (
+    MEMBER,
+    NON_MEMBER,
+    UNKNOWN,
+    GeneralMembership,
+    MembershipResult,
+    RegularMembership,
+    oracle_language,
+)
+from parikh.runs import cycle_enumeration_complete, enumerate_runs
 from parikh.windows import DESK_BOUND_CAP
 
 GA_TEXT = "alphabet: a\nstart: S\nS -> a : S\nS -> :\n"
@@ -433,3 +451,79 @@ def ref_universality_within_window(g: Grammar, window: int, ambient: str, engine
     if unknown_at is not None:
         return None, unknown_at, (note,)
     return True, None, (note,)
+
+
+# The general engine's query loop as a Fraction solve per (base, maximal
+# cycle subset) on Vecs: the reference `GeneralMembership.result` must
+# reproduce (same status, witness and note).
+
+
+def ref_maximal_independent_subsets(periods: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """Index tuples of the maximal independent subsets, sorted; each
+    candidate is checked with a fresh rank."""
+    results: list[tuple[int, ...]] = []
+
+    def independent(vecs):
+        return naive_rank(vecs) == len(vecs)
+
+    def extend(chosen: list[int], start: int) -> None:
+        extended = False
+        for i in range(start, len(periods)):
+            if independent([periods[j] for j in chosen] + [periods[i]]):
+                extended = True
+                extend(chosen + [i], i + 1)
+        if not extended:
+            vecs = [periods[j] for j in chosen]
+            for i in range(len(periods)):
+                if i not in chosen and independent(vecs + [periods[i]]):
+                    return
+            results.append(tuple(chosen))
+
+    extend([], 0)
+    return sorted(set(results)) or [()]
+
+
+def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
+    """`state.result(v)` recomputed from a fresh run enumeration and the
+    state's simple cycles, one `nonneg_integer_solve` per candidate."""
+    g = state.grammar
+    if any(sym not in g.alphabet for sym in v.support()):
+        return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
+    search = enumerate_runs(g, g.start, state.run_cap)
+    bases: dict = {}
+    for run in search.runs:
+        bases.setdefault((run.parikh(), run.supp()), run)
+    for (w, supp), run in sorted(bases.items(), key=lambda kv: (kv[1].size(), kv[0][0].sort_key())):
+        delta = v - w
+        pool: dict = {}
+        for q in sorted(supp):
+            for cyc in state._cycles.get(q, ()):
+                key = cyc.parikh()
+                if not key.is_zero() and key not in pool:
+                    pool[key] = (cyc, q)
+        vec_list = sorted(pool, key=Vec.sort_key)
+        tuples = [x.to_tuple(g.alphabet) for x in vec_list]
+        subsets = sorted(
+            {tuple(tuples[i] for i in idx) for idx in ref_maximal_independent_subsets(vec_list)}
+        )
+        back = dict(zip(tuples, vec_list))
+        for zs in subsets:
+            vecs = [back[z] for z in zs]
+            if not vecs:
+                if delta.is_zero():
+                    return MembershipResult(MEMBER, Witness(run, ()))
+                continue
+            coeffs = nonneg_integer_solve(vecs, delta)
+            if coeffs is None:
+                continue
+            terms = tuple(
+                CycleTerm(*pool[p], n) for p, n in zip(vecs, coeffs) if n > 0
+            )
+            return MembershipResult(MEMBER, Witness(run, terms))
+    if search.complete:
+        return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
+    if state.run_cap >= base_run_bound(g).value and cycle_enumeration_complete(
+        g, state.cycle_cap
+    ):
+        return MembershipResult(NON_MEMBER)
+    return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")

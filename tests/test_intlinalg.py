@@ -2,20 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parikh import (
+    PeriodLattice,
     Vec,
     cramer_solve,
     determinant,
     find_integer_dependency,
     hadamard_bound,
     is_linearly_independent,
+    maximal_independent_subsets,
     nonneg_integer_solve,
     reduce_multiplicities,
 )
-from helpers import cofactor_determinant, naive_rank
+from helpers import cofactor_determinant, naive_rank, ref_maximal_independent_subsets
 
 
 def vec2(x, y):
@@ -197,3 +199,109 @@ class TestReduceMultiplicities:
             counts = [rng.randint(0, 30) for _ in range(k)]
             new_counts, kept = reduce_multiplicities(vs, counts, entry_bound=3)
             check_reduction(vs, counts, new_counts, kept, 3)
+
+
+def lattice_case(draw_int, dim, k, kind):
+    """Periods z_1..z_k in [-5..5]^dim and a target: a free vector, an
+    integer combination of the periods, or such a combination nudged by
+    one unit (outside the span, or a fractional solution)."""
+    zs = [tuple(draw_int(-5, 5) for _ in range(dim)) for _ in range(k)]
+    if kind == "free":
+        t = [draw_int(-6, 6) for _ in range(dim)]
+    else:
+        coeffs = [draw_int(-3, 3) for _ in zs]
+        t = [sum(c * z[i] for c, z in zip(coeffs, zs)) for i in range(dim)]
+        if kind == "nudged":
+            t[draw_int(0, dim - 1)] += draw_int(-1, 1) or 1
+    return zs, tuple(t)
+
+
+def reference_solve(zs, t):
+    symbols = "abcd"[: len(t)]
+    sol = nonneg_integer_solve([Vec.from_tuple(z, symbols) for z in zs], Vec.from_tuple(t, symbols))
+    return None if sol is None else tuple(sol)
+
+
+def independent(zs, dim):
+    return naive_rank([Vec.from_tuple(z, "abcd"[:dim]) for z in zs]) == len(zs)
+
+
+class TestPeriodLattice:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 4), st.data(), st.sampled_from(["free", "combination", "nudged"]))
+    def test_solve_agrees_with_nonneg_integer_solve(self, dim, data, kind):
+        k = data.draw(st.integers(0, dim))
+        zs, t = lattice_case(lambda lo, hi: data.draw(st.integers(lo, hi)), dim, k, kind)
+        assume(independent(zs, dim))
+        assert PeriodLattice(zs, dim).solve(t) == reference_solve(zs, t)
+
+    def test_seeded_cases_cover_every_branch(self):
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(3000):
+            dim = rng.randint(1, 4)
+            k = rng.randint(0, dim)
+            kind = rng.choice(["free", "combination", "nudged"])
+            zs, t = lattice_case(rng.randint, dim, k, kind)
+            if not independent(zs, dim):
+                continue
+            lattice = PeriodLattice(zs, dim)
+            got = lattice.solve(t)
+            assert got == reference_solve(zs, t)
+            scaled = lattice.scaled(t)
+            if lattice.kernel:
+                seen.add("kernel")
+            if lattice.det > 1:
+                seen.add("det>1")
+            if any(lattice.functionals(t)):
+                seen.add("outside span")
+            elif any(c % lattice.det for c in scaled):
+                seen.add("fractional")
+            elif any(c < 0 for c in scaled):
+                seen.add("negative")
+            else:
+                assert got is not None
+                seen.add("solved" if k else "zero")
+        assert seen == {"kernel", "det>1", "outside span", "fractional", "negative",
+                        "solved", "zero"}
+
+    def test_examples(self):
+        lattice = PeriodLattice([(2, 0), (0, 3)], 2)
+        assert lattice.det == 6 and lattice.kernel == []
+        assert lattice.solve((4, 6)) == (2, 2)
+        assert lattice.solve((3, 0)) is None  # fractional
+        assert lattice.solve((-2, 0)) is None  # negative
+        plane = PeriodLattice([(1, 1, 0)], 3)
+        assert len(plane.kernel) == 2
+        assert plane.solve((3, 3, 0)) == (3,)
+        assert plane.solve((3, 3, 1)) is None  # outside the span
+        assert PeriodLattice([], 2).solve((0, 0)) == ()
+        assert PeriodLattice([], 2).solve((0, 1)) is None
+
+    def test_dependent_periods_rejected(self):
+        with pytest.raises(ValueError):
+            PeriodLattice([(1, 1), (2, 2)], 2)
+
+
+class TestMaximalIndependentSubsets:
+    def test_matches_fresh_rank_enumeration(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            pool = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+            pool += rng.sample(pool, min(len(pool), rng.randint(0, 2)))  # duplicates
+            vecs = [Vec.from_tuple(z, "abc"[:dim]) for z in pool]
+            assert maximal_independent_subsets(pool) == ref_maximal_independent_subsets(vecs)
+
+    def test_sorted_distinct_pool_keeps_vector_order(self):
+        rng = random.Random(79)
+        for _ in range(200):
+            dim = rng.randint(1, 3)
+            pool = sorted({tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(6)})
+            picked = [tuple(pool[i] for i in idx) for idx in maximal_independent_subsets(pool)]
+            assert picked == sorted(picked)
+
+    def test_all_zero_pool(self):
+        assert maximal_independent_subsets([]) == [()]
+        assert maximal_independent_subsets([(0, 0), (0, 0)]) == [()]
+        assert maximal_independent_subsets([(1, 0), (2, 0), (0, 1)]) == [(0, 2), (1, 2)]

@@ -4,6 +4,7 @@ import pytest
 
 from parikh import (
     GeneralMembership,
+    MembershipResult,
     RegularMembership,
     Vec,
     build_path_table,
@@ -14,8 +15,10 @@ from parikh import (
     oracle_language,
     parse_grammar,
 )
+from parikh import normalize
+from parikh.hardness import hard_grammar
 from parikh.membership import MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN
-from helpers import ga, gb, gc, random_grammar
+from helpers import ga, gb, gc, random_grammar, ref_general_result
 
 
 def vecs(xs):
@@ -171,3 +174,74 @@ class TestAgainstOracle:
 def test_general_engine_rejects_letters_outside_the_alphabet():
     for res in (member_general(gb(), Vec.unit("b"), 3, 3), member_regular(gb(), Vec.unit("b"))):
         assert res.status == NON_MEMBER and res.note == "letters outside the alphabet"
+
+
+def _general_cases():
+    """(grammar, run cap, cycle cap): seeded random normal-form grammars
+    with negative outputs, then every hard grammar up to level 3."""
+    rng = random.Random(67)
+    cases = [
+        (random_grammar(rng, max_letters=3, neg_prob=0.4), rng.randint(3, 7), rng.randint(2, 5))
+        for _ in range(32)
+    ]
+    cases += [
+        (normalize(hard_grammar(n, variant)), 8, 5)
+        for n in range(4)
+        for variant in ("full", "stripped", "cone")
+    ]
+    return cases
+
+
+def _general_probes(state, rng):
+    """Every base vector, each base pumped by one or two cycle vectors of
+    its support, and a few random vectors (one with a foreign letter)."""
+    alphabet = state.grammar.alphabet
+    probes = []
+    for w, supp, _run in state._bases:
+        probes.append(w)
+        for q in sorted(supp):
+            for cyc in state._cycles.get(q, ())[:3]:
+                z = cyc.parikh().to_tuple(alphabet)
+                probes += [tuple(a + k * b for a, b in zip(w, z)) for k in (1, 2)]
+    probes = list(dict.fromkeys(probes))[:60]
+    probes += [tuple(rng.randint(-4, 4) for _ in alphabet) for _ in range(8)]
+    vecs = [Vec.from_tuple(t, alphabet) for t in probes]
+    return vecs + [Vec.unit("zz")]
+
+
+@pytest.mark.parametrize("index", range(len(_general_cases())))
+def test_general_result_matches_fraction_reference(index):
+    g, run_cap, cycle_cap = _general_cases()[index]
+    state = GeneralMembership(g, run_cap, cycle_cap)
+    for v in _general_probes(state, random.Random(index)):
+        got = state.result(v)
+        assert got == ref_general_result(state, v), v
+        assert state.result(v, want_witness=False) == MembershipResult(got.status, None, got.note)
+
+
+def test_general_reference_cases_cover_every_outcome():
+    statuses, pumped = set(), False
+    for g, run_cap, cycle_cap in _general_cases():
+        state = GeneralMembership(g, run_cap, cycle_cap)
+        for v in _general_probes(state, random.Random(0)):
+            res = state.result(v)
+            statuses.add(res.status)
+            pumped |= res.status == MEMBER and any(t.count > 1 for t in res.witness.cycles)
+    assert statuses == {MEMBER, NON_MEMBER, UNKNOWN} and pumped
+
+
+def test_general_cycle_subsets_are_tried_in_dense_tuple_order():
+    # cycles a, b and ab at S: a+b is reached by {a, b} and by {a, ab}.
+    # {a, b} comes first in dense tuple order ((1,0),(0,1)) < ((1,0),(1,1)),
+    # although the pool lists ab before b
+    g = parse_grammar(
+        "alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> a : T\nT -> b : S\nS -> :"
+    )
+    state = GeneralMembership(g, 4, 3)
+    v = Vec({"a": 1, "b": 1})
+    res = state.result(v)
+    assert res == ref_general_result(state, v)
+    assert [(t.cycle.counts.to_dict(), t.count) for t in res.witness.cycles] == [
+        ({"t1": 1}, 1),
+        ({"t2": 1}, 1),
+    ]
