@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .decomposition import base_run_bound
 from .grammar import Grammar
-from .intlinalg import hadamard_bound, nonneg_integer_solve
+from .intlinalg import hadamard_bound, period_solver
 from .membership import RegularMembership
 from .runs import (
     DEFAULT_STATE_CAP,
@@ -52,24 +52,17 @@ def _minimize_bases(bases: Sequence[Vec], periods: Sequence[Vec]) -> tuple[Vec, 
     the denoted set.
     """
     uniq = sorted(set(bases), key=Vec.sort_key)
-    plist = list(periods)
-    kept = []
-    for w in uniq:
-        redundant = any(
-            other != w and nonneg_integer_solve(plist, w - other) is not None
-            for other in uniq
-        )
-        if not redundant:
-            kept.append(w)
-    return tuple(kept)
+    solve = period_solver(periods)
+    return tuple(
+        w for w in uniq if not any(other != w and solve(w - other) is not None for other in uniq)
+    )
 
 
 def _subsumes(a: SimpleBundle, b: SimpleBundle) -> bool:
     """Whether bundle a denotes a superset of bundle b."""
-    for z in b.periods:
-        if nonneg_integer_solve(list(a.periods), z) is None:
-            return False
-    return all(a.member(w) for w in b.bases)
+    return all(a.solve(z) is not None for z in b.periods) and all(
+        a.member(w) for w in b.bases
+    )
 
 
 def _drop_subsumed(raw: Sequence[SimpleBundle]) -> tuple[SimpleBundle, ...]:

@@ -62,7 +62,8 @@ class CycleTerm:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Base run plus independent anchored simple cycles."""
+    """Base run plus independent anchored simple cycles; also the
+    checkable witness of a yes membership answer (`membership.Witness`)."""
 
     base_run: TransitionMultiset
     cycles: tuple[CycleTerm, ...]

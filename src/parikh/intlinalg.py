@@ -1,14 +1,23 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on arbitrary-precision integers and `Fraction`s;
-no floating point.  The module provides determinants (fraction-free
-elimination), the factorial determinant bound, Cramer solutions,
-rank/independence over the rationals, integer dependency discovery for
-dependent vector sets, and the coefficient-reduction loop that caps all
-multiplicities outside an independent core.  On dense integer tuples
-it enumerates maximal independent subsets and solves nonnegative integer
-combinations of independent periods (`PeriodLattice`), the kernel both
-membership engines share.
+Everything runs on arbitrary-precision integers, with no floating point;
+`Fraction` appears only in the values `cramer_solve` returns.  One
+fraction-free Gauss–Jordan elimination (Bareiss 1968, `_gauss_jordan`)
+gives the pivot columns, the determinant, the adjugate and the kernel of
+a matrix in a single pass.  `determinant` and `cramer_solve` read their
+answers off it, and `PeriodLattice` keeps them for a set of independent
+periods: it solves nonnegative integer combinations of the periods on
+dense integer tuples for both membership engines, and through
+`period_solver`/`nonneg_integer_solve` for `semilinear` and `bundles`.
+`find_integer_dependency` takes its prefix coefficients and its basis
+determinants from two lattices.
+
+Rank and independence extend an incremental fraction-free echelon form
+one vector at a time (`_reduced`); `rank`, `is_linearly_independent`,
+the dependency search and the depth-first search of
+`maximal_independent_subsets` share it.  The module also holds the
+factorial determinant bound and the coefficient-reduction loop that caps
+all multiplicities outside an independent core.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .vector import Vec
 
@@ -32,29 +41,47 @@ def _check_square(m: Sequence[Row]) -> int:
     return n
 
 
-def determinant(m: Sequence[Row]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = _check_square(m)
-    if n == 0:
-        return 1
+def _gauss_jordan(m: Sequence[Row], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan elimination (Bareiss 1968) of the integer
+    rows m over their first ncols columns.
+
+    Returns (a, pivots, d).  `pivots` are the columns, in order, that are
+    independent of the columns before them.  Row i of `a` holds d at
+    pivots[i] and 0 at every other pivot column; rows past len(pivots)
+    vanish on the first ncols columns: a = d * E * m for an invertible
+    rational E with E * m in reduced row echelon form there.  Every entry
+    is a minor of m up to sign, so each division is exact.  A row swap
+    negates the row it moves, so when every row is a pivot row, d is the
+    determinant of the columns `pivots` of m.
+    """
     a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots: list[int] = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = [-x for x in a[p]], a[r]
+        row = a[r]
+        piv = row[c]
+        for i, other in enumerate(a):
+            if i != r:
+                f = other[c]
+                a[i] = [(piv * x - f * y) // d for x, y in zip(other, row)]
+        d = piv
+        pivots.append(c)
+    return a, pivots, d
+
+
+def determinant(m: Sequence[Row]) -> int:
+    """Exact determinant by fraction-free elimination."""
+    n = _check_square(m)
+    _a, pivots, d = _gauss_jordan(m, n)
+    return d if len(pivots) == n else 0
 
 
 def hadamard_bound(n: int, c: int) -> int:
@@ -70,25 +97,14 @@ def cramer_solve(m: Sequence[Row], b: Row) -> Optional[list[Fraction]]:
     n = _check_square(m)
     if len(b) != n:
         raise ValueError("dimension mismatch between matrix and vector")
-    det = determinant(m)
-    if det == 0:
+    a, pivots, d = _gauss_jordan([[*row, x] for row, x in zip(m, b)], n)
+    if len(pivots) < n:
         return None
-    sol = []
-    for col in range(n):
-        replaced = [[b[i] if j == col else m[i][j] for j in range(n)] for i in range(n)]
-        sol.append(Fraction(determinant(replaced), det))
-    return sol
+    return [Fraction(row[n], d) for row in a]
 
 
-def _column_matrix(vectors: Sequence[Vec], symbols: Sequence[str]) -> list[list[int]]:
-    return [[v.get(s) for v in vectors] for s in symbols]
-
-
-def _union_symbols(vectors: Sequence[Vec], extra: Sequence[Vec] = ()) -> list[str]:
-    syms: set[str] = set()
-    for v in list(vectors) + list(extra):
-        syms.update(v.support())
-    return sorted(syms)
+def _union_symbols(vectors: Sequence[Vec]) -> list[str]:
+    return sorted({s for v in vectors for s in v.support()})
 
 
 def _reduced(echelon: Sequence[tuple[int, Sequence[int]]], v: Sequence[int]) -> list[int]:
@@ -146,78 +162,6 @@ def is_linearly_independent(vectors: Sequence[Vec]) -> bool:
     return rank(vectors) == len(vectors)
 
 
-def solve_exact(columns: Sequence[Vec], target: Vec) -> Optional[list[Fraction]]:
-    """Solve sum_i x_i * columns[i] = target for linearly independent columns.
-
-    Returns the unique rational coefficient list, or None if the system
-    is inconsistent.  Raises ValueError on dependent columns.
-    """
-    if not is_linearly_independent(columns):
-        raise ValueError("columns must be linearly independent")
-    if not columns:
-        return [] if target.is_zero() else None
-    symbols = _union_symbols(columns, [target])
-    a = [[Fraction(v.get(s)) for v in columns] for s in symbols]
-    b = [Fraction(target.get(s)) for s in symbols]
-    ncols = len(columns)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        f = a[r][col]
-        a[r] = [x / f for x in a[r]]
-        b[r] = b[r] / f
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                g = a[i][col]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-                b[i] = b[i] - g * b[r]
-        pivots.append(col)
-        r += 1
-    # full column rank was checked; rows beyond r must be consistent
-    for i in range(r, len(a)):
-        if b[i] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        x[col] = b[row]
-    return x
-
-
-def nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[int]]:
-    """Coefficients n >= 0 in N with sum n_i * periods[i] = v, or None.
-
-    Periods must be linearly independent, so the rational solution is
-    unique; it is accepted only if it is integral and componentwise
-    nonnegative.
-    """
-    sol = solve_exact(list(periods), v)
-    if sol is None:
-        return None
-    out = []
-    for f in sol:
-        if f.denominator != 1 or f < 0:
-            return None
-        out.append(int(f))
-    return out
-
-
-def _dependency_on_prefix(vectors: Sequence[Vec], symbols: Sequence[str]) -> Optional[list[Fraction]]:
-    """If the last vector depends on the (independent) prefix, return the
-    coefficients expressing it; None when the whole list is independent."""
-    *prefix, last = vectors
-    if not prefix:
-        return [] if last.is_zero() else None
-    try:
-        return solve_exact(prefix, last)
-    except ValueError:  # pragma: no cover - caller keeps prefixes independent
-        raise
-
-
 def find_integer_dependency(
     vectors: Sequence[Vec],
     entry_bound: Optional[int] = None,
@@ -230,71 +174,48 @@ def find_integer_dependency(
     every coefficient is bounded by hadamard_bound(dim, entry_bound).
     The first nonzero coefficient is normalized positive.
     """
-    vectors = list(vectors)
     if symbols is None:
         symbols = _union_symbols(vectors)
-    if entry_bound is None:
-        entry_bound = max((v.norm_inf() for v in vectors), default=0)
-    # locate the first vector dependent on the previous independent ones
-    independent: list[Vec] = []
-    indep_idx: list[int] = []
-    dep_idx = None
-    coeffs = None
-    for i, v in enumerate(vectors):
-        expr = _dependency_on_prefix(independent + [v], symbols)
-        if expr is not None:
-            dep_idx = i
-            coeffs = expr
+    dim = len(symbols)
+    tuples = [v.to_tuple(symbols) for v in vectors]
+    # the first vector dependent on the (independent) vectors before it
+    echelon: list[tuple[int, list[int]]] = []
+    for dep, t in enumerate(tuples):
+        if not _extend_echelon(echelon, t):
             break
-        independent.append(v)
-        indep_idx.append(i)
-    if dep_idx is None:
+    else:
         raise ValueError("vectors are linearly independent")
-
-    # minimal dependent subset: the dependent vector plus the prefix
-    # vectors that actually appear in its expression
-    subset_idx = [j for j, c in zip(indep_idx, coeffs) if c != 0] + [dep_idx]
-    beta = {j: c for j, c in zip(indep_idx, coeffs) if c != 0}
-    beta[dep_idx] = Fraction(-1)
-
-    if len(subset_idx) == 1:
+    # it is sum (c_j / det) * tuples[j]; the minimal dependent subset is
+    # the dependent vector plus the prefix vectors with c_j != 0
+    prefix = PeriodLattice(tuples[:dep], dim)
+    c = {j: x for j, x in enumerate(prefix.scaled(tuples[dep])) if x}
+    c[dep] = -prefix.det
+    alpha = [0] * len(tuples)
+    if len(c) == 1:
         # a zero vector by itself
-        alpha = [0] * len(vectors)
-        alpha[dep_idx] = 1
+        alpha[dep] = 1
         return alpha
-
-    u_idx = max(subset_idx, key=lambda j: abs(beta[j]))
-    rest_idx = [j for j in subset_idx if j != u_idx]
-    rest = [vectors[j] for j in rest_idx]
-
-    # extend to a basis of the coordinate space with unit vectors
-    basis = list(rest)
-    basis_syms: list[str] = []
-    for s in symbols:
-        if len(basis) == len(symbols):
-            break
-        candidate = Vec.unit(s)
-        if is_linearly_independent(basis + [candidate]):
-            basis.append(candidate)
-            basis_syms.append(s)
-    mat = _column_matrix(basis, symbols)
-    det = determinant(mat)
-    u = vectors[u_idx]
-    alpha = [0] * len(vectors)
-    alpha[u_idx] = det
-    for pos, j in enumerate(rest_idx):
-        replaced = list(basis)
-        replaced[pos] = u
-        alpha[j] = -determinant(_column_matrix(replaced, symbols))
+    u_idx = max(c, key=lambda j: abs(c[j]))
+    rest_idx = [j for j in c if j != u_idx]
+    # extend the rest to a basis B of the coordinate space with unit
+    # vectors; by Cramer, B's determinant and B's with u in column j are
+    # det(B) and (adj(B) u)_j, both up to the common sign normalized below
+    basis = [tuples[j] for j in rest_idx]
+    echelon = []
+    for t in basis:
+        _extend_echelon(echelon, t)
+    for i in range(dim):
+        unit = tuple(int(i == j) for j in range(dim))
+        if len(basis) < dim and _extend_echelon(echelon, unit):
+            basis.append(unit)
+    lattice = PeriodLattice(basis, dim)
+    alpha[u_idx] = lattice.det
+    for j, x in zip(rest_idx, lattice.scaled(tuples[u_idx])):
+        alpha[j] = -x
     # sanity: the combination really vanishes
-    total = Vec.zero()
-    for j, a in enumerate(alpha):
-        if a:
-            total = total + vectors[j] * a
-    if not total.is_zero():  # pragma: no cover - defensive
-        raise AssertionError("integer dependency construction failed")
-    first = next(a for a in alpha if a != 0)
-    if first < 0:
+    if any(sum(a * t[i] for a, t in zip(alpha, tuples)) for i in range(dim)):
+        raise AssertionError("integer dependency construction failed")  # pragma: no cover
+    if next(a for a in alpha if a) < 0:
         alpha = [-a for a in alpha]
     return alpha
 
@@ -390,16 +311,29 @@ class PeriodLattice:
 
     def __init__(self, zs: Sequence[IntTuple], dim: int):
         self.zs = tuple(zs)
-        rows = _pivot_rows(self.zs, dim)
-        if len(rows) != len(self.zs):
+        k = len(self.zs)
+        # one elimination of [Z | I_k] (row j is z_j): the pivot columns
+        # are the rows, the right block is d * Z_rows^-1 and the free
+        # columns of the left block give the kernel
+        a, rows, d = _gauss_jordan(
+            [[*z, *(int(i == j) for i in range(k))] for j, z in enumerate(self.zs)], dim
+        )
+        if len(rows) != k:
             raise ValueError("periods must be linearly independent")
-        det, adj = _det_adjugate([[z[r] for z in self.zs] for r in rows])
-        if det < 0:
-            det, adj = -det, [[-x for x in row] for row in adj]
+        sign = 1 if d > 0 else -1
         self.rows = rows
-        self.det = det
-        self.adj = adj
-        self.kernel = _kernel_basis(self.zs, dim)
+        self.det = sign * d
+        self.adj = [[sign * row[dim + j] for row in a] for j in range(k)]
+        self.kernel = []
+        for free in range(dim):
+            if free in rows:
+                continue
+            u = [0] * dim
+            u[free] = self.det
+            for r, row in zip(rows, a):
+                u[r] = -sign * row[free]
+            g = math.gcd(*u)
+            self.kernel.append(tuple(x // g for x in u))
 
     def scaled(self, t: Sequence[int]) -> IntTuple:
         """adj * t[rows]: det times t's coefficients when t is in the span."""
@@ -428,65 +362,28 @@ class PeriodLattice:
         return tuple(out)
 
 
-def _pivot_rows(zs: Sequence[IntTuple], dim: int) -> list[int]:
-    """Greedy coordinate choice giving a full-rank square block."""
-    rows: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []
-    for r in range(dim):
-        if len(rows) == len(zs):
-            break
-        if _extend_echelon(echelon, [z[r] for z in zs]):
-            rows.append(r)
-    return rows
+def period_solver(periods: Sequence[Vec]) -> Callable[[Vec], Optional[IntTuple]]:
+    """`PeriodLattice.solve` for linearly independent Vec periods and Vec
+    targets, from one lattice built over the periods' symbols; raises
+    ValueError on dependent periods."""
+    symbols = _union_symbols(periods)
+    known = set(symbols)
+    lattice = PeriodLattice([p.to_tuple(symbols) for p in periods], len(symbols))
+
+    def solve(v: Vec) -> Optional[IntTuple]:
+        if not known.issuperset(v.support()):
+            return None
+        return lattice.solve(v.to_tuple(symbols))
+
+    return solve
 
 
-def _det_adjugate(square: list[list[int]]) -> tuple[int, list[list[int]]]:
-    n = len(square)
-    det = determinant(square)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * determinant(
-                [
-                    [square[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-            )
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    return det, adj
+def nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[int]]:
+    """Coefficients n >= 0 in N with sum n_i * periods[i] = v, or None.
 
-
-def _kernel_basis(zs: Sequence[IntTuple], dim: int) -> list[IntTuple]:
-    """Integer basis of the functionals vanishing on every z."""
-    m = [[Fraction(z[i]) for i in range(dim)] for z in zs]
-    rank = 0
-    pivots: list[int] = []
-    for col in range(dim):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        f = m[rank][col]
-        m[rank] = [x / f for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                g = m[i][col]
-                m[i] = [x - g * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m[:rank], pivots):
-            vec[pc] = -row[fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        basis.append(tuple(int(x * lcm) for x in vec))
-    return basis
+    Periods must be linearly independent, so the rational solution is
+    unique; it is accepted only if it is integral and componentwise
+    nonnegative.
+    """
+    sol = period_solver(periods)(v)
+    return None if sol is None else list(sol)

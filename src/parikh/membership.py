@@ -26,7 +26,7 @@ from itertools import product
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .decomposition import CycleTerm, base_run_bound
+from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import Grammar
 from .intlinalg import PeriodLattice, maximal_independent_subsets
 from .runs import (
@@ -275,24 +275,8 @@ def build_path_table(g: Grammar, bound: int) -> PathTable:
 # membership results and witnesses
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Checkable acceptance certificate: base run plus pumped cycles."""
-
-    base: TransitionMultiset
-    cycles: tuple[CycleTerm, ...]
-
-    def expand(self) -> TransitionMultiset:
-        total = self.base
-        for term in self.cycles:
-            total = total + term.cycle.scaled(term.count)
-        return total
-
-    def parikh(self) -> Vec:
-        acc = self.base.parikh()
-        for term in self.cycles:
-            acc = acc + term.cycle.parikh() * term.count
-        return acc
+# a yes witness is a decomposition: base run plus pumped cycles
+Witness = Decomposition
 
 
 MEMBER = "member"
@@ -306,9 +290,6 @@ class MembershipResult:
     status: str
     witness: Optional[Witness] = None
     note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.status == MEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +464,6 @@ class RegularMembership:
         return MembershipResult(
             NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
         )
-
-    def contains(self, v: Vec) -> bool:
-        return self.result(v, want_witness=False).status == MEMBER
 
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
         """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
@@ -700,14 +678,6 @@ class GeneralMembership:
             CycleTerm(rep, anchor, n) for (rep, anchor), n in zip(reps, coeffs) if n > 0
         )
         return MembershipResult(MEMBER, Witness(run, terms))
-
-    def contains(self, v: Vec) -> Optional[bool]:
-        r = self.result(v, want_witness=False)
-        if r.status == MEMBER:
-            return True
-        if r.status == NON_MEMBER:
-            return False
-        return None
 
 
 def member_general(

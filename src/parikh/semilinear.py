@@ -13,13 +13,15 @@ solve per independent core is complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from typing import Callable, Optional
 
 from .intlinalg import (
     hadamard_bound,
     is_linearly_independent,
     maximal_independent_subsets,
-    nonneg_integer_solve,
+    period_solver,
 )
 from .vector import Vec
 
@@ -46,10 +48,13 @@ class SimpleBundle:
             p.norm_inf() <= period_bound for p in self.periods
         )
 
+    @cached_property
+    def solve(self) -> Callable[[Vec], Optional[tuple[int, ...]]]:
+        """Coefficients in N^k of a vector over the periods, or None."""
+        return period_solver(self.periods)
+
     def member(self, v: Vec) -> bool:
-        return any(
-            nonneg_integer_solve(list(self.periods), v - w) is not None for w in self.bases
-        )
+        return any(self.solve(v - w) is not None for w in self.bases)
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,14 @@ def linear_member(ls: LinearSet, v: Vec, coeff_bound: int | None = None) -> bool
         coeff_bound = hadamard_bound(len(dims), max(p.norm_inf() for p in periods))
     symbols = sorted({sym for p in periods for sym in p.support()})
     for core in maximal_independent_subsets([p.to_tuple(symbols) for p in periods]):
-        core_vecs = [periods[i] for i in core]
+        solve = period_solver([periods[i] for i in core])
         rest = [i for i in range(len(periods)) if i not in core]
         for assignment in product(range(coeff_bound + 1), repeat=len(rest)):
             residue = target
             for i, c in zip(rest, assignment):
                 if c:
                     residue = residue - periods[i] * c
-            if core_vecs:
-                if nonneg_integer_solve(core_vecs, residue) is not None:
-                    return True
-            elif residue.is_zero():
+            if solve(residue) is not None:
                 return True
     return False
 

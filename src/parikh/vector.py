@@ -13,7 +13,8 @@ space-separated factors `sym` or `sym^k` with integer exponent k
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -40,8 +41,11 @@ class Vec:
     __slots__ = ("_items", "_hash")
 
     def __init__(self, entries: EntriesLike = None):
-        if entries is None:
-            pairs: Iterable[tuple[str, int]] = ()
+        # dicts are most of the builds; test for them before the ABC check
+        if type(entries) is dict:
+            pairs: Iterable[tuple[str, int]] = entries.items()
+        elif entries is None:
+            pairs = ()
         elif isinstance(entries, Mapping):
             pairs = entries.items()
         else:

@@ -136,13 +136,6 @@ class CompareResult:
     witness: Optional[Vec]
     notes: tuple[str, ...]
 
-    def exit_status(self) -> int:
-        if self.verdict is True:
-            return 0
-        if self.verdict is False:
-            return 1
-        return 2
-
 
 def compare_within_window(
     g1: Grammar,
@@ -196,13 +189,6 @@ class UniversalityResult:
     verdict: Optional[bool]
     witness: Optional[Vec]
     notes: tuple[str, ...]
-
-    def exit_status(self) -> int:
-        if self.verdict is True:
-            return 0
-        if self.verdict is False:
-            return 1
-        return 2
 
 
 def universality_within_window(

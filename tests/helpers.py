@@ -16,7 +16,6 @@ from parikh import (
     Vec,
     Witness,
     grammar_from_rules,
-    nonneg_integer_solve,
     parse_grammar,
 )
 from parikh.decomposition import base_run_bound
@@ -184,6 +183,36 @@ def naive_rank(vectors: Sequence[Vec]) -> int:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def ref_nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[int]]:
+    """Coefficients n in N^k with sum n_i * periods[i] = v, or None, by
+    Gauss-Jordan over `Fraction`s; the periods must be independent."""
+    if naive_rank(periods) != len(periods):
+        raise ValueError("periods must be linearly independent")
+    syms = sorted({s for p in [*periods, v] for s in p.support()})
+    rows = [[Fraction(p.get(s)) for p in periods] + [Fraction(v.get(s))] for s in syms]
+    k = len(periods)
+    pivots: list[int] = []
+    for col in range(k):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    # independent periods: every column is a pivot; the rest must be 0 = 0
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    sol = [row[k] for row in rows[:k]]
+    if any(x.denominator != 1 or x < 0 for x in sol):
+        return None
+    return [int(x) for x in sol]
 
 
 def enumerate_combinations(base: Vec, periods: Sequence[Vec], coeff_bound: int) -> set[Vec]:
@@ -398,7 +427,11 @@ def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
         return (lambda v: state.result(v, want_witness=False).status == MEMBER), note
     if engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
-        return state.contains, f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
+        answer = {MEMBER: True, NON_MEMBER: False}  # None: unknown
+        return (
+            lambda v: answer.get(state.result(v, want_witness=False).status),
+            f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}",
+        )
     if depth is None:
         depth = 4 * window + 4
     members = oracle_language(g, depth, window)
@@ -485,7 +518,7 @@ def ref_maximal_independent_subsets(periods: Sequence[Vec]) -> list[tuple[int, .
 
 def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     """`state.result(v)` recomputed from a fresh run enumeration and the
-    state's simple cycles, one `nonneg_integer_solve` per candidate."""
+    state's simple cycles, one `ref_nonneg_integer_solve` per candidate."""
     g = state.grammar
     if any(sym not in g.alphabet for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
@@ -513,7 +546,7 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
                 if delta.is_zero():
                     return MembershipResult(MEMBER, Witness(run, ()))
                 continue
-            coeffs = nonneg_integer_solve(vecs, delta)
+            coeffs = ref_nonneg_integer_solve(vecs, delta)
             if coeffs is None:
                 continue
             terms = tuple(

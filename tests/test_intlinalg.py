@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,12 @@ from parikh import (
     nonneg_integer_solve,
     reduce_multiplicities,
 )
-from helpers import cofactor_determinant, naive_rank, ref_maximal_independent_subsets
+from helpers import (
+    cofactor_determinant,
+    naive_rank,
+    ref_maximal_independent_subsets,
+    ref_nonneg_integer_solve,
+)
 
 
 def vec2(x, y):
@@ -81,6 +88,22 @@ class TestCramer:
                 continue
             for row, rhs in zip(m, b):
                 assert sum(c * xi for c, xi in zip(row, x)) == rhs
+
+    def test_matches_cofactor_cramer(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                m[-1] = [2 * x for x in m[0]]  # singular
+            b = [rng.randint(-6, 6) for _ in range(n)]
+            det = cofactor_determinant(m)
+            expected = None if det == 0 else [
+                Fraction(cofactor_determinant([[b[i] if j == col else m[i][j] for j in range(n)]
+                                               for i in range(n)]), det)
+                for col in range(n)
+            ]
+            assert cramer_solve(m, b) == expected
 
 
 class TestNonnegSolve:
@@ -153,6 +176,66 @@ class TestIntegerDependency:
                 continue
             check_dependency(vs, find_integer_dependency(vs), 4)
 
+    def test_matches_determinant_definition(self):
+        rng = random.Random(89)
+        checked = 0
+        while checked < 300:
+            dim = rng.randint(1, 3)
+            vs = [Vec.from_tuple([rng.randint(-3, 3) for _ in range(dim)], "abc"[:dim])
+                  for _ in range(rng.randint(1, 4))]
+            if naive_rank(vs) == len(vs):
+                continue
+            assert find_integer_dependency(vs) == ref_integer_dependency(vs)
+            checked += 1
+
+
+def ref_integer_dependency(vectors):
+    """The documented dependency, from its definition: on the first minimal
+    dependent subset, u is its vector with the largest rational coefficient
+    (the first on ties) and B is the rest extended to a basis by unit
+    vectors; alpha[u] = det B and alpha[j] = -det(B with u in j's column),
+    with the first nonzero entry made positive."""
+    symbols = sorted({s for v in vectors for s in v.support()})
+    dep = next(i for i in range(len(vectors)) if naive_rank(vectors[: i + 1]) == i)
+    # coefficients of vectors[dep] over the independent prefix, by Cramer
+    # on the first nonsingular square block of coordinates
+    cols = [[p.get(s) for p in vectors[:dep]] for s in symbols]
+    rows = next(
+        idx for idx in combinations(range(len(symbols)), dep)
+        if cofactor_determinant([cols[r] for r in idx])
+    )
+    square = [cols[r] for r in rows]
+    rhs = [vectors[dep].get(symbols[r]) for r in rows]
+    det = cofactor_determinant(square)
+    beta = {}
+    for j in range(dep):
+        replaced = [[rhs[i] if c == j else x for c, x in enumerate(row)]
+                    for i, row in enumerate(square)]
+        coeff = Fraction(cofactor_determinant(replaced), det)
+        if coeff:
+            beta[j] = coeff
+    beta[dep] = Fraction(-1)
+    alpha = [0] * len(vectors)
+    if len(beta) == 1:
+        alpha[dep] = 1
+        return alpha
+    u = max(beta, key=lambda j: abs(beta[j]))
+    rest = [j for j in beta if j != u]
+    basis = [vectors[j] for j in rest]
+    for s in symbols:
+        if len(basis) < len(symbols) and naive_rank(basis + [Vec.unit(s)]) > len(basis):
+            basis.append(Vec.unit(s))
+
+    def det_of(columns):
+        return cofactor_determinant([[c.get(s) for c in columns] for s in symbols])
+
+    alpha[u] = det_of(basis)
+    for pos, j in enumerate(rest):
+        alpha[j] = -det_of(basis[:pos] + [vectors[u]] + basis[pos + 1:])
+    if next(a for a in alpha if a) < 0:
+        alpha = [-a for a in alpha]
+    return alpha
+
 
 def check_reduction(vectors, counts, new_counts, kept, entry_bound):
     before = Vec.zero()
@@ -218,7 +301,9 @@ def lattice_case(draw_int, dim, k, kind):
 
 def reference_solve(zs, t):
     symbols = "abcd"[: len(t)]
-    sol = nonneg_integer_solve([Vec.from_tuple(z, symbols) for z in zs], Vec.from_tuple(t, symbols))
+    sol = ref_nonneg_integer_solve(
+        [Vec.from_tuple(z, symbols) for z in zs], Vec.from_tuple(t, symbols)
+    )
     return None if sol is None else tuple(sol)
 
 
@@ -229,7 +314,7 @@ def independent(zs, dim):
 class TestPeriodLattice:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 4), st.data(), st.sampled_from(["free", "combination", "nudged"]))
-    def test_solve_agrees_with_nonneg_integer_solve(self, dim, data, kind):
+    def test_solve_agrees_with_reference_solve(self, dim, data, kind):
         k = data.draw(st.integers(0, dim))
         zs, t = lattice_case(lambda lo, hi: data.draw(st.integers(lo, hi)), dim, k, kind)
         assume(independent(zs, dim))
@@ -281,6 +366,38 @@ class TestPeriodLattice:
     def test_dependent_periods_rejected(self):
         with pytest.raises(ValueError):
             PeriodLattice([(1, 1), (2, 2)], 2)
+
+    def test_matches_cofactor_definitions(self):
+        rng = random.Random(97)
+        checked = 0
+        while checked < 500:
+            dim = rng.randint(1, 4)
+            k = rng.randint(0, dim)
+            zs = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(k)]
+            if not independent(zs, dim):
+                continue
+            lattice = PeriodLattice(zs, dim)
+            # rows: the first coordinates, greedily, keeping the periods independent
+            rows = []
+            for r in range(dim):
+                block = [Vec.from_tuple([z[i] for z in zs], "abcd") for i in [*rows, r]]
+                if len(rows) < k and naive_rank(block) > len(rows):
+                    rows.append(r)
+            assert lattice.rows == rows
+            square = [[z[r] for z in zs] for r in rows]
+            assert lattice.det == abs(cofactor_determinant(square)) > 0
+            for i in range(k):
+                for j in range(k):
+                    assert sum(lattice.adj[i][m] * square[m][j] for m in range(k)) == (
+                        lattice.det if i == j else 0
+                    )
+            free = [c for c in range(dim) if c not in rows]
+            assert len(lattice.kernel) == len(free)
+            for u, c in zip(lattice.kernel, free):
+                assert math.gcd(*u) == 1
+                assert all(sum(a * b for a, b in zip(u, z)) == 0 for z in zs)
+                assert u[c] > 0 and all(u[f] == 0 for f in free if f != c)
+            checked += 1
 
 
 class TestMaximalIndependentSubsets:

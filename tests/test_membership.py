@@ -95,7 +95,7 @@ class TestMemberRegular:
         res = member_regular(gb(), Vec.unit("a", 4), bound=113)
         assert res.status == MEMBER
         w = res.witness
-        assert w.base.parikh() == Vec.zero()
+        assert w.base_run.parikh() == Vec.zero()
         assert [(t.cycle.parikh(), t.count) for t in w.cycles] == [(Vec({"a": 2}), 2)]
         assert member_regular(gb(), Vec.unit("a", 3), bound=113).status == NON_MEMBER
 

@@ -1,0 +1,24 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "parikh"
+
+
+def test_only_standard_library_imports():
+    allowed = set(sys.stdlib_module_names) | {"parikh"}
+    foreign = []
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []

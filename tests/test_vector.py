@@ -1,3 +1,6 @@
+from collections import Counter
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,3 +67,13 @@ def test_tuple_round_trip(d):
     v = Vec(d)
     order = sorted(set(d) | {"z"})
     assert Vec.from_tuple(v.to_tuple(order), order) == v.restrict(order)
+
+
+def test_mapping_and_pair_inputs_agree():
+    expected = Vec({"a": 2, "b": -1})
+    assert Vec(Counter({"a": 2, "b": -1, "c": 0})) == expected
+    assert Vec(MappingProxyType({"a": 2, "b": -1})) == expected
+    assert Vec([("a", 1), ("b", -1), ("a", 1)]) == expected
+    assert Vec((pair for pair in (("b", -1), ("a", 2)))) == expected
+    assert Vec(expected) == expected  # a Vec iterates as its pairs
+    assert Vec() == Vec(None) == Vec({}) == Vec.zero()
