@@ -85,7 +85,7 @@ def _drop_subsumed(raw: Sequence[SimpleBundle]) -> tuple[SimpleBundle, ...]:
     return tuple(kept)
 
 
-def regular_bundles(g: Grammar, run_cap: int, state_cap: int = DEFAULT_STATE_CAP) -> BundlesResult:
+def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
     """Bundle decomposition of a regular grammar's language.
 
     One bundle per (required support, maximal independent cycle-vector

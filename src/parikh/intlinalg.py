@@ -163,15 +163,14 @@ def is_linearly_independent(vectors: Sequence[Vec]) -> bool:
 
 
 def find_integer_dependency(
-    vectors: Sequence[Vec],
-    entry_bound: Optional[int] = None,
-    symbols: Optional[Sequence[str]] = None,
+    vectors: Sequence[Vec], symbols: Optional[Sequence[str]] = None
 ) -> list[int]:
     """Integer coefficients a with sum a_i * vectors[i] = 0 for a dependent set.
 
     The dependency is found on the first minimal dependent subset in
     input order and scaled through a unit-extended basis determinant, so
-    every coefficient is bounded by hadamard_bound(dim, entry_bound).
+    every coefficient is bounded by hadamard_bound(dim, m), m the largest
+    absolute entry of the vectors.
     The first nonzero coefficient is normalized positive.
     """
     if symbols is None:
@@ -248,7 +247,7 @@ def reduce_multiplicities(
         active = [i for i, c in enumerate(counts) if c >= h]
         if is_linearly_independent([vectors[i] for i in active]):
             return counts, tuple(active)
-        alpha_local = find_integer_dependency([vectors[i] for i in active], entry_bound, symbols)
+        alpha_local = find_integer_dependency([vectors[i] for i in active], symbols)
         # largest k keeping all active counts nonnegative; at least one
         # coefficient is positive and every |a| <= h <= active counts,
         # so k >= 1 and some count drops below h

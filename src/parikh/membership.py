@@ -1,14 +1,16 @@
 """Membership deciders and the brute-force enumeration oracle.
 
-For regular grammars, membership is decided from two dynamic-programming
-tables: letter vectors of bounded-size runs indexed by (required
-support, start nonterminal), and letter vectors of bounded-size paths
-between nonterminal pairs.  A vector is accepted when it is a table run
-vector plus a nonnegative integer combination of linearly independent
-cycle vectors anchored in the run's support.  With the bound at its
-theoretical value the procedure is exact; with a smaller desk-scale
-bound a yes is still sound (the witness is checkable) while a no only
-means "no within bound".
+For regular grammars, membership is decided from one table kind: the
+letter vectors of bounded-size paths into a fixed end, built backwards
+and keyed by (required support, first nonterminal).  A final rule is a
+step into the sentinel FINAL, so runs are the paths into FINAL and the
+cycles at q the paths into q; one walk back through such a table gives
+the base run and every cycle of a witness.  A vector is accepted when
+it is a table run vector plus a nonnegative integer combination of
+linearly independent cycle vectors anchored in the run's support.  With
+the bound at its theoretical value the procedure is exact; with a
+smaller desk-scale bound a yes is still sound (the witness is checkable)
+while a no only means "no within bound".
 
 For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps, answering yes or
@@ -127,13 +129,19 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
 # DP tables for regular grammars
 
 
+# the end of every run: a final rule `q -> out :` is a step from q to FINAL,
+# which is no legal symbol name and never enters a support
+FINAL = ""
+
+
 @dataclass(frozen=True)
 class RunTable:
     """Vectors of runs of size <= bound, per (required support, start).
 
     entry(P, q) holds the letter vectors of runs from q of size at most
-    `bound` whose support includes P.  Internally the table is stored on
-    canonical keys with q removed from P (a run from q always uses q).
+    `bound` whose support includes P.  `cells` are the path cells into
+    FINAL, on canonical keys with q removed from P (a run from q always
+    uses q).
     """
 
     grammar: Grammar
@@ -149,14 +157,17 @@ class RunTable:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Vectors of paths of size <= bound between nonterminal pairs."""
+    """Vectors of paths of size <= bound between nonterminal pairs.
+
+    `cells[q2]` are the path cells into q2; entry(q1, q2) reads the one
+    keyed (empty support, q1)."""
 
     grammar: Grammar
     bound: int
-    cells: dict[tuple[str, str], dict[IntTuple, int]] = field(compare=False)
+    cells: dict[str, dict[Cell, dict[IntTuple, int]]] = field(compare=False)
 
     def entry(self, q1: str, q2: str) -> frozenset[Vec]:
-        cell = self.cells.get((q1, q2), {})
+        cell = self.cells.get(q2, {}).get((frozenset(), q1), {})
         return frozenset(Vec.from_tuple(v, self.grammar.alphabet) for v in cell)
 
 
@@ -165,63 +176,51 @@ def _require_regular_normal(g: Grammar) -> None:
         raise ValueError("this procedure needs a regular grammar in normal form")
 
 
-def _run_cells(
-    g: Grammar, bound: int, support_limit: int
+def _path_cells(
+    g: Grammar, end: str, bound: int, support_limit: int = 0
 ) -> tuple[dict[Cell, dict[IntTuple, int]], bool]:
-    """Breadth-first construction; level n adds vectors of runs of size n.
+    """Letter vectors of the paths of size <= bound into `end` (a
+    nonterminal, or FINAL for runs), built backwards one rule at a time
+    from the empty path at (empty support, end).
 
-    Also reports whether the frontier emptied before the bound, i.e. the
-    grammar has no runs at all beyond the tabulated ones."""
+    cells[(P, q)] maps the vector of each path from q whose support
+    includes P (q removed, every P of size <= support_limit) to the
+    least size that reaches it.  Also reports whether the frontier
+    emptied, i.e. there are no paths beyond the tabulated ones."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
-    finals: dict[str, list[IntTuple]] = {}
-    unaries: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q, out)]
+    steps: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q, out)]
     for src, targets, out in zip(cg.source, cg.targets, cg.output):
-        if targets:
-            unaries.setdefault(names[targets[0]], []).append((names[src], out))
-        else:
-            finals.setdefault(names[src], []).append(out)
+        r = names[targets[0]] if targets else FINAL
+        steps.setdefault(r, []).append((names[src], out))
 
-    cells: dict[Cell, dict[IntTuple, int]] = {}
-    frontier: dict[Cell, list[IntTuple]] = {}
-    for q, outs in finals.items():
-        key = (frozenset(), q)
-        cell = cells.setdefault(key, {})
-        fresh = []
-        for out in outs:
-            if out not in cell:
-                cell[out] = 1
-                fresh.append(out)
-        if fresh:
-            frontier[key] = fresh
-
-    exhausted = False
-    for level in range(2, bound + 1):
+    cells: dict[Cell, dict[IntTuple, int]] = {(frozenset(), end): {zero: 0}}
+    frontier: dict[Cell, list[IntTuple]] = {(frozenset(), end): [zero]}
+    for size in range(1, bound + 1):
         new_frontier: dict[Cell, list[IntTuple]] = {}
         for (p2, r), vecs in frontier.items():
-            for q, out in unaries.get(r, ()):
-                keys = {(p2 - {q}, q)}
-                grown = (p2 | {r}) - {q}
-                if len(grown) <= support_limit:
-                    keys.add((grown, q))
-                for key in keys:
+            grown = p2 if r == FINAL else p2 | {r}
+            for q, out in steps.get(r, ()):
+                # keep a support object q is not in: fewer sets built and kept
+                narrow = p2 - {q} if q in p2 else p2
+                wide = grown - {q} if q in grown else grown
+                wider = wide != narrow and len(wide) <= support_limit
+                for support in (narrow, wide) if wider else (narrow,):
+                    key = (support, q)
                     cell = cells.setdefault(key, {})
                     bucket = None
                     for vec in vecs:
                         new_vec = tuple(map(add, vec, out)) if out != zero else vec
                         if new_vec not in cell:
-                            cell[new_vec] = level
+                            cell[new_vec] = size
                             if bucket is None:
                                 bucket = new_frontier.setdefault(key, [])
                             bucket.append(new_vec)
         frontier = new_frontier
         if not frontier:
-            exhausted = True
             break
-    else:
-        exhausted = not frontier
-    return cells, exhausted
+    return cells, not frontier
 
 
 def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None) -> RunTable:
@@ -232,43 +231,14 @@ def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None)
         raise ValueError("bound must be at least 1")
     if support_limit is None:
         support_limit = len(g.alphabet)
-    cells, _exhausted = _run_cells(g, bound, support_limit)
+    cells, _exhausted = _path_cells(g, FINAL, bound, support_limit)
     return RunTable(g, bound, support_limit, cells)
-
-
-def _path_cells(g: Grammar, bound: int) -> dict[tuple[str, str], dict[IntTuple, int]]:
-    cg = g.compiled
-    names = cg.nonterminals
-    cells: dict[tuple[str, str], dict[IntTuple, int]] = {}
-    zero = (0,) * len(cg.letters)
-    frontier: dict[tuple[str, str], list[IntTuple]] = {}
-    for q in names:
-        cells[(q, q)] = {zero: 0}
-        frontier[(q, q)] = [zero]
-    steps: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q1, out)]
-    for src, targets, out in zip(cg.source, cg.targets, cg.output):
-        if targets:
-            steps.setdefault(names[targets[0]], []).append((names[src], out))
-    for level in range(1, bound + 1):
-        new_frontier: dict[tuple[str, str], list[IntTuple]] = {}
-        for (r, q2), vecs in frontier.items():
-            for q1, out in steps.get(r, ()):
-                cell = cells.setdefault((q1, q2), {})
-                for vec in vecs:
-                    new_vec = tuple(map(add, vec, out))
-                    if new_vec not in cell:
-                        cell[new_vec] = level
-                        new_frontier.setdefault((q1, q2), []).append(new_vec)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return cells
 
 
 def build_path_table(g: Grammar, bound: int) -> PathTable:
     """Tabulate path vectors between all nonterminal pairs, size <= bound."""
     _require_regular_normal(g)
-    return PathTable(g, bound, _path_cells(g, bound))
+    return PathTable(g, bound, {q: _path_cells(g, q, bound)[0] for q in g.nonterminals})
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +378,14 @@ class RegularMembership:
         self.order = g.alphabet
         dim = len(self.order)
         limit = min(dim, len(g.nonterminals))
-        self._cells, self.runs_exhausted = _run_cells(g, self.bound, limit)
-        self._paths = _path_cells(g, len(g.nonterminals))
-        pools: dict[str, list[IntTuple]] = {}
+        self._cells, self.runs_exhausted = _path_cells(g, FINAL, self.bound, limit)
+        # per anchor q: the cells of paths into q, and its nonzero cycle vectors
+        self._paths = {q: _path_cells(g, q, len(g.nonterminals))[0] for q in g.nonterminals}
         zero = (0,) * dim
-        for q in g.nonterminals:
-            vecs = [v for v in self._paths.get((q, q), {}) if v != zero]
-            pools[q] = sorted(vecs)
-        self._pools = pools
+        self._pools = {
+            q: sorted(v for v in self._paths[q][(frozenset(), q)] if v != zero)
+            for q in g.nonterminals
+        }
         self._queries = self._prepare_queries(dim)
 
     def _prepare_queries(self, dim: int):
@@ -492,68 +462,37 @@ class RegularMembership:
         coeffs: Sequence[int],
         anchors: list[str],
     ) -> Witness:
-        base = self._reconstruct_run(key, w)
+        base = self._walk(self._cells, key, w)
         terms = []
         for z, n in zip(zs, coeffs):
             if n == 0:
                 continue
             anchor = next(q for q in anchors if z in self._pools[q])
-            cycle = self._reconstruct_cycle(anchor, z)
+            cycle = self._walk(self._paths[anchor], (frozenset(), anchor), z)
             terms.append(CycleTerm(cycle, anchor, n))
         return Witness(base, tuple(terms))
 
-    def _reconstruct_run(self, key: Cell, vec: IntTuple) -> TransitionMultiset:
+    def _walk(self, cells: dict, key: Cell, vec: IntTuple) -> TransitionMultiset:
+        """The transitions of the path behind cells[key][vec]: each step takes
+        the first rule out of the current nonterminal, in grammar order, whose
+        next cell holds the rest of the vector at a smaller size, to size 0."""
         g = self.grammar
         cg = g.compiled
         names = cg.nonterminals
         counts: dict[str, int] = {}
-        level = self._cells[key][vec]
-        while True:
+        size = cells[key][vec]
+        while size:
             p, q = key
-            out_of_q = cg.from_source[cg.nt_index[q]]
-            if level == 1:
-                final = next(
-                    i for i in out_of_q if not cg.targets[i] and cg.output[i] == vec
-                )
-                counts[cg.tids[final]] = counts.get(cg.tids[final], 0) + 1
-                break
-            step = None
-            for i in out_of_q:
-                if not cg.targets[i]:
-                    continue
-                r = names[cg.targets[i][0]]
-                prev_key = (p - {r}, r)
-                prev_vec = tuple(map(sub, vec, cg.output[i]))
-                prev_level = self._cells.get(prev_key, {}).get(prev_vec)
-                if prev_level is not None and prev_level <= level - 1:
-                    step = (i, prev_key, prev_vec, prev_level)
+            for i in cg.from_source[cg.nt_index[q]]:
+                r = names[cg.targets[i][0]] if cg.targets[i] else FINAL
+                rest_key = (p - {r}, r)
+                rest = tuple(map(sub, vec, cg.output[i]))
+                rest_size = cells.get(rest_key, {}).get(rest)
+                if rest_size is not None and rest_size < size:
                     break
-            if step is None:  # pragma: no cover - table construction guarantees a parent
-                raise AssertionError("run table walk failed")
-            i, key, vec, level = step
-            counts[cg.tids[i]] = counts.get(cg.tids[i], 0) + 1
-        return TransitionMultiset.from_counts(g, counts)
-
-    def _reconstruct_cycle(self, q: str, vec: IntTuple) -> TransitionMultiset:
-        g = self.grammar
-        cg = g.compiled
-        names = cg.nonterminals
-        counts: dict[str, int] = {}
-        cur, level = q, self._paths[(q, q)][vec]
-        while level > 0:
-            step = None
-            for i in cg.from_source[cg.nt_index[cur]]:
-                if not cg.targets[i]:
-                    continue
-                r = names[cg.targets[i][0]]
-                prev_vec = tuple(map(sub, vec, cg.output[i]))
-                prev_level = self._paths.get((r, q), {}).get(prev_vec)
-                if prev_level is not None and prev_level <= level - 1:
-                    step = (i, r, prev_vec, prev_level)
-                    break
-            if step is None:  # pragma: no cover
+            else:  # pragma: no cover - table construction guarantees a step
                 raise AssertionError("path table walk failed")
-            i, cur, vec, level = step
+            key, vec, size = rest_key, rest, rest_size
             counts[cg.tids[i]] = counts.get(cg.tids[i], 0) + 1
         return TransitionMultiset.from_counts(g, counts)
 
@@ -591,8 +530,10 @@ class GeneralMembership:
         self.grammar = g
         self.run_cap = run_cap
         self.cycle_cap = cycle_cap
+        self.state_cap = state_cap
         search = enumerate_runs(g, g.start, run_cap, state_cap)
         self.runs_complete = search.complete
+        self.runs_capped = search.capped
         bases: dict[tuple[Vec, frozenset], TransitionMultiset] = {}
         for run in search.runs:
             key = (run.parikh(), run.supp())
@@ -657,10 +598,11 @@ class GeneralMembership:
         """The answer for a vector no base and cycle subset reaches."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
-        if (
-            self.run_cap >= base_run_bound(self.grammar).value
-            and self.cycles_complete
-        ):
+        if self.runs_capped:
+            return MembershipResult(
+                UNKNOWN, note=f"run search stopped at the state cap of {self.state_cap}"
+            )
+        if self.run_cap >= base_run_bound(self.grammar).value and self.cycles_complete:
             return MembershipResult(NON_MEMBER)
         return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
 

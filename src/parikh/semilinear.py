@@ -62,7 +62,7 @@ class SemilinearSet:
     components: tuple[LinearSet, ...]
 
 
-def linear_member(ls: LinearSet, v: Vec, coeff_bound: int | None = None) -> bool:
+def linear_member(ls: LinearSet, v: Vec) -> bool:
     """Exact membership in base + N-combinations of the periods.
 
     For every maximal independent subset of the periods, enumerate
@@ -75,9 +75,8 @@ def linear_member(ls: LinearSet, v: Vec, coeff_bound: int | None = None) -> bool
     periods = ls.periods
     if not periods:
         return target.is_zero()
-    if coeff_bound is None:
-        dims = {s for p in periods for s in p.support()} | set(target.support())
-        coeff_bound = hadamard_bound(len(dims), max(p.norm_inf() for p in periods))
+    dims = {s for p in periods for s in p.support()} | set(target.support())
+    coeff_bound = hadamard_bound(len(dims), max(p.norm_inf() for p in periods))
     symbols = sorted({sym for p in periods for sym in p.support()})
     for core in maximal_independent_subsets([p.to_tuple(symbols) for p in periods]):
         solve = period_solver([periods[i] for i in core])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from parikh import (
@@ -23,7 +24,9 @@ from parikh.membership import (
     MEMBER,
     NON_MEMBER,
     UNKNOWN,
+    Cell,
     GeneralMembership,
+    IntTuple,
     MembershipResult,
     RegularMembership,
     oracle_language,
@@ -401,6 +404,98 @@ def ref_simple_cycles(g: Grammar, q: str, limit: int) -> list:
     return out
 
 
+# The run and path tables as two separate breadth-first builders: the
+# reference the one backward path table in `parikh.membership` must
+# reproduce (same cells, least sizes and exhaustion flag).
+
+
+def ref_run_cells(g: Grammar, bound: int, support_limit: int) -> tuple[dict, bool]:
+    """Run cells built forwards from the final rules; level n adds vectors
+    of runs of size n.  Also reports whether the frontier emptied before
+    the bound."""
+    cg = g.compiled
+    names = cg.nonterminals
+    zero = (0,) * len(cg.letters)
+    finals: dict[str, list[IntTuple]] = {}
+    unaries: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q, out)]
+    for src, targets, out in zip(cg.source, cg.targets, cg.output):
+        if targets:
+            unaries.setdefault(names[targets[0]], []).append((names[src], out))
+        else:
+            finals.setdefault(names[src], []).append(out)
+
+    cells: dict[Cell, dict[IntTuple, int]] = {}
+    frontier: dict[Cell, list[IntTuple]] = {}
+    for q, outs in finals.items():
+        key = (frozenset(), q)
+        cell = cells.setdefault(key, {})
+        fresh = []
+        for out in outs:
+            if out not in cell:
+                cell[out] = 1
+                fresh.append(out)
+        if fresh:
+            frontier[key] = fresh
+
+    exhausted = False
+    for level in range(2, bound + 1):
+        new_frontier: dict[Cell, list[IntTuple]] = {}
+        for (p2, r), vecs in frontier.items():
+            for q, out in unaries.get(r, ()):
+                keys = {(p2 - {q}, q)}
+                grown = (p2 | {r}) - {q}
+                if len(grown) <= support_limit:
+                    keys.add((grown, q))
+                for key in keys:
+                    cell = cells.setdefault(key, {})
+                    bucket = None
+                    for vec in vecs:
+                        new_vec = tuple(map(add, vec, out)) if out != zero else vec
+                        if new_vec not in cell:
+                            cell[new_vec] = level
+                            if bucket is None:
+                                bucket = new_frontier.setdefault(key, [])
+                            bucket.append(new_vec)
+        frontier = new_frontier
+        if not frontier:
+            exhausted = True
+            break
+    else:
+        exhausted = not frontier
+    return cells, exhausted
+
+
+def ref_path_cells(g: Grammar, bound: int) -> dict:
+    """Path cells between all nonterminal pairs (q1, q2), built breadth-first
+    from the empty path at every (q, q)."""
+    cg = g.compiled
+    names = cg.nonterminals
+    cells: dict[tuple[str, str], dict[IntTuple, int]] = {}
+    zero = (0,) * len(cg.letters)
+    frontier: dict[tuple[str, str], list[IntTuple]] = {}
+    for q in names:
+        cells[(q, q)] = {zero: 0}
+        frontier[(q, q)] = [zero]
+    steps: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q1, out)]
+    for src, targets, out in zip(cg.source, cg.targets, cg.output):
+        if targets:
+            steps.setdefault(names[targets[0]], []).append((names[src], out))
+    for level in range(1, bound + 1):
+        new_frontier: dict[tuple[str, str], list[IntTuple]] = {}
+        for (r, q2), vecs in frontier.items():
+            for q1, out in steps.get(r, ()):
+                cell = cells.setdefault((q1, q2), {})
+                for vec in vecs:
+                    new_vec = tuple(map(add, vec, out))
+                    if new_vec not in cell:
+                        cell[new_vec] = level
+                        new_frontier.setdefault((q1, q2), []).append(new_vec)
+        frontier = new_frontier
+        if not frontier:
+            break
+    return cells
+
+
 # Point-by-point window sweeps: the reference the set-at-a-time sweeps in
 # `parikh.windows` must reproduce (same verdict, witness and notes).  Each
 # engine answers one Vec at a time, on a freshly built decision state.
@@ -522,7 +617,7 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     g = state.grammar
     if any(sym not in g.alphabet for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-    search = enumerate_runs(g, g.start, state.run_cap)
+    search = enumerate_runs(g, g.start, state.run_cap, state.state_cap)
     bases: dict = {}
     for run in search.runs:
         bases.setdefault((run.parikh(), run.supp()), run)
@@ -555,6 +650,10 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
             return MembershipResult(MEMBER, Witness(run, terms))
     if search.complete:
         return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
+    if search.capped:
+        return MembershipResult(
+            UNKNOWN, note=f"run search stopped at the state cap of {state.state_cap}"
+        )
     if state.run_cap >= base_run_bound(g).value and cycle_enumeration_complete(
         g, state.cycle_cap
     ):

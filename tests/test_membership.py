@@ -17,8 +17,16 @@ from parikh import (
 )
 from parikh import normalize
 from parikh.hardness import hard_grammar
-from parikh.membership import MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN
-from helpers import ga, gb, gc, random_grammar, ref_general_result
+from parikh.membership import FINAL, MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN, _path_cells
+from helpers import (
+    ga,
+    gb,
+    gc,
+    random_grammar,
+    ref_general_result,
+    ref_path_cells,
+    ref_run_cells,
+)
 
 
 def vecs(xs):
@@ -90,6 +98,30 @@ class TestPathTable:
         assert table.entry("S", "T") == frozenset()
 
 
+def test_one_path_table_matches_the_separate_run_and_path_builders():
+    # run cells are the paths into FINAL, cycle cells the paths into each q
+    rng = random.Random(71)
+    exhausted_seen, supports_seen = set(), False
+    for _ in range(40):
+        g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+        zero = (0,) * len(g.alphabet)
+        for bound in range(1, 13):
+            for limit in range(min(len(g.alphabet), len(g.nonterminals)) + 1):
+                cells, exhausted = _path_cells(g, FINAL, bound, limit)
+                ref_cells, ref_exhausted = ref_run_cells(g, bound, limit)
+                assert cells == {**ref_cells, (frozenset(), FINAL): {zero: 0}}
+                assert exhausted == ref_exhausted
+                exhausted_seen.add(exhausted)
+                supports_seen |= any(support for support, _q in cells)
+            ref_paths = ref_path_cells(g, bound)
+            for q2 in g.nonterminals:
+                paths, _exhausted = _path_cells(g, q2, bound)
+                assert paths == {
+                    (frozenset(), q1): cell for (q1, end), cell in ref_paths.items() if end == q2
+                }
+    assert exhausted_seen == {True, False} and supports_seen
+
+
 class TestMemberRegular:
     def test_gb_examples(self):
         res = member_regular(gb(), Vec.unit("a", 4), bound=113)
@@ -144,6 +176,18 @@ class TestMemberGeneral:
         g = parse_grammar("alphabet: a\nstart: S\nS -> a : T\nT -> :")
         res = member_general(g, Vec.unit("a", 2), run_cap=10, cycle_cap=4)
         assert res.status == NON_MEMBER
+
+    def test_capped_run_search_is_not_a_definite_no(self):
+        # run_cap reaches the base-run bound (17408) and the cycle listing
+        # is complete, but 4 states cut the run search before the run t2 t3 t4
+        g = parse_grammar(
+            "alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :"
+        )
+        res = member_general(g, Vec.unit("a"), run_cap=17408, cycle_cap=15, state_cap=4)
+        assert res == MembershipResult(UNKNOWN, note="run search stopped at the state cap of 4")
+        found = member_general(g, Vec.unit("a"), 8, 15)
+        assert found.status == MEMBER
+        assert found.witness.base_run.counts.to_dict() == {"t2": 1, "t3": 1, "t4": 1}
 
     def test_monotone_in_caps(self):
         rng = random.Random(53)
