@@ -151,13 +151,20 @@ class CompiledGrammar:
     - `target_count[i]`: number of targets.
 
     `from_source[q]` lists the ids of the transitions out of nonterminal
-    id `q`, ascending.  `Vec` stays the API type; this view is internal
-    to the loops that would otherwise build a `Vec` per search state.
+    id `q`, ascending.  `letter_sign[j]` says which way the rules move
+    letter j: +1 when no rule emits it negatively and some positively,
+    -1 the other way round, 0 when no rule emits it at all, and None
+    when rules move it both ways.  A letter with a sign is one-way: no
+    sum of emissions brings it back once it has passed a limit on that
+    side (either side, for sign 0).  `Vec` stays the API type; this view
+    is internal to the loops that would otherwise build a `Vec` per
+    search state.
     """
 
     __slots__ = (
         "letters", "nonterminals", "tids", "nt_index", "tid_index",
         "source", "output", "delta", "targets", "target_count", "from_source",
+        "letter_sign",
     )
 
     def __init__(self, g: Grammar):
@@ -181,6 +188,10 @@ class CompiledGrammar:
         for i, q in enumerate(self.source):
             by_source[q].append(i)
         self.from_source = tuple(tuple(ids) for ids in by_source)
+        self.letter_sign = tuple(
+            _sign_of({out[j] for out in self.output if out[j]})
+            for j in range(len(self.letters))
+        )
 
     def counts(self, v: Vec) -> tuple[int, ...]:
         """Dense per-transition counts of a multiset keyed by transition id."""
@@ -192,6 +203,18 @@ class CompiledGrammar:
     def multiset(self, counts: Sequence[int]) -> Vec:
         """The `Vec` of transition ids for dense per-transition counts."""
         return Vec(tuple((tid, c) for tid, c in zip(self.tids, counts) if c))
+
+
+def _sign_of(moves: set[int]) -> Optional[int]:
+    """The one way a letter moves, given its nonzero emissions (see
+    `CompiledGrammar.letter_sign`)."""
+    if not moves:
+        return 0
+    if min(moves) > 0:
+        return 1
+    if max(moves) < 0:
+        return -1
+    return None
 
 
 def grammar_from_rules(

@@ -12,9 +12,15 @@ the bound at its theoretical value the procedure is exact; with a
 smaller desk-scale bound a yes is still sound (the witness is checkable)
 while a no only means "no within bound".
 
+The cycle tables are built with the decision state and the full run
+table on the first point query.  A window sweep (`box_members`) reads a
+run table of its own, cut to its box: a run vector past the box on a
+one-way letter (`CompiledGrammar.letter_sign`) stays out of it whatever
+cycles are added, so it is never tabulated.
+
 For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps, answering yes or
-unknown.
+unknown; a run or cycle search cut by its state cap answers unknown.
 
 `oracle_language` is the independent cross-check: plain breadth-first
 expansion of sentential forms.
@@ -33,6 +39,7 @@ from .grammar import Grammar
 from .intlinalg import PeriodLattice, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
+    SearchCapExceeded,
     TransitionMultiset,
     cycle_enumeration_complete,
     enumerate_runs,
@@ -65,12 +72,11 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
     """
     cg = g.compiled
     dim = len(cg.letters)
-    rising = [all(out[j] >= 0 for out in cg.output) for j in range(dim)]
-    falling = [all(out[j] <= 0 for out in cg.output) for j in range(dim)]
+    sign = cg.letter_sign
     # per source nonterminal: (targets, target count, output or None,
     # guards) per transition, where a guard (j, s) prunes when
-    # s * value[j] > window; only the letters a transition moves can
-    # newly leave the window
+    # s * value[j] > window; only the one-way letters a transition moves
+    # can newly leave the window
     moves = [
         [
             (
@@ -78,9 +84,9 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
                 cg.target_count[i],
                 cg.output[i] if any(cg.output[i]) else None,
                 tuple(
-                    (j, 1 if x > 0 else -1)
+                    (j, sign[j])
                     for j, x in enumerate(cg.output[i])
-                    if (x > 0 and rising[j]) or (x < 0 and falling[j])
+                    if sign[j] is not None and x * sign[j] > 0
                 ),
             )
             for i in ids
@@ -177,7 +183,11 @@ def _require_regular_normal(g: Grammar) -> None:
 
 
 def _path_cells(
-    g: Grammar, end: str, bound: int, support_limit: int = 0
+    g: Grammar,
+    end: str,
+    bound: int,
+    support_limit: int = 0,
+    box: Optional[tuple[int, int]] = None,
 ) -> tuple[dict[Cell, dict[IntTuple, int]], bool]:
     """Letter vectors of the paths of size <= bound into `end` (a
     nonterminal, or FINAL for runs), built backwards one rule at a time
@@ -186,14 +196,38 @@ def _path_cells(
     cells[(P, q)] maps the vector of each path from q whose support
     includes P (q removed, every P of size <= support_limit) to the
     least size that reaches it.  Also reports whether the frontier
-    emptied, i.e. there are no paths beyond the tabulated ones."""
+    emptied, i.e. there are no paths beyond the tabulated ones.
+
+    With box=(lo, hi) a path vector is dropped once it has left the box
+    on a one-way letter: above hi on a letter no rule lowers, or below lo
+    on one no rule raises.  Extending the path backwards, or adding any
+    cycle vector, only moves that letter further out, so no vector
+    built from it comes back into the box.  The cells kept are the full
+    cells restricted to the vectors that stay, at the same least sizes;
+    cells left empty are not kept."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
-    steps: dict[str, list[tuple[str, IntTuple]]] = {}  # r -> [(q, out)]
+    # (j, s, limit): drop a vector v with s * v[j] > limit
+    guards = []
+    if box is not None:
+        lo, hi = box
+        for j, sign in enumerate(cg.letter_sign):
+            if sign is None:
+                continue
+            if sign >= 0:
+                guards.append((j, 1, hi))
+            if sign <= 0:
+                guards.append((j, -1, -lo))
+        if any(limit < 0 for _j, _s, limit in guards):
+            return {}, True  # even the empty path is out of the box
+    # r -> [(q, out, guards)]: only the letters out moves can newly leave
+    # the box, and a guard here reads the vector before out is added
+    steps: dict[str, list[tuple[str, IntTuple, list]]] = {}
     for src, targets, out in zip(cg.source, cg.targets, cg.output):
         r = names[targets[0]] if targets else FINAL
-        steps.setdefault(r, []).append((names[src], out))
+        moved = [(j, s, limit - s * out[j]) for j, s, limit in guards if out[j]]
+        steps.setdefault(r, []).append((names[src], out, moved))
 
     cells: dict[Cell, dict[IntTuple, int]] = {(frozenset(), end): {zero: 0}}
     frontier: dict[Cell, list[IntTuple]] = {(frozenset(), end): [zero]}
@@ -201,7 +235,13 @@ def _path_cells(
         new_frontier: dict[Cell, list[IntTuple]] = {}
         for (p2, r), vecs in frontier.items():
             grown = p2 if r == FINAL else p2 | {r}
-            for q, out in steps.get(r, ()):
+            for q, out, moved in steps.get(r, ()):
+                if moved:
+                    vecs_in = [v for v in vecs if all(s * v[j] <= limit for j, s, limit in moved)]
+                    if not vecs_in:
+                        continue
+                else:
+                    vecs_in = vecs
                 # keep a support object q is not in: fewer sets built and kept
                 narrow = p2 - {q} if q in p2 else p2
                 wide = grown - {q} if q in grown else grown
@@ -210,7 +250,7 @@ def _path_cells(
                     key = (support, q)
                     cell = cells.setdefault(key, {})
                     bucket = None
-                    for vec in vecs:
+                    for vec in vecs_in:
                         new_vec = tuple(map(add, vec, out)) if out != zero else vec
                         if new_vec not in cell:
                             cell[new_vec] = size
@@ -364,8 +404,11 @@ def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple
 class RegularMembership:
     """Shared decision state for one regular grammar and one run bound.
 
-    Building the tables is the expensive part; point queries afterwards
-    are cheap, so window sweeps should reuse one instance.
+    The cycle tables are built with the state; run tables on first use.
+    Point queries read the full run table (every run up to the bound),
+    built once; a window sweep reads one cut to its box (see
+    `box_members`).  Queries afterwards are cheap, so window sweeps
+    should reuse one instance.
     """
 
     def __init__(self, g: Grammar, bound: Optional[int] = None):
@@ -376,29 +419,48 @@ class RegularMembership:
         if self.bound < 1:
             raise ValueError("bound must be at least 1")
         self.order = g.alphabet
-        dim = len(self.order)
-        limit = min(dim, len(g.nonterminals))
-        self._cells, self.runs_exhausted = _path_cells(g, FINAL, self.bound, limit)
+        self._support_limit = min(len(self.order), len(g.nonterminals))
         # per anchor q: the cells of paths into q, and its nonzero cycle vectors
         self._paths = {q: _path_cells(g, q, len(g.nonterminals))[0] for q in g.nonterminals}
-        zero = (0,) * dim
+        zero = (0,) * len(self.order)
         self._pools = {
             q: sorted(v for v in self._paths[q][(frozenset(), q)] if v != zero)
             for q in g.nonterminals
         }
-        self._queries = self._prepare_queries(dim)
+        # the last (lo, hi) asked of box_members, with its members
+        self._last_box: Optional[tuple[int, int, frozenset[IntTuple]]] = None
 
-    def _prepare_queries(self, dim: int):
+    @cached_property
+    def _run_table(self) -> tuple[dict[Cell, dict[IntTuple, int]], bool]:
+        return _path_cells(self.grammar, FINAL, self.bound, self._support_limit)
+
+    @property
+    def _cells(self) -> dict[Cell, dict[IntTuple, int]]:
+        return self._run_table[0]
+
+    @property
+    def runs_exhausted(self) -> bool:
+        return self._run_table[1]
+
+    @cached_property
+    def _queries(self) -> list[tuple]:
+        return self._prepare_queries(self._cells)
+
+    def _prepare_queries(self, cells: dict[Cell, dict[IntTuple, int]]) -> list[tuple]:
+        """(key, periods, coset index or None, bases, anchors) for every
+        run cell from the start and every maximal independent subset of
+        the cycle vectors anchored in its support."""
         g = self.grammar
         start = g.start
+        dim = len(self.order)
         queries = []
         cell_keys = sorted(
-            (key for key in self._cells if key[1] == start),
+            (key for key in cells if key[1] == start),
             key=lambda key: (len(key[0]), sorted(key[0])),
         )
         seen: set[tuple] = set()
         for key in cell_keys:
-            bases = self._cells[key]
+            bases = cells[key]
             anchors = sorted(set(key[0]) | {start})
             pool: list[IntTuple] = sorted({v for q in anchors for v in self._pools[q]})
             for subset in maximal_independent_subsets(pool):
@@ -438,14 +500,31 @@ class RegularMembership:
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
         """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
         that `result` answers MEMBER, enumerated group by group instead of
-        asked point by point."""
+        asked point by point.
+
+        The groups come from a run table cut to the box (`_path_cells`
+        with box=(lo, hi)), which builds only the runs whose vector can
+        still be pumped into it; without one-way letters nothing is cut
+        and the full table's groups serve.  The last box and its members
+        are kept, so the sweeps of one window enumerate once."""
+        if self._last_box is not None and self._last_box[:2] == (lo, hi):
+            return self._last_box[2]
+        if any(sign is not None for sign in self.grammar.compiled.letter_sign):
+            cells, _exhausted = _path_cells(
+                self.grammar, FINAL, self.bound, self._support_limit, (lo, hi)
+            )
+            queries = self._prepare_queries(cells)
+        else:
+            queries = self._queries
         found: set[IntTuple] = set()
-        for _key, _zs, index, bases, _anchors in self._queries:
+        for _key, _zs, index, bases, _anchors in queries:
             if index is None:
                 found.update(w for w in bases if all(lo <= x <= hi for x in w))
             else:
                 found |= index.box_points(lo, hi)
-        return frozenset(found)
+        members = frozenset(found)
+        self._last_box = (lo, hi, members)
+        return members
 
     def window_members(self, window: int) -> frozenset[Vec]:
         return frozenset(
@@ -547,10 +626,15 @@ class GeneralMembership:
             )
         ]
         anchors = sorted({q for _w, supp, _run in self._bases for q in supp})
-        cycles: dict[str, list[TransitionMultiset]] = {
-            q: enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap) for q in anchors
-        }
-        self._cycles = cycles
+        # an anchor whose cycle search outgrows the state cap pumps nothing:
+        # fewer cycles only lose yes answers, and a miss becomes unknown
+        self._cycles: dict[str, list[TransitionMultiset]] = {}
+        self.cycles_capped = False
+        for q in anchors:
+            try:
+                self._cycles[q] = enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap)
+            except SearchCapExceeded:
+                self.cycles_capped = True
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
         self._zs_cache: dict[frozenset, list[tuple[PeriodLattice, tuple]]] = {}
 
@@ -598,9 +682,10 @@ class GeneralMembership:
         """The answer for a vector no base and cycle subset reaches."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
-        if self.runs_capped:
+        if self.runs_capped or self.cycles_capped:
+            search = "run" if self.runs_capped else "cycle"
             return MembershipResult(
-                UNKNOWN, note=f"run search stopped at the state cap of {self.state_cap}"
+                UNKNOWN, note=f"{search} search stopped at the state cap of {self.state_cap}"
             )
         if self.run_cap >= base_run_bound(self.grammar).value and self.cycles_complete:
             return MembershipResult(NON_MEMBER)

@@ -89,10 +89,14 @@ def membership_engine(
     regular-dp: exact up to its run bound (default min of the theoretical
     bound and a desk cap); a bounded no counts as no.  Its in-box members
     are enumerated once, on the `RegularMembership` shared through
-    `_regular_state`, and answered by set lookup.  general-caps: sound
-    yes, unknown otherwise; one tuple-level match per point.  oracle:
-    brute-force enumeration, exact only when every in-window vector
-    derives within `depth` steps; its members become one tuple set.
+    `_regular_state`, and answered by set lookup; the enumeration reads
+    only the runs that can still be pumped into the box, and the state
+    keeps the members of its last box, so the sweeps of one window
+    enumerate once.  general-caps: sound yes, unknown otherwise (also
+    when a run or cycle search stops at its state cap); one tuple-level
+    match per point.  oracle: brute-force enumeration, exact only when
+    every in-window vector derives within `depth` steps; its members
+    become one tuple set.
     """
     if engine == "regular-dp":
         if bound is None:

@@ -276,15 +276,31 @@ class TestInputValidation:
         assert code == 65 and out == ""
         assert "unknown nonterminal 'Nope'" in err
 
-    def test_search_cap_exceeded_is_truncation(self, capsys, monkeypatch, gb_file):
+    def test_search_cap_exceeded_is_truncation(self, capsys, monkeypatch, tmp_path):
         from parikh import membership, runs
 
-        def tiny_cap(g, q, cap, state_cap):
-            return runs.enumerate_simple_cycles(g, q, cap, state_cap=2)
+        # the general engine's cycle search outgrows its state cap: unknown,
+        # with a note naming the cap
+        grammar = tmp_path / "split.cg"
+        grammar.write_text("alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :\n")
+        member_general = membership.member_general
 
-        monkeypatch.setattr(membership, "enumerate_simple_cycles", tiny_cap)
+        def small_state_cap(g, v, run_cap, cycle_cap):
+            return member_general(g, v, run_cap, cycle_cap, state_cap=100)
+
+        monkeypatch.setattr(membership, "member_general", small_state_cap)
         membership._general_state.cache_clear()  # an equal grammar may be cached
-        code, out, err = run_cli(capsys, "member", gb_file, "a^4", "--caps", "4,3")
+        code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
+        assert code == 2
+        assert out == "VERDICT unknown WITNESS -\n"
+        assert err == "cycle search stopped at the state cap of 100\n"
+
+        # a search that still raises past its cap is reported as truncation
+        def raising(g, v, run_cap, cycle_cap):
+            raise runs.SearchCapExceeded("cycle search exceeded 2 states; raise the cap")
+
+        monkeypatch.setattr(membership, "member_general", raising)
+        code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
         assert code == 2
         assert out == "VERDICT unknown WITNESS -\n"
         assert err.startswith("truncated: cycle search exceeded 2 states")

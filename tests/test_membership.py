@@ -122,6 +122,42 @@ def test_one_path_table_matches_the_separate_run_and_path_builders():
     assert exhausted_seen == {True, False} and supports_seen
 
 
+def _reaches_box(g, v, lo, hi):
+    """Whether v can still be pumped into [lo..hi]^alphabet: it is not
+    past hi on a letter no rule lowers, nor below lo on one no rule raises."""
+    for j, letter in enumerate(g.alphabet):
+        emitted = [t.output.get(letter) for t in g.transitions]
+        if all(x >= 0 for x in emitted) and v[j] > hi:
+            return False
+        if all(x <= 0 for x in emitted) and v[j] < lo:
+            return False
+    return True
+
+
+def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
+    rng = random.Random(73)
+    signs_seen, cut_seen = set(), set()
+    for _ in range(60):
+        g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+        signs_seen.update(g.compiled.letter_sign)
+        limit = min(len(g.alphabet), len(g.nonterminals))
+        for bound in (3, 12):
+            full, _exhausted = _path_cells(g, FINAL, bound, limit)
+            for window in (0, 2):
+                for lo, hi in ((-window, window), (0, window), (1, window + 1), (-window - 1, -1)):
+                    cut, _exhausted = _path_cells(g, FINAL, bound, limit, (lo, hi))
+                    kept = {
+                        key: {v: n for v, n in cell.items() if _reaches_box(g, v, lo, hi)}
+                        for key, cell in full.items()
+                    }
+                    assert cut == {key: cell for key, cell in kept.items() if cell}
+                    if cut != full:
+                        cut_seen.add("lo > 0" if lo > 0 else "hi < 0" if hi < 0 else "around 0")
+    # a one-way negative letter, an all-zero letter and a two-way letter
+    assert signs_seen == {1, -1, 0, None}
+    assert cut_seen == {"lo > 0", "hi < 0", "around 0"}
+
+
 class TestMemberRegular:
     def test_gb_examples(self):
         res = member_regular(gb(), Vec.unit("a", 4), bound=113)
@@ -188,6 +224,22 @@ class TestMemberGeneral:
         found = member_general(g, Vec.unit("a"), 8, 15)
         assert found.status == MEMBER
         assert found.witness.base_run.counts.to_dict() == {"t2": 1, "t3": 1, "t4": 1}
+
+    def test_capped_cycle_search_answers_unknown(self):
+        # at a state cap of 100 the run search fits and the cycle search
+        # from S does not; at 20 neither fits.  No cap may raise
+        g = parse_grammar(
+            "alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :"
+        )
+        res = member_general(g, Vec.unit("a", 2), 8, 15, state_cap=20)
+        assert res.status == UNKNOWN and "state cap of 20" in res.note
+        state = GeneralMembership(g, 8, 15, state_cap=100)
+        assert state.cycles_capped and not state.runs_capped
+        assert state.result(Vec.unit("a", 3)) == MembershipResult(
+            UNKNOWN, note="cycle search stopped at the state cap of 100"
+        )
+        found = state.result(Vec.unit("a", 2))
+        assert found.status == MEMBER and found.witness.parikh() == Vec.unit("a", 2)
 
     def test_monotone_in_caps(self):
         rng = random.Random(53)

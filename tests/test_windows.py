@@ -12,6 +12,7 @@ from parikh import (
     universality_within_window,
     window_bound_report,
 )
+from parikh import membership
 from parikh.decomposition import base_run_bound
 from parikh.membership import _regular_state
 from helpers import (
@@ -179,16 +180,21 @@ class TestBoxEnumeration:
 
     def test_negative_periods_reach_back_into_the_box(self):
         # the base a^9 b lies outside the box; the cycle a^-2 b^-1 pumps
-        # it back in
+        # it back in.  a and b move both ways, so a box must not cut them.
+        # In the second grammar the cycle comes first, so the backward
+        # run-table build passes a^9 b on the way, and c, which no rule
+        # emits, makes the sweep build a run table cut to the box
         chain = "".join(f"A{i} -> a : A{i + 1}\n" for i in range(9))
-        g = parse_grammar(
-            "alphabet: a b\nstart: A0\n" + chain + "A9 -> b : T\n"
-            "T -> a^-1 : U\nU -> a^-1 : V\nV -> b^-1 : T\nT -> :"
-        )
-        state = RegularMembership(g, 40)
-        inside = {(9 - 2 * n, 1 - n) for n in (3, 4)}
-        assert state.box_members(-3, 3) == inside
-        assert state.box_members(-3, 3) == ref_box_members(state, -3, 3)
+        cycle = "T -> a^-1 : U\nU -> a^-1 : V\nV -> b^-1 : T\n"
+        for text, pad in (
+            ("alphabet: a b\nstart: A0\n" + chain + "A9 -> b : T\n" + cycle + "T -> :", ()),
+            ("alphabet: a b c\nstart: T\n" + cycle + "T -> : A0\n" + chain
+             + "A9 -> b : Z\nZ -> :", (0,)),
+        ):
+            state = RegularMembership(parse_grammar(text), 40)
+            inside = {(9 - 2 * n, 1 - n) + pad for n in (3, 4)}
+            assert state.box_members(-3, 3) == inside
+            assert state.box_members(-3, 3) == ref_box_members(state, -3, 3)
 
 
 ENGINE_PARAMS = (
@@ -252,6 +258,34 @@ class TestEngineReuse:
         assert builds == [40]
         universality_within_window(gb(), 4, "naturals", engine="regular-dp", bound=41)
         assert builds == [40, 41]
+
+    def test_sweeps_build_one_cut_run_table_per_grammar_and_window(self, monkeypatch):
+        # gb and ga only raise a; the two-way grammar moves a both ways
+        two_way = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nS -> a^-1 : S\nS -> :")
+        builds = []
+        path_cells = membership._path_cells
+
+        def counting(g, end, bound, support_limit=0, box=None):
+            if end == membership.FINAL:
+                builds.append((g.start, len(g.nonterminals), box))
+            return path_cells(g, end, bound, support_limit, box)
+
+        monkeypatch.setattr(membership, "_path_cells", counting)
+        _regular_state.cache_clear()
+        for window in (4, 4, 5):
+            for mode in ("inclusion", "equivalence", "disjointness"):
+                compare_within_window(gb(), ga(), window, mode, engine="regular-dp", bound=40)
+            universality_within_window(ga(), window, "naturals", engine="regular-dp", bound=40)
+        assert builds == [
+            ("S", 2, (-4, 4)), ("S", 1, (-4, 4)), ("S", 2, (-5, 5)), ("S", 1, (-5, 5)),
+        ]
+        # a state used only for sweeps never builds the full run table
+        assert "_run_table" not in _regular_state(gb(), 40).__dict__
+        # with no one-way letter nothing is cut: the full table serves
+        builds.clear()
+        for window in (2, 3):
+            universality_within_window(two_way, window, "integers", engine="regular-dp", bound=6)
+        assert builds == [("S", 1, None)]
 
     def test_cache_stays_bounded(self):
         assert _regular_state.cache_info().maxsize == 32
