@@ -79,9 +79,8 @@ from .runs import (
 from .semilinear import LinearSet, SemilinearSet, SimpleBundle, linear_member, semilinear_member
 from .vector import MonomialError, Vec, format_monomial, parse_monomial
 from .windows import (
-    CompareResult,
-    UniversalityResult,
     WindowBoundReport,
+    WindowResult,
     compare_within_window,
     universality_within_window,
     window_bound_report,

@@ -63,6 +63,13 @@ def _verdict(result: Optional[bool], witness: Optional[Vec], alphabet=None) -> i
     return EXIT_TRUE if result else (EXIT_UNKNOWN if result is None else EXIT_FALSE)
 
 
+def _window_verdict(res: windows.WindowResult, alphabet) -> int:
+    """A window sweep's notes on stderr, then its verdict line."""
+    for note in res.notes:
+        print(note, file=sys.stderr)
+    return _verdict(res.verdict, res.witness, alphabet)
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -260,9 +267,7 @@ def _cmd_compare(args) -> int:
     res = windows.compare_within_window(
         g1, g2, args.window, mode, engine=args.engine, **_engine_params(args)
     )
-    for note in res.notes:
-        print(note, file=sys.stderr)
-    return _verdict(res.verdict, res.witness, g1.alphabet)
+    return _window_verdict(res, g1.alphabet)
 
 
 def _cmd_universal(args) -> int:
@@ -271,9 +276,7 @@ def _cmd_universal(args) -> int:
     res = windows.universality_within_window(
         g, args.window, ambient, engine=args.engine, **_engine_params(args)
     )
-    for note in res.notes:
-        print(note, file=sys.stderr)
-    return _verdict(res.verdict, res.witness, g.alphabet)
+    return _window_verdict(res, g.alphabet)
 
 
 def _cmd_gen(args) -> int:
@@ -304,8 +307,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _dispatch(args)
     except SearchCapExceeded as e:
         print(f"truncated: {e}", file=sys.stderr)
-        if args.command in ("member", "compare", "universal"):
-            return _verdict(None, None)
         return EXIT_UNKNOWN
 
 

@@ -312,6 +312,23 @@ def _clause_cover(f: CnfFormula, kind: str, index: int, positive: bool) -> list[
     ]
 
 
+def _assignment_rules(f: CnfFormula) -> list[tuple[str, Vec, Vec]]:
+    """S2 picks one truth value per variable (X_i universal, Y_i
+    existential); each value covers the clauses it satisfies, and a true
+    universal also emits its A_i value."""
+    zero = Vec.zero()
+    rules: list[tuple[str, Vec, Vec]] = []
+    for i in range(f.num_universal):
+        rules.append((f"X{i}", zero, _product_rule([f"A{i}"] + _clause_cover(f, "x", i, True))))
+        rules.append((f"X{i}", zero, _product_rule(_clause_cover(f, "x", i, False))))
+    for i in range(f.num_existential):
+        rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, True))))
+        rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, False))))
+    picks = [f"X{i}" for i in range(f.num_universal)] + [f"Y{i}" for i in range(f.num_existential)]
+    rules.append(("S2", zero, _product_rule(picks)))
+    return rules
+
+
 def _trim(g: Grammar) -> Grammar:
     """Restrict to the rules reachable from the start symbol."""
     reachable = {g.start}
@@ -339,27 +356,11 @@ def qsat_inclusion_instance(f: CnfFormula) -> tuple[Grammar, Grammar]:
     clauses consistently, so left <= right iff the quantified formula
     holds.  Both grammars are returned in normal form.
     """
-    k, l = f.num_universal, f.num_existential
-    m = len(f.clauses)
+    k, m = f.num_universal, len(f.clauses)
     shared = _qsat_rules(f)
-    zero = Vec.zero()
-
-    s1_rules = shared + [
-        ("S1", zero, _product_rule([f"A{i}q" for i in range(k)] + [f"C{j}" for j in range(m)]))
-    ]
-    g1 = _trim(normalize(grammar_from_rules(["a"], "S1", s1_rules)))
-
-    s2_rules = list(shared)
-    for i in range(k):
-        s2_rules.append((f"X{i}", zero, _product_rule([f"A{i}"] + _clause_cover(f, "x", i, True))))
-        s2_rules.append((f"X{i}", zero, _product_rule(_clause_cover(f, "x", i, False))))
-    for i in range(l):
-        s2_rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, True))))
-        s2_rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, False))))
-    s2_rules.append(
-        ("S2", zero, _product_rule([f"X{i}" for i in range(k)] + [f"Y{i}" for i in range(l)]))
-    )
-    g2 = _trim(normalize(grammar_from_rules(["a"], "S2", s2_rules)))
+    s1 = _product_rule([f"A{i}q" for i in range(k)] + [f"C{j}" for j in range(m)])
+    g1 = _trim(normalize(grammar_from_rules(["a"], "S1", shared + [("S1", Vec.zero(), s1)])))
+    g2 = _trim(normalize(grammar_from_rules(["a"], "S2", shared + _assignment_rules(f))))
     return g1, g2
 
 
@@ -378,16 +379,7 @@ def qsat_universality_instance(f: CnfFormula) -> Grammar:
     k, m = f.num_universal, len(f.clauses)
     zero = Vec.zero()
     a = Vec.unit("a")
-    rules = _qsat_rules(f)
-    for i in range(k):
-        rules.append((f"X{i}", zero, _product_rule([f"A{i}"] + _clause_cover(f, "x", i, True))))
-        rules.append((f"X{i}", zero, _product_rule(_clause_cover(f, "x", i, False))))
-    for i in range(f.num_existential):
-        rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, True))))
-        rules.append((f"Y{i}", zero, _product_rule(_clause_cover(f, "y", i, False))))
-    rules.append(
-        ("S2", zero, _product_rule([f"X{i}" for i in range(k)] + [f"Y{i}" for i in range(f.num_existential)]))
-    )
+    rules = _qsat_rules(f) + _assignment_rules(f)
     for j in range(m):
         # witness digit: anything but exactly one copy
         rules.append((f"C{j}h", zero, zero))

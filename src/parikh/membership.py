@@ -526,11 +526,6 @@ class RegularMembership:
         self._last_box = (lo, hi, members)
         return members
 
-    def window_members(self, window: int) -> frozenset[Vec]:
-        return frozenset(
-            Vec.from_tuple(t, self.order) for t in self.box_members(-window, window)
-        )
-
     # -- witness reconstruction ------------------------------------------
 
     def _witness(

@@ -7,24 +7,25 @@ enough box, but the provable box size has a non-constructive constant
 factor.  The sweeps here therefore take the window as a user parameter
 and report the verdict *for that window*; `window_bound_report` surfaces
 the computable bound ingredients so a caller can justify a choice.
+
+An engine answers a box as data: the set of box points it accepts plus
+one answer for every other point.  Each question is a three-valued
+function of those answers at a point, so one sweep decides all four by
+visiting the members and only the least box point outside every member
+set.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .decomposition import base_run_bound
 from .grammar import Grammar
 from .intlinalg import hadamard_bound
-from .membership import (
-    NON_MEMBER,
-    GeneralMembership,
-    IntTuple,
-    _regular_state,
-    oracle_language,
-)
+from .membership import NON_MEMBER, GeneralMembership, IntTuple, _regular_state, oracle_language
 from .runs import tree_size_bound
 from .vector import Vec
 
@@ -71,7 +72,7 @@ def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
     return WindowBoundReport(_grammar_bounds(g1), _grammar_bounds(g2))
 
 
-MemberFn = Callable[[IntTuple], Optional[bool]]  # dense tuple in; None = unknown
+Answer = tuple[frozenset[IntTuple], Optional[bool]]  # (members, rest); None = unknown
 
 
 def membership_engine(
@@ -82,21 +83,21 @@ def membership_engine(
     run_cap: int = 10,
     cycle_cap: int = 8,
     depth: Optional[int] = None,
-) -> tuple[MemberFn, str]:
-    """Build a membership test on dense tuples (alphabet order) for the
-    box [-window..window]^alphabet, plus a provenance note.
+) -> tuple[Answer, str]:
+    """An engine's answer on the box [-window..window]^alphabet and a
+    provenance note.  The answer is `members`, the dense tuples (alphabet
+    order) the engine accepts, and `rest`, its one answer for every other
+    box point (None = unknown).
 
     regular-dp: exact up to its run bound (default min of the theoretical
-    bound and a desk cap); a bounded no counts as no.  Its in-box members
-    are enumerated once, on the `RegularMembership` shared through
-    `_regular_state`, and answered by set lookup; the enumeration reads
-    only the runs that can still be pumped into the box, and the state
-    keeps the members of its last box, so the sweeps of one window
-    enumerate once.  general-caps: sound yes, unknown otherwise (also
-    when a run or cycle search stops at its state cap); one tuple-level
-    match per point.  oracle: brute-force enumeration, exact only when
-    every in-window vector derives within `depth` steps; its members
-    become one tuple set.
+    bound and a desk cap); rest is False, so a bounded no counts as no.
+    The members come from the `RegularMembership` shared through
+    `_regular_state`, which reads only the runs that can still be pumped
+    into the box and keeps its last box.  general-caps: sound yes, one
+    tuple-level match per box point; rest is False only when a miss is a
+    definite no (not when a run or cycle search stopped at its state
+    cap).  oracle: brute-force enumeration, exact only when every
+    in-window vector derives within `depth` steps; rest is False.
     """
     if engine == "regular-dp":
         if bound is None:
@@ -105,21 +106,19 @@ def membership_engine(
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"
         )
-        return state.box_members(-window, window).__contains__, note
+        return (state.box_members(-window, window), False), note
     if engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
-
-        def general_fn(t: IntTuple) -> Optional[bool]:
-            if state._match(t) is not None:
-                return True
-            return False if state._miss.status == NON_MEMBER else None
-
-        return general_fn, f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
+        members = frozenset(
+            t for t in iter_window(g.alphabet, window) if state._match(t) is not None
+        )
+        rest = False if state._miss.status == NON_MEMBER else None
+        return (members, rest), f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
     if engine == "oracle":
         if depth is None:
             depth = 4 * window + 4
-        members = {v.to_tuple(g.alphabet) for v in oracle_language(g, depth, window)}
-        return members.__contains__, f"oracle with depth {depth}, window {window}"
+        members = frozenset(v.to_tuple(g.alphabet) for v in oracle_language(g, depth, window))
+        return (members, False), f"oracle with depth {depth}, window {window}"
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
@@ -132,13 +131,63 @@ def iter_window(
     return product(range(lo, window + 1), repeat=len(alphabet))
 
 
+def _not(a: Optional[bool]) -> Optional[bool]:
+    return None if a is None else not a
+
+
+def _or(*xs: Optional[bool]) -> Optional[bool]:
+    return True if True in xs else None if None in xs else False
+
+
+def _and(*xs: Optional[bool]) -> Optional[bool]:
+    return _not(_or(*map(_not, xs)))
+
+
+# each question as a three-valued (Kleene) function of the answers at a point
+_QUESTIONS = {
+    "inclusion": lambda a, b: _or(_not(a), b),
+    "equivalence": lambda a, b: _and(_or(_not(a), b), _or(_not(b), a)),
+    "disjointness": lambda a, b: _not(_and(a, b)),
+    "universality": lambda a: a,
+}
+
+
 @dataclass(frozen=True)
-class CompareResult:
-    mode: str
+class WindowResult:
+    question: str
     window: int
     verdict: Optional[bool]  # None = unknown
     witness: Optional[Vec]
     notes: tuple[str, ...]
+
+
+def _sweep(question: str, grammars: tuple[Grammar, ...], window: int, engine: str,
+           engine_params: dict, nonneg: bool = False) -> WindowResult:
+    """Decide `question` on the box [-window..window]^alphabet (or
+    [0..window]^alphabet) from each grammar's answer.  Every point outside
+    all member sets gets the same answers, so only the members and the
+    least box point outside them are decided, in lexicographic order; the
+    witness is the first point decided no, else the first unknown."""
+    answers, notes = zip(*(membership_engine(g, engine, window, **engine_params) for g in grammars))
+    alphabet = grammars[0].alphabet
+    if nonneg:
+        answers = [(frozenset(t for t in m if min(t, default=0) >= 0), r) for m, r in answers]
+    union = frozenset().union(*(members for members, _rest in answers))
+    points = sorted(union)
+    outside = next((t for t in iter_window(alphabet, window, nonneg) if t not in union), None)
+    if outside is not None:
+        insort(points, outside)
+    decide = _QUESTIONS[question]
+    unknown_at: Optional[IntTuple] = None
+    for t in points:
+        verdict = decide(*(True if t in members else rest for members, rest in answers))
+        if verdict is False:
+            return WindowResult(question, window, False, Vec.from_tuple(t, alphabet), notes)
+        if verdict is None and unknown_at is None:
+            unknown_at = t
+    if unknown_at is not None:
+        return WindowResult(question, window, None, Vec.from_tuple(unknown_at, alphabet), notes)
+    return WindowResult(question, window, True, None, notes)
 
 
 def compare_within_window(
@@ -148,8 +197,8 @@ def compare_within_window(
     mode: str = "inclusion",
     engine: str = "oracle",
     **engine_params,
-) -> CompareResult:
-    """Sweep the box [-window..window]^alphabet in lexicographic order.
+) -> WindowResult:
+    """Decide `mode` on the box [-window..window]^alphabet.
 
     inclusion: every member of g1 is a member of g2; equivalence: both
     inclusions; disjointness: no common member.  The witness is the
@@ -160,39 +209,7 @@ def compare_within_window(
         raise ValueError("grammars must share one alphabet")
     if mode not in ("inclusion", "equivalence", "disjointness"):
         raise ValueError(f"unknown mode {mode!r}")
-    f1, note1 = membership_engine(g1, engine, window, **engine_params)
-    f2, note2 = membership_engine(g2, engine, window, **engine_params)
-    notes = (note1, note2)
-    alphabet = g1.alphabet
-    unknown_at: Optional[IntTuple] = None
-    for v in iter_window(alphabet, window):
-        m1 = f1(v)
-        m2 = f2(v)
-        if mode == "inclusion":
-            bad = m1 is True and m2 is False
-            unk = (m1 is None and m2 is not True) or (m1 is True and m2 is None)
-        elif mode == "equivalence":
-            bad = (m1 is True and m2 is False) or (m2 is True and m1 is False)
-            unk = m1 is None or m2 is None
-        else:  # disjointness
-            bad = m1 is True and m2 is True
-            unk = (m1 is None and m2 is not False) or (m2 is None and m1 is not False)
-        if bad:
-            return CompareResult(mode, window, False, Vec.from_tuple(v, alphabet), notes)
-        if unk and unknown_at is None:
-            unknown_at = v
-    if unknown_at is not None:
-        return CompareResult(mode, window, None, Vec.from_tuple(unknown_at, alphabet), notes)
-    return CompareResult(mode, window, True, None, notes)
-
-
-@dataclass(frozen=True)
-class UniversalityResult:
-    ambient: str
-    window: int
-    verdict: Optional[bool]
-    witness: Optional[Vec]
-    notes: tuple[str, ...]
+    return _sweep(mode, (g1, g2), window, engine, engine_params)
 
 
 def universality_within_window(
@@ -201,26 +218,12 @@ def universality_within_window(
     ambient: str = "naturals",
     engine: str = "oracle",
     **engine_params,
-) -> UniversalityResult:
+) -> WindowResult:
     """Check that every vector of the ambient box is a member.
 
-    ambient 'naturals' sweeps [0..window]^alphabet, 'integers' sweeps
+    ambient 'naturals' decides [0..window]^alphabet, 'integers'
     [-window..window]^alphabet; the witness is the least missing vector.
     """
     if ambient not in ("naturals", "integers"):
         raise ValueError(f"unknown ambient {ambient!r}")
-    fn, note = membership_engine(g, engine, window, **engine_params)
-    unknown_at: Optional[IntTuple] = None
-    for v in iter_window(g.alphabet, window, nonneg=ambient == "naturals"):
-        m = fn(v)
-        if m is False:
-            return UniversalityResult(
-                ambient, window, False, Vec.from_tuple(v, g.alphabet), (note,)
-            )
-        if m is None and unknown_at is None:
-            unknown_at = v
-    if unknown_at is not None:
-        return UniversalityResult(
-            ambient, window, None, Vec.from_tuple(unknown_at, g.alphabet), (note,)
-        )
-    return UniversalityResult(ambient, window, True, None, (note,))
+    return _sweep("universality", (g,), window, engine, engine_params, ambient == "naturals")

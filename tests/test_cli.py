@@ -277,7 +277,7 @@ class TestInputValidation:
         assert "unknown nonterminal 'Nope'" in err
 
     def test_search_cap_exceeded_is_truncation(self, capsys, monkeypatch, tmp_path):
-        from parikh import membership, runs
+        from parikh import membership
 
         # the general engine's cycle search outgrows its state cap: unknown,
         # with a note naming the cap
@@ -295,15 +295,15 @@ class TestInputValidation:
         assert out == "VERDICT unknown WITNESS -\n"
         assert err == "cycle search stopped at the state cap of 100\n"
 
-        # a search that still raises past its cap is reported as truncation
-        def raising(g, v, run_cap, cycle_cap):
-            raise runs.SearchCapExceeded("cycle search exceeded 2 states; raise the cap")
-
-        monkeypatch.setattr(membership, "member_general", raising)
-        code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
+        # an enumeration that raises past its cap is reported as truncation
+        both = tmp_path / "both.cg"
+        both.write_text("alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> :\n")
+        code, out, err = run_cli(
+            capsys, "bundles", str(both), "--run-cap", "2", "--two-letter", "--fold-cap", "1000"
+        )
         assert code == 2
-        assert out == "VERDICT unknown WITNESS -\n"
-        assert err.startswith("truncated: cycle search exceeded 2 states")
+        assert out == ""
+        assert err.startswith("truncated: fold-in enumeration too large")
 
     def test_malformed_oracle_pair_names_the_flag(self, capsys, gb_file):
         code, err = usage_error(capsys, "member", gb_file, "a^2", "--oracle", "5")

@@ -262,8 +262,8 @@ class TestAgainstOracle:
             if lang14 != oracle_language(g, 28, 8):
                 continue
             state = RegularMembership(g, bound=60)
-            members = state.window_members(8)
-            assert members == lang14
+            members = state.box_members(-8, 8)
+            assert members == {v.to_tuple(g.alphabet) for v in lang14}
             done += 1
 
 

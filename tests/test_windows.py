@@ -12,7 +12,7 @@ from parikh import (
     universality_within_window,
     window_bound_report,
 )
-from parikh import membership
+from parikh import membership, windows
 from parikh.decomposition import base_run_bound
 from parikh.membership import _regular_state
 from helpers import (
@@ -167,14 +167,15 @@ class TestBoxEnumeration:
             window = rng.randint(0, 6 if len(g.alphabet) < 3 else 4)
             for lo, hi in ((-window, window), (0, window)):
                 assert state.box_members(lo, hi) == ref_box_members(state, lo, hi)
-            assert state.window_members(window) == frozenset(
-                Vec.from_tuple(t, g.alphabet) for t in ref_box_members(state, -window, window)
-            )
+            # back to the symmetric box after the last box moved
+            assert state.box_members(-window, window) == ref_box_members(state, -window, window)
             seen_det |= any(
                 index is not None and index.det > 1 and len(zs) > 1
                 for _key, zs, index, _bases, _anchors in state._queries
             )
-            seen_complete |= bound == state.complete_bound and bool(state.window_members(window))
+            seen_complete |= bound == state.complete_bound and bool(
+                state.box_members(-window, window)
+            )
         # the residue filter and the threshold bound were both exercised
         assert seen_det and seen_complete
 
@@ -240,6 +241,43 @@ class TestSweepsMatchPointQueries:
                 assert (res.verdict, res.witness, res.notes) == ref
                 verdicts.add(res.verdict)
         assert verdicts >= {True, False}
+
+
+class TestSweepReadsOnlyMembers:
+    def test_at_most_one_point_outside_the_members(self, monkeypatch):
+        # window 60 over two letters is a 121^2 = 14,641-point box; every
+        # point outside the member sets gets the same answers, so a sweep
+        # walks the box only until it leaves them
+        evens = parse_grammar(
+            "alphabet: a b\nstart: S\nS -> a : T\nT -> a : S\nS -> b : S\nS -> :"
+        )
+        every = parse_grammar("alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> :")
+        window = 60
+        reads = [0]
+        iter_window = windows.iter_window
+
+        def counting(*args, **kwargs):
+            for t in iter_window(*args, **kwargs):
+                reads[0] += 1
+                yield t
+
+        monkeypatch.setattr(windows, "iter_window", counting)
+        members = {
+            g: _regular_state(g, 40).box_members(-window, window) for g in (evens, every)
+        }
+        expected = {"inclusion": (True, None), "equivalence": (False, Vec.unit("a")),
+                    "disjointness": (False, Vec.zero())}
+        for mode, verdict in expected.items():
+            reads[0] = 0
+            res = compare_within_window(evens, every, window, mode, engine="regular-dp", bound=40)
+            assert (res.verdict, res.witness) == verdict
+            assert reads[0] <= len(members[evens] | members[every]) + 1
+        for ambient, verdict in (("naturals", True), ("integers", False)):
+            reads[0] = 0
+            res = universality_within_window(every, window, ambient, engine="regular-dp", bound=40)
+            assert res.verdict is verdict
+            assert reads[0] <= len(members[every]) + 1
+        assert len(members[every]) == 61 * 61 and len(members[evens]) == 31 * 61
 
 
 class TestEngineReuse:
