@@ -126,10 +126,19 @@ class Grammar:
         return () if i is None else tuple(self.transitions[j] for j in cg.from_source[i])
 
     def is_regular(self) -> bool:
-        return all(t.targets.total() <= 1 and t.output.norm1() <= 1 for t in self.transitions)
+        return self._shape[0]
 
     def is_normal_form(self) -> bool:
-        return all(t.targets.total() <= 2 and t.output.norm1() <= 1 for t in self.transitions)
+        return self._shape[1]
+
+    @cached_property
+    def _shape(self) -> tuple[bool, bool]:
+        """(regular, normal form), worked out once per grammar: the engines
+        ask on every query, through `base_run_bound` among others."""
+        return (
+            all(t.targets.total() <= 1 and t.output.norm1() <= 1 for t in self.transitions),
+            all(t.targets.total() <= 2 and t.output.norm1() <= 1 for t in self.transitions),
+        )
 
     def is_positive(self) -> bool:
         return all(t.output.nonneg() for t in self.transitions)

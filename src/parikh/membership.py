@@ -10,13 +10,18 @@ it is a table run vector plus a nonnegative integer combination of
 linearly independent cycle vectors anchored in the run's support.  With
 the bound at its theoretical value the procedure is exact; with a
 smaller desk-scale bound a yes is still sound (the witness is checkable)
-while a no only means "no within bound".
+and a no is definite only when the build certifies it (below).
 
-The cycle tables are built with the decision state and the full run
-table on the first point query.  A window sweep (`box_members`) reads a
-run table of its own, cut to its box: a run vector past the box on a
-one-way letter (`CompiledGrammar.letter_sign`) stays out of it whatever
-cycles are added, so it is never tabulated.
+The cycle tables are built with the decision state.  A point query and
+a window sweep (`box_members`) read a run table cut to their box: a run
+vector past the box on a one-way letter (`CompiledGrammar.letter_sign`)
+stays out of it whatever cycles are added, so it is never tabulated.
+For a point v the box is everything below v on the letters no rule
+lowers and above v on those no rule raises.  The build also certifies a
+no: once no vector of its last frontier lies in the box, no longer run
+can be pumped into it, so a miss there is a non-member even below the
+theoretical bound.  Grammars without one-way letters read the full run
+table.
 
 For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps, answering yes or
@@ -182,45 +187,56 @@ def _require_regular_normal(g: Grammar) -> None:
         raise ValueError("this procedure needs a regular grammar in normal form")
 
 
+def _box_guards(
+    sign: Sequence[Optional[int]], lo: Sequence[int], hi: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """(j, s, limit) for each one-way side of the box with per-letter
+    bounds lo and hi, in letter order: a vector v is past that side when
+    s * v[j] > limit.  The box is cut above hi[j] only when no rule
+    lowers letter j, and below lo[j] only when no rule raises it; a
+    letter moved both ways is not cut."""
+    guards = []
+    for j, s in enumerate(sign):
+        if s is None:
+            continue
+        if s >= 0:
+            guards.append((j, 1, hi[j]))
+        if s <= 0:
+            guards.append((j, -1, -lo[j]))
+    return guards
+
+
 def _path_cells(
     g: Grammar,
     end: str,
     bound: int,
     support_limit: int = 0,
-    box: Optional[tuple[int, int]] = None,
-) -> tuple[dict[Cell, dict[IntTuple, int]], bool]:
+    box: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+) -> dict[Cell, dict[IntTuple, int]]:
     """Letter vectors of the paths of size <= bound into `end` (a
     nonterminal, or FINAL for runs), built backwards one rule at a time
     from the empty path at (empty support, end).
 
     cells[(P, q)] maps the vector of each path from q whose support
     includes P (q removed, every P of size <= support_limit) to the
-    least size that reaches it.  Also reports whether the frontier
-    emptied, i.e. there are no paths beyond the tabulated ones.
+    least size that reaches it.  The vectors at size `bound` are the last
+    frontier: none means there are no paths beyond the tabulated ones.
 
-    With box=(lo, hi) a path vector is dropped once it has left the box
-    on a one-way letter: above hi on a letter no rule lowers, or below lo
-    on one no rule raises.  Extending the path backwards, or adding any
-    cycle vector, only moves that letter further out, so no vector
-    built from it comes back into the box.  The cells kept are the full
+    With box=(lo, hi), per-letter bounds, a path vector is dropped once
+    it has left the box on a one-way letter: above hi[j] on a letter j
+    no rule lowers, or below lo[j] on one no rule raises (`_box_guards`).
+    Extending the path backwards, or adding any cycle vector, only moves
+    that letter further out, so no vector built from it comes back into
+    the box.  The cells kept are the full
     cells restricted to the vectors that stay, at the same least sizes;
     cells left empty are not kept."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
     # (j, s, limit): drop a vector v with s * v[j] > limit
-    guards = []
-    if box is not None:
-        lo, hi = box
-        for j, sign in enumerate(cg.letter_sign):
-            if sign is None:
-                continue
-            if sign >= 0:
-                guards.append((j, 1, hi))
-            if sign <= 0:
-                guards.append((j, -1, -lo))
-        if any(limit < 0 for _j, _s, limit in guards):
-            return {}, True  # even the empty path is out of the box
+    guards = [] if box is None else _box_guards(cg.letter_sign, *box)
+    if any(limit < 0 for _j, _s, limit in guards):
+        return {}  # even the empty path is out of the box
     # r -> [(q, out, guards)]: only the letters out moves can newly leave
     # the box, and a guard here reads the vector before out is added
     steps: dict[str, list[tuple[str, IntTuple, list]]] = {}
@@ -260,7 +276,7 @@ def _path_cells(
         frontier = new_frontier
         if not frontier:
             break
-    return cells, not frontier
+    return cells
 
 
 def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None) -> RunTable:
@@ -271,14 +287,13 @@ def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None)
         raise ValueError("bound must be at least 1")
     if support_limit is None:
         support_limit = len(g.alphabet)
-    cells, _exhausted = _path_cells(g, FINAL, bound, support_limit)
-    return RunTable(g, bound, support_limit, cells)
+    return RunTable(g, bound, support_limit, _path_cells(g, FINAL, bound, support_limit))
 
 
 def build_path_table(g: Grammar, bound: int) -> PathTable:
     """Tabulate path vectors between all nonterminal pairs, size <= bound."""
     _require_regular_normal(g)
-    return PathTable(g, bound, {q: _path_cells(g, q, bound)[0] for q in g.nonterminals})
+    return PathTable(g, bound, {q: _path_cells(g, q, bound) for q in g.nonterminals})
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +416,32 @@ def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple
     return out
 
 
+@dataclass(frozen=True)
+class _Runs:
+    """One run table of a `RegularMembership` and what its queries need.
+
+    `box` is the per-letter (lo, hi) the table is cut to, or None when
+    nothing is cut; `last` holds the vectors the build first reached at
+    the bound (its last frontier, empty when the build ran out of paths
+    earlier); `queries` are the prepared queries over `cells`."""
+
+    box: Optional[tuple[IntTuple, IntTuple]]
+    cells: dict[Cell, dict[IntTuple, int]]
+    last: frozenset[IntTuple]
+    queries: list[tuple]
+
+
 class RegularMembership:
     """Shared decision state for one regular grammar and one run bound.
 
-    The cycle tables are built with the state; run tables on first use.
-    Point queries read the full run table (every run up to the bound),
-    built once; a window sweep reads one cut to its box (see
-    `box_members`).  Queries afterwards are cheap, so window sweeps
-    should reuse one instance.
+    The cycle tables are built with the state, run tables on first use.
+    A point query or a window sweep reads a run table cut to its box on
+    one-way letters: a point v needs only the runs below v on the letters
+    no rule lowers and above v on those no rule raises.  The state keeps
+    one cut table and serves every box inside it; a box outside it
+    rebuilds the table at the join of the two boxes.  Without one-way
+    letters nothing is cut and the full run table, built once, serves.
+    Window sweeps should reuse one instance.
     """
 
     def __init__(self, g: Grammar, bound: Optional[int] = None):
@@ -421,30 +454,80 @@ class RegularMembership:
         self.order = g.alphabet
         self._support_limit = min(len(self.order), len(g.nonterminals))
         # per anchor q: the cells of paths into q, and its nonzero cycle vectors
-        self._paths = {q: _path_cells(g, q, len(g.nonterminals))[0] for q in g.nonterminals}
+        self._paths = {q: _path_cells(g, q, len(g.nonterminals)) for q in g.nonterminals}
         zero = (0,) * len(self.order)
         self._pools = {
             q: sorted(v for v in self._paths[q][(frozenset(), q)] if v != zero)
             for q in g.nonterminals
         }
+        self._sign = g.compiled.letter_sign
+        # the run table queries read: cut to a box, or the full table
+        # when no letter is one-way
+        self._cut: Optional[_Runs] = None
         # the last (lo, hi) asked of box_members, with its members
         self._last_box: Optional[tuple[int, int, frozenset[IntTuple]]] = None
 
+    def _build(self, box: Optional[tuple[IntTuple, IntTuple]]) -> _Runs:
+        cells = _path_cells(self.grammar, FINAL, self.bound, self._support_limit, box)
+        last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
+        return _Runs(box, cells, last, self._prepare_queries(cells))
+
     @cached_property
-    def _run_table(self) -> tuple[dict[Cell, dict[IntTuple, int]], bool]:
-        return _path_cells(self.grammar, FINAL, self.bound, self._support_limit)
+    def _run_table(self) -> _Runs:
+        """The full run table: every run up to the bound."""
+        return self._build(None)
 
     @property
-    def _cells(self) -> dict[Cell, dict[IntTuple, int]]:
-        return self._run_table[0]
+    def _queries(self) -> list[tuple]:
+        return self._run_table.queries
 
     @property
     def runs_exhausted(self) -> bool:
-        return self._run_table[1]
+        return not self._run_table.last
 
-    @cached_property
-    def _queries(self) -> list[tuple]:
-        return self._prepare_queries(self._cells)
+    def _runs(self, lo: IntTuple, hi: IntTuple) -> _Runs:
+        """A run table holding every run vector that can still be pumped
+        into the box [lo..hi] (per letter), at its least size."""
+        cut = self._cut
+        if cut is not None:
+            # the full table, the same box, or inside it on every one-way
+            # side: below its top where it is cut above, above its bottom
+            # where it is cut below
+            if (
+                cut.box is None
+                or cut.box == (lo, hi)
+                or all(
+                    s is None or ((s < 0 or h <= cut_h) and (s > 0 or l >= cut_l))
+                    for s, l, h, cut_l, cut_h in zip(self._sign, lo, hi, *cut.box)
+                )
+            ):
+                return cut
+            lo = tuple(map(min, lo, cut.box[0]))
+            hi = tuple(map(max, hi, cut.box[1]))
+        elif all(s is None for s in self._sign):
+            self._cut = self._run_table  # no one-way letter: nothing to cut
+            return self._cut
+        self._cut = self._build((lo, hi))
+        return self._cut
+
+    def certified(self, lo: IntTuple, hi: IntTuple) -> bool:
+        """Whether every vector of the box [lo..hi] (per letter) that no
+        query matches is a non-member.
+
+        It is when the bound reaches the completeness threshold, or when
+        no vector of the last frontier lies in the box on its one-way
+        letters: a longer path only extends a frontier vector, which
+        moves such a letter further out, so no level past the bound adds
+        a run vector that can be pumped into the box.  The answer depends
+        on the grammar, the bound and the box alone, not on the box the
+        table was cut to."""
+        if self.bound >= self.complete_bound:
+            return True
+        last = self._runs(lo, hi).last
+        if not last:
+            return True
+        guards = _box_guards(self._sign, lo, hi)
+        return not any(all(s * v[j] <= limit for j, s, limit in guards) for v in last)
 
     def _prepare_queries(self, cells: dict[Cell, dict[IntTuple, int]]) -> list[tuple]:
         """(key, periods, coset index or None, bases, anchors) for every
@@ -477,21 +560,27 @@ class RegularMembership:
         return queries
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        """MEMBER with a witness, NON_MEMBER when no match is certified
+        (`certified` at the box of v), else NO_WITHIN_BOUND.  The answer
+        and witness are those of the full run table; only the no is
+        sharper."""
         if any(sym not in self.order for sym in v.support()):
             return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
         tv = v.to_tuple(self.order)
-        for key, zs, index, bases, anchors in self._queries:
+        runs = self._runs(tv, tv)
+        for key, zs, index, bases, anchors in runs.queries:
             if index is None:
-                if tv in bases:
-                    witness = self._witness(key, tv, zs, (), anchors) if want_witness else None
-                    return MembershipResult(MEMBER, witness)
-                continue
-            hit = index.lookup(tv)
+                hit = (tv, ()) if tv in bases else None
+            else:
+                hit = index.lookup(tv)
             if hit is not None:
+                if not want_witness:
+                    return MembershipResult(MEMBER)
                 w, coeffs = hit
-                witness = self._witness(key, w, zs, coeffs, anchors) if want_witness else None
-                return MembershipResult(MEMBER, witness)
-        if self.bound >= self.complete_bound or self.runs_exhausted:
+                return MembershipResult(
+                    MEMBER, self._witness(runs.cells, key, w, zs, coeffs, anchors)
+                )
+        if self.certified(tv, tv):
             return MembershipResult(NON_MEMBER)
         return MembershipResult(
             NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
@@ -500,24 +589,14 @@ class RegularMembership:
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
         """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
         that `result` answers MEMBER, enumerated group by group instead of
-        asked point by point.
-
-        The groups come from a run table cut to the box (`_path_cells`
-        with box=(lo, hi)), which builds only the runs whose vector can
-        still be pumped into it; without one-way letters nothing is cut
-        and the full table's groups serve.  The last box and its members
-        are kept, so the sweeps of one window enumerate once."""
+        asked point by point, from a run table cut to the box (`_runs`).
+        The last box and its members are kept, so the sweeps of one
+        window enumerate once."""
         if self._last_box is not None and self._last_box[:2] == (lo, hi):
             return self._last_box[2]
-        if any(sign is not None for sign in self.grammar.compiled.letter_sign):
-            cells, _exhausted = _path_cells(
-                self.grammar, FINAL, self.bound, self._support_limit, (lo, hi)
-            )
-            queries = self._prepare_queries(cells)
-        else:
-            queries = self._queries
+        dim = len(self.order)
         found: set[IntTuple] = set()
-        for _key, _zs, index, bases, _anchors in queries:
+        for _key, _zs, index, bases, _anchors in self._runs((lo,) * dim, (hi,) * dim).queries:
             if index is None:
                 found.update(w for w in bases if all(lo <= x <= hi for x in w))
             else:
@@ -530,13 +609,14 @@ class RegularMembership:
 
     def _witness(
         self,
+        cells: dict[Cell, dict[IntTuple, int]],
         key: Cell,
         w: IntTuple,
         zs: tuple[IntTuple, ...],
         coeffs: Sequence[int],
         anchors: list[str],
     ) -> Witness:
-        base = self._walk(self._cells, key, w)
+        base = self._walk(cells, key, w)
         terms = []
         for z, n in zip(zs, coeffs):
             if n == 0:
@@ -574,8 +654,11 @@ class RegularMembership:
 def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> MembershipResult:
     """Decide membership for a regular grammar.
 
-    With the default bound the answer is exact; a smaller bound keeps
-    yes answers sound and turns no into NO_WITHIN_BOUND.
+    With the default bound the answer is exact.  A smaller bound keeps
+    yes answers sound; a no stays NON_MEMBER when the run table cut to
+    v's box certifies it (see `RegularMembership.certified`) and is
+    NO_WITHIN_BOUND otherwise.  The state is shared per (grammar, bound)
+    through `_regular_state`.
     """
     return _regular_state(g, bound).result(v)
 

@@ -83,17 +83,20 @@ def membership_engine(
     run_cap: int = 10,
     cycle_cap: int = 8,
     depth: Optional[int] = None,
+    nonneg: bool = False,
 ) -> tuple[Answer, str]:
-    """An engine's answer on the box [-window..window]^alphabet and a
-    provenance note.  The answer is `members`, the dense tuples (alphabet
-    order) the engine accepts, and `rest`, its one answer for every other
-    box point (None = unknown).
+    """An engine's answer on the box [-window..window]^alphabet (or
+    [0..window]^alphabet) and a provenance note.  The answer is
+    `members`, the dense tuples (alphabet order) the engine accepts, and
+    `rest`, its one answer for every other box point (None = unknown).
 
     regular-dp: exact up to its run bound (default min of the theoretical
-    bound and a desk cap); rest is False, so a bounded no counts as no.
-    The members come from the `RegularMembership` shared through
-    `_regular_state`, which reads only the runs that can still be pumped
-    into the box and keeps its last box.  general-caps: sound yes, one
+    bound and a desk cap).  The members come from the `RegularMembership`
+    shared through `_regular_state`, which reads only the runs that can
+    still be pumped into the box and keeps its last box; rest is False
+    only when the box is `certified` (the bound reaches the completeness
+    threshold, or no run vector of the table's last frontier can still be
+    pumped into the box), else None.  general-caps: sound yes, one
     tuple-level match per box point; rest is False only when a miss is a
     definite no (not when a run or cycle search stopped at its state
     cap).  oracle: brute-force enumeration, exact only when every
@@ -106,20 +109,29 @@ def membership_engine(
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"
         )
-        return (state.box_members(-window, window), False), note
-    if engine == "general-caps":
+        # the sweeps of one window share one enumeration of the symmetric box
+        members = state.box_members(-window, window)
+        dim = len(g.alphabet)
+        lo = 0 if nonneg else -window
+        rest = False if state.certified((lo,) * dim, (window,) * dim) else None
+    elif engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
         members = frozenset(
-            t for t in iter_window(g.alphabet, window) if state._match(t) is not None
+            t for t in iter_window(g.alphabet, window, nonneg) if state._match(t) is not None
         )
         rest = False if state._miss.status == NON_MEMBER else None
-        return (members, rest), f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
-    if engine == "oracle":
+        note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
+    elif engine == "oracle":
         if depth is None:
             depth = 4 * window + 4
         members = frozenset(v.to_tuple(g.alphabet) for v in oracle_language(g, depth, window))
-        return (members, False), f"oracle with depth {depth}, window {window}"
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        rest = False
+        note = f"oracle with depth {depth}, window {window}"
+    else:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if nonneg:
+        members = frozenset(t for t in members if min(t, default=0) >= 0)
+    return (members, rest), note
 
 
 def iter_window(
@@ -168,10 +180,10 @@ def _sweep(question: str, grammars: tuple[Grammar, ...], window: int, engine: st
     all member sets gets the same answers, so only the members and the
     least box point outside them are decided, in lexicographic order; the
     witness is the first point decided no, else the first unknown."""
-    answers, notes = zip(*(membership_engine(g, engine, window, **engine_params) for g in grammars))
+    answers, notes = zip(
+        *(membership_engine(g, engine, window, **engine_params, nonneg=nonneg) for g in grammars)
+    )
     alphabet = grammars[0].alphabet
-    if nonneg:
-        answers = [(frozenset(t for t in m if min(t, default=0) >= 0), r) for m, r in answers]
     union = frozenset().union(*(members for members, _rest in answers))
     points = sorted(union)
     outside = next((t for t in iter_window(alphabet, window, nonneg) if t not in union), None)

@@ -22,6 +22,7 @@ from parikh import (
 from parikh.decomposition import base_run_bound
 from parikh.membership import (
     MEMBER,
+    NO_WITHIN_BOUND,
     NON_MEMBER,
     UNKNOWN,
     Cell,
@@ -37,6 +38,12 @@ from parikh.windows import DESK_BOUND_CAP
 GA_TEXT = "alphabet: a\nstart: S\nS -> a : S\nS -> :\n"
 GB_TEXT = "alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nS -> :\n"
 GC_TEXT = "alphabet: a\nstart: S\nS -> a : S S\nS -> :\n"
+# S -> b : S, S -> : Q1, Q1 -> : Q2, ..., Q30 -> a : derives every a b^n, the
+# shortest (a) in 31 steps; the all-words grammar derives every a^m b^n
+CHAIN_TEXT = "alphabet: a b\nstart: S\nS -> b : S\nS -> : Q1\n" + "".join(
+    f"Q{i} -> : Q{i + 1}\n" for i in range(1, 30)
+) + "Q30 -> a :\n"
+ALL_WORDS_TEXT = "alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> :\n"
 
 
 def ga() -> Grammar:
@@ -510,8 +517,90 @@ def ref_box_members(state, lo: int, hi: int) -> frozenset:
     )
 
 
+def ref_reaches_box(g: Grammar, v: Sequence[int], lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Whether the vector v can still be pumped into the box with
+    per-letter bounds lo, hi: it is not past hi on a letter no rule
+    lowers, nor below lo on one no rule raises."""
+    for j, letter in enumerate(g.alphabet):
+        emitted = [t.output.get(letter) for t in g.transitions]
+        if all(x >= 0 for x in emitted) and v[j] > hi[j]:
+            return False
+        if all(x <= 0 for x in emitted) and v[j] < lo[j]:
+            return False
+    return True
+
+
+def ref_box_certified(state: RegularMembership, lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Whether a regular-dp miss inside the box is a definite no: the bound
+    reaches the completeness threshold, or no run vector first reached at
+    the bound (read off the forward reference build) reaches the box."""
+    if state.bound >= state.complete_bound:
+        return True
+    cells, _exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
+    return not any(
+        n == state.bound and ref_reaches_box(state.grammar, vec, lo, hi)
+        for cell in cells.values()
+        for vec, n in cell.items()
+    )
+
+
+def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
+    """`state.result(v)` as answered from the full run table: the first
+    query over every run up to the bound that reaches v, and a no that
+    is definite only at the completeness threshold or when the whole
+    build ran out of paths."""
+    if any(sym not in state.order for sym in v.support()):
+        return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
+    tv = v.to_tuple(state.order)
+    for key, zs, index, bases, anchors in state._queries:
+        if index is None:
+            hit = (tv, ()) if tv in bases else None
+        else:
+            hit = index.lookup(tv)
+        if hit is not None:
+            w, coeffs = hit
+            witness = state._witness(state._run_table.cells, key, w, zs, coeffs, anchors)
+            return MembershipResult(MEMBER, witness)
+    if state.bound >= state.complete_bound or state.runs_exhausted:
+        return MembershipResult(NON_MEMBER)
+    return MembershipResult(
+        NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {state.bound}"
+    )
+
+
+def ref_regular_reachable(g: Grammar, v: Sequence[int]) -> bool:
+    """Whether some run of the regular grammar g has letter vector v, by a
+    forward search over (nonterminal, partial vector) from the start that
+    drops a partial vector once it is past v on a letter emitted only one
+    way.  Finite when every letter is emitted one way."""
+    start = (g.start, (0,) * len(g.alphabet))
+    seen = {start}
+    todo = [start]
+    while todo:
+        q, u = todo.pop()
+        for t in g.transitions:
+            if t.source != q:
+                continue
+            w = tuple(x + t.output.get(a) for x, a in zip(u, g.alphabet))
+            if not ref_reaches_box(g, w, v, v):
+                continue
+            if t.targets.is_zero():
+                if w == tuple(v):
+                    return True
+                continue
+            (r, _count), = t.targets
+            if (r, w) not in seen:
+                seen.add((r, w))
+                todo.append((r, w))
+    return False
+
+
 def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
-                  cycle_cap=8, depth=None):
+                  cycle_cap=8, depth=None, nonneg: bool = False):
+    """A point answer (True, False or None = unknown) for every vector of
+    the window box, with the engine's provenance note.  regular-dp
+    answers a miss for the whole box at once: a definite no only when
+    the box is certified, and then every point query must agree."""
     if engine == "regular-dp":
         if bound is None:
             bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
@@ -519,7 +608,19 @@ def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"
         )
-        return (lambda v: state.result(v, want_witness=False).status == MEMBER), note
+        dim = len(g.alphabet)
+        certified = ref_box_certified(state, ((0 if nonneg else -window),) * dim, (window,) * dim)
+
+        def regular(v):
+            status = state.result(v, want_witness=False).status
+            if status == MEMBER:
+                return True
+            if certified:
+                assert status == NON_MEMBER, v
+                return False
+            return None
+
+        return regular, note
     if engine == "general-caps":
         state = GeneralMembership(g, run_cap, cycle_cap)
         answer = {MEMBER: True, NON_MEMBER: False}  # None: unknown
@@ -568,9 +669,10 @@ def ref_compare_within_window(g1: Grammar, g2: Grammar, window: int, mode: str,
 def ref_universality_within_window(g: Grammar, window: int, ambient: str, engine: str,
                                    **params):
     """(verdict, witness, notes) of the point-by-point universality sweep."""
-    fn, note = ref_member_fn(g, engine, window, **params)
+    nonneg = ambient == "naturals"
+    fn, note = ref_member_fn(g, engine, window, **params, nonneg=nonneg)
     unknown_at = None
-    for v in _ref_box(g.alphabet, window, nonneg=ambient == "naturals"):
+    for v in _ref_box(g.alphabet, window, nonneg):
         m = fn(v)
         if m is False:
             return False, v, (note,)

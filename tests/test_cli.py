@@ -6,7 +6,7 @@ import pytest
 
 import parikh
 from parikh.cli import _build_parser, main
-from helpers import GA_TEXT, GB_TEXT
+from helpers import ALL_WORDS_TEXT, CHAIN_TEXT, GA_TEXT, GB_TEXT
 
 # Child interpreters import the same package as this one, installed or not.
 _SRC = os.path.dirname(os.path.dirname(parikh.__file__))
@@ -91,6 +91,18 @@ class TestDecisionCommands:
             "--window", "5", "--engine", "regular-dp", "--bound", "40",
         )
         assert code == 0 and "true" in out
+
+    def test_compare_below_the_bound_is_unknown_not_disjoint(self, capsys, tmp_path):
+        # `a` is in both languages, but the chain derives it in 31 steps:
+        # at bound 20 the run table is still growing, so nothing is proved
+        chain, every = tmp_path / "chain.cg", tmp_path / "all.cg"
+        chain.write_text(CHAIN_TEXT)
+        every.write_text(ALL_WORDS_TEXT)
+        code, out, _ = run_cli(
+            capsys, "compare", str(chain), str(every), "--mode", "disjoint",
+            "--engine", "regular-dp", "--bound", "20", "--window", "2",
+        )
+        assert (code, out) == (2, "VERDICT unknown WITNESS 1\n")
 
     @pytest.mark.parametrize("engine, flags, note", [
         ("oracle", ("--bound", "5", "--caps", "3,3"),

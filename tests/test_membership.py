@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -19,12 +20,16 @@ from parikh import normalize
 from parikh.hardness import hard_grammar
 from parikh.membership import FINAL, MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN, _path_cells
 from helpers import (
+    CHAIN_TEXT,
     ga,
     gb,
     gc,
     random_grammar,
+    ref_full_table_result,
     ref_general_result,
     ref_path_cells,
+    ref_reaches_box,
+    ref_regular_reachable,
     ref_run_cells,
 )
 
@@ -107,31 +112,21 @@ def test_one_path_table_matches_the_separate_run_and_path_builders():
         zero = (0,) * len(g.alphabet)
         for bound in range(1, 13):
             for limit in range(min(len(g.alphabet), len(g.nonterminals)) + 1):
-                cells, exhausted = _path_cells(g, FINAL, bound, limit)
+                cells = _path_cells(g, FINAL, bound, limit)
                 ref_cells, ref_exhausted = ref_run_cells(g, bound, limit)
                 assert cells == {**ref_cells, (frozenset(), FINAL): {zero: 0}}
+                # an empty last frontier: nothing was first reached at the bound
+                exhausted = all(n < bound for cell in cells.values() for n in cell.values())
                 assert exhausted == ref_exhausted
                 exhausted_seen.add(exhausted)
                 supports_seen |= any(support for support, _q in cells)
             ref_paths = ref_path_cells(g, bound)
             for q2 in g.nonterminals:
-                paths, _exhausted = _path_cells(g, q2, bound)
+                paths = _path_cells(g, q2, bound)
                 assert paths == {
                     (frozenset(), q1): cell for (q1, end), cell in ref_paths.items() if end == q2
                 }
     assert exhausted_seen == {True, False} and supports_seen
-
-
-def _reaches_box(g, v, lo, hi):
-    """Whether v can still be pumped into [lo..hi]^alphabet: it is not
-    past hi on a letter no rule lowers, nor below lo on one no rule raises."""
-    for j, letter in enumerate(g.alphabet):
-        emitted = [t.output.get(letter) for t in g.transitions]
-        if all(x >= 0 for x in emitted) and v[j] > hi:
-            return False
-        if all(x <= 0 for x in emitted) and v[j] < lo:
-            return False
-    return True
 
 
 def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
@@ -141,21 +136,59 @@ def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
         g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
         signs_seen.update(g.compiled.letter_sign)
         limit = min(len(g.alphabet), len(g.nonterminals))
+        dim = len(g.alphabet)
         for bound in (3, 12):
-            full, _exhausted = _path_cells(g, FINAL, bound, limit)
+            full = _path_cells(g, FINAL, bound, limit)
+            # the box of a point query, then the boxes of window sweeps
+            point = tuple(rng.randint(-2, 2) for _ in range(dim))
+            boxes = [("point", (point, point))]
             for window in (0, 2):
                 for lo, hi in ((-window, window), (0, window), (1, window + 1), (-window - 1, -1)):
-                    cut, _exhausted = _path_cells(g, FINAL, bound, limit, (lo, hi))
-                    kept = {
-                        key: {v: n for v, n in cell.items() if _reaches_box(g, v, lo, hi)}
-                        for key, cell in full.items()
-                    }
-                    assert cut == {key: cell for key, cell in kept.items() if cell}
-                    if cut != full:
-                        cut_seen.add("lo > 0" if lo > 0 else "hi < 0" if hi < 0 else "around 0")
+                    label = "lo > 0" if lo > 0 else "hi < 0" if hi < 0 else "around 0"
+                    boxes.append((label, ((lo,) * dim, (hi,) * dim)))
+            for label, box in boxes:
+                cut = _path_cells(g, FINAL, bound, limit, box)
+                kept = {
+                    key: {v: n for v, n in cell.items() if ref_reaches_box(g, v, *box)}
+                    for key, cell in full.items()
+                }
+                assert cut == {key: cell for key, cell in kept.items() if cell}
+                if cut != full:
+                    cut_seen.add(label)
     # a one-way negative letter, an all-zero letter and a two-way letter
     assert signs_seen == {1, -1, 0, None}
-    assert cut_seen == {"lo > 0", "hi < 0", "around 0"}
+    assert cut_seen == {"lo > 0", "hi < 0", "around 0", "point"}
+
+
+def test_point_queries_read_a_cut_table_and_certify_from_its_last_frontier():
+    # three fresh states per (grammar, bound) ask every point of [-2..2]^A:
+    # in order, in reverse, and after a box sweep that cuts the table first
+    rng = random.Random(79)
+    outcomes = set()
+    for _ in range(40):
+        g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+        one_way = all(s is not None for s in g.compiled.letter_sign)
+        box = product(range(-2, 3), repeat=len(g.alphabet))
+        points = [Vec.from_tuple(t, g.alphabet) for t in box]
+        for bound in (3, 12, 40):
+            forward, backward, swept = (RegularMembership(g, bound) for _ in range(3))
+            swept.box_members(-2, 2)
+            answers = [forward.result(v) for v in points]
+            assert [backward.result(v) for v in reversed(points)] == answers[::-1]
+            assert [swept.result(v) for v in points] == answers
+            for v, got in zip(points, answers):
+                full = ref_full_table_result(forward, v)
+                if full.status == NO_WITHIN_BOUND and got.status == NON_MEMBER:
+                    # a no the full table could not prove; the frontier did
+                    if one_way:
+                        assert not ref_regular_reachable(g, v.to_tuple(g.alphabet)), v
+                    outcomes.add("certified" if one_way else "certified, two-way letter")
+                else:
+                    assert got == full, v
+                    outcomes.add(got.status)
+    assert outcomes == {
+        MEMBER, NON_MEMBER, NO_WITHIN_BOUND, "certified", "certified, two-way letter"
+    }
 
 
 class TestMemberRegular:
@@ -168,8 +201,19 @@ class TestMemberRegular:
         assert member_regular(gb(), Vec.unit("a", 3), bound=113).status == NON_MEMBER
 
     def test_bounded_no_is_flagged(self):
-        res = member_regular(gb(), Vec.unit("a", 3), bound=5)
+        # the chain's only run into FINAL needs 31 steps: at bound 20 the
+        # build is still growing (a sits in its last frontier), so a miss
+        # is no proof
+        res = member_regular(parse_grammar(CHAIN_TEXT), Vec.unit("a"), bound=20)
         assert res.status == NO_WITHIN_BOUND
+        assert res.note == "no witness with base runs of size <= 20"
+
+    def test_frontier_below_the_box_certifies_the_no(self):
+        # bound 5 is far below gb's threshold of 113, but every run of size
+        # 5 emits a^4, past a^3 on a letter no rule lowers
+        assert member_regular(gb(), Vec.unit("a", 3), bound=5) == MembershipResult(NON_MEMBER)
+        assert member_regular(gb(), Vec.unit("a", 4), bound=5).status == MEMBER
+        assert member_regular(gb(), Vec.unit("a", 5), bound=5).status == NO_WITHIN_BOUND
 
     def test_witnesses_expand_to_runs(self):
         rng = random.Random(47)

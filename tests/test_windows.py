@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from parikh import (
+    GeneralMembership,
     RegularMembership,
     Vec,
     compare_within_window,
@@ -265,19 +267,38 @@ class TestSweepReadsOnlyMembers:
         members = {
             g: _regular_state(g, 40).box_members(-window, window) for g in (evens, every)
         }
-        expected = {"inclusion": (True, None), "equivalence": (False, Vec.unit("a")),
+        # bound 40 leaves runs of size 40 inside the box, so neither box is
+        # certified: a point outside the members is unknown, not a no
+        corner = Vec({"a": -window, "b": -window})
+        expected = {"inclusion": (None, corner), "equivalence": (None, corner),
                     "disjointness": (False, Vec.zero())}
         for mode, verdict in expected.items():
             reads[0] = 0
             res = compare_within_window(evens, every, window, mode, engine="regular-dp", bound=40)
             assert (res.verdict, res.witness) == verdict
             assert reads[0] <= len(members[evens] | members[every]) + 1
-        for ambient, verdict in (("naturals", True), ("integers", False)):
+        for ambient, verdict in (("naturals", True), ("integers", None)):
             reads[0] = 0
             res = universality_within_window(every, window, ambient, engine="regular-dp", bound=40)
             assert res.verdict is verdict
             assert reads[0] <= len(members[every]) + 1
         assert len(members[every]) == 61 * 61 and len(members[evens]) == 31 * 61
+
+
+def test_general_caps_matches_only_the_asked_box(monkeypatch):
+    matched = []
+    match = GeneralMembership._match
+
+    def counting(self, t):
+        matched.append(t)
+        return match(self, t)
+
+    monkeypatch.setattr(GeneralMembership, "_match", counting)
+    g = parse_grammar("alphabet: a b\nstart: S\nS -> a : S\nS -> b^-1 : S\nS -> :")
+    res = universality_within_window(g, 3, "naturals", engine="general-caps", run_cap=6,
+                                     cycle_cap=4)
+    assert (res.verdict, res.witness) == (None, Vec.unit("b"))
+    assert sorted(matched) == sorted(product(range(4), repeat=2))
 
 
 class TestEngineReuse:
@@ -315,7 +336,8 @@ class TestEngineReuse:
                 compare_within_window(gb(), ga(), window, mode, engine="regular-dp", bound=40)
             universality_within_window(ga(), window, "naturals", engine="regular-dp", bound=40)
         assert builds == [
-            ("S", 2, (-4, 4)), ("S", 1, (-4, 4)), ("S", 2, (-5, 5)), ("S", 1, (-5, 5)),
+            ("S", 2, ((-4,), (4,))), ("S", 1, ((-4,), (4,))),
+            ("S", 2, ((-5,), (5,))), ("S", 1, ((-5,), (5,))),
         ]
         # a state used only for sweeps never builds the full run table
         assert "_run_table" not in _regular_state(gb(), 40).__dict__
@@ -324,6 +346,24 @@ class TestEngineReuse:
         for window in (2, 3):
             universality_within_window(two_way, window, "integers", engine="regular-dp", bound=6)
         assert builds == [("S", 1, None)]
+
+    def test_point_queries_share_one_cut_table_and_grow_it_to_the_join(self, monkeypatch):
+        # gb only raises a, so the box of a^k is a <= k
+        builds = []
+        path_cells = membership._path_cells
+
+        def counting(g, end, bound, support_limit=0, box=None):
+            if end == membership.FINAL:
+                builds.append(box)
+            return path_cells(g, end, bound, support_limit, box)
+
+        monkeypatch.setattr(membership, "_path_cells", counting)
+        state = RegularMembership(gb(), 40)
+        statuses = [state.result(Vec.unit("a", k)).status for k in (4, 2, 6, 5)]
+        assert statuses == [membership.MEMBER, membership.MEMBER, membership.MEMBER,
+                            membership.NON_MEMBER]
+        assert state.box_members(-5, 5) == {(0,), (2,), (4,)}
+        assert builds == [((4,), (4,)), ((4,), (6,))]
 
     def test_cache_stays_bounded(self):
         assert _regular_state.cache_info().maxsize == 32
