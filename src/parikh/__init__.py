@@ -43,6 +43,7 @@ from .intlinalg import (
 from .membership import (
     GeneralMembership,
     MembershipResult,
+    OracleLanguage,
     PathTable,
     RegularMembership,
     RunTable,

@@ -242,7 +242,17 @@ def _cmd_member(args) -> int:
     if args.oracle:
         depth, window = args.oracle
         members = membership.oracle_language(g, depth, window)
-        return _verdict(v in members, v if v in members else None, g.alphabet)
+        if v in members:
+            return _verdict(True, v, g.alphabet)
+        if any(sym not in g.alphabet for sym in v.support()):
+            return _verdict(False, None)
+        if v.norm_inf() > window:
+            print(f"note: the vector lies outside the oracle window {window}", file=sys.stderr)
+            return _verdict(None, None)
+        if not members.exhausted:
+            print(f"note: the oracle search was cut at depth {depth}", file=sys.stderr)
+            return _verdict(None, None)
+        return _verdict(False, None)
     if args.caps or not g.is_regular():
         run_cap, cycle_cap = args.caps or (10, 8)
         res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
@@ -328,8 +338,12 @@ def _dispatch(args) -> int:
         return _cmd_member(args)
     if cmd == "oracle":
         g = _load_grammar(args.grammar)
-        for v in sorted(membership.oracle_language(g, args.depth, args.window), key=Vec.sort_key):
+        members = membership.oracle_language(g, args.depth, args.window)
+        for v in sorted(members, key=Vec.sort_key):
             print(format_monomial(v, g.alphabet))
+        if not members.exhausted:
+            print(f"note: the oracle search was cut at depth {args.depth}; "
+                  "the list may be incomplete", file=sys.stderr)
         return EXIT_TRUE
     if cmd == "order":
         g = _load_grammar(args.grammar)

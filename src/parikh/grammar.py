@@ -184,14 +184,11 @@ class CompiledGrammar:
         self.tid_index = {tid: i for i, tid in enumerate(self.tids)}
         self.source = tuple(self.nt_index[t.source] for t in g.transitions)
         self.output = tuple(t.output.to_tuple(g.alphabet) for t in g.transitions)
-        self.delta = tuple(
-            tuple(t.targets.get(q) - (q == t.source) for q in g.nonterminals)
-            for t in g.transitions
-        )
         self.targets = tuple(
             tuple(sorted(self.nt_index[q] for q, c in t.targets for _ in range(c)))
             for t in g.transitions
         )
+        self.delta = tuple(map(self._delta, self.source, self.targets))
         self.target_count = tuple(len(ts) for ts in self.targets)
         by_source: list[list[int]] = [[] for _ in g.nonterminals]
         for i, q in enumerate(self.source):
@@ -201,6 +198,13 @@ class CompiledGrammar:
             _sign_of({out[j] for out in self.output if out[j]})
             for j in range(len(self.letters))
         )
+
+    def _delta(self, source: int, targets: tuple[int, ...]) -> tuple[int, ...]:
+        row = [0] * len(self.nonterminals)
+        for r in targets:
+            row[r] += 1
+        row[source] -= 1
+        return tuple(row)
 
     def counts(self, v: Vec) -> tuple[int, ...]:
         """Dense per-transition counts of a multiset keyed by transition id."""

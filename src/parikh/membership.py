@@ -28,7 +28,9 @@ enumerated base runs and simple cycles under user caps, answering yes or
 unknown; a run or cycle search cut by its state cap answers unknown.
 
 `oracle_language` is the independent cross-check: plain breadth-first
-expansion of sentential forms.
+expansion of sentential forms, pruned only where a letter has left the
+window for good.  Its result says whether the search was exhausted; only
+then is a miss inside the window a definite no.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
-from .grammar import Grammar
+from .grammar import CompiledGrammar, Grammar
 from .intlinalg import PeriodLattice, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
@@ -60,17 +62,62 @@ IntTuple = tuple[int, ...]
 # brute-force oracle
 
 
-def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
+class OracleLanguage(frozenset):
+    """The vectors an `oracle_language` search found, as a frozenset of
+    `Vec`.  `exhausted` says the search ran dry without cutting a state
+    at the step budget: the set is then the grammar's whole language on
+    the window, at any depth."""
+
+    __slots__ = ("exhausted",)
+
+    def __new__(cls, members, exhausted: bool):
+        self = super().__new__(cls, members)
+        self.exhausted = exhausted
+        return self
+
+
+def _two_way_reach(cg: CompiledGrammar, two_way: list[int]) -> list[tuple[int, int]]:
+    """Per nonterminal id: bitmasks of the letters in `two_way` that some
+    rule reachable from it raises, and that some such rule lowers (a
+    fixpoint over rule targets)."""
+    reach = []
+    for ids in cg.from_source:
+        up = down = 0
+        for i in ids:
+            for j in two_way:
+                up |= (cg.output[i][j] > 0) << j
+                down |= (cg.output[i][j] < 0) << j
+        reach.append((up, down))
+    changed = True
+    while changed:
+        changed = False
+        for q, ids in enumerate(cg.from_source):
+            up, down = reach[q]
+            for i in ids:
+                for r in cg.targets[i]:
+                    up |= reach[r][0]
+                    down |= reach[r][1]
+            if (up, down) != reach[q]:
+                reach[q] = (up, down)
+                changed = True
+    return reach
+
+
+def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
     """Letter vectors of all derivations of at most `depth` steps, filtered
     to max-norm <= window.
 
     Breadth-first over sentential forms (nonterminal multiset plus
-    accumulated letter vector).  States whose nonterminal count exceeds
-    the remaining step budget are pruned, as are states already out of
-    the window on a letter no transition can move back (all-nonnegative
-    or all-nonpositive emissions).  Always an under-approximation of the
-    language; exact whenever every in-window vector has a derivation
-    within `depth` steps.
+    accumulated letter vector).  A state is dropped when it has passed
+    the window on a side it cannot come back from: on a one-way letter
+    (all emissions nonnegative or all nonpositive), or on a two-way
+    letter that no rule reachable from its pending nonterminals moves
+    back.  A state that stays in reach of the window but has more
+    pending nonterminals than steps left is cut by the budget.  The
+    result is always an under-approximation of the in-window language;
+    it is `exhausted`, and then exact, when the search ran dry before
+    `depth` and cut nothing: every derivation of an in-window vector was
+    then followed to its end.
 
     A state is (ascending tuple of pending nonterminal ids, dense letter
     tuple), on the grammar's compiled view.
@@ -98,11 +145,26 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
         ]
         for ids in cg.from_source
     ]
+    # the same guards per pending marking, for the two-way letters that no
+    # rule reachable from it moves back; none when every letter is one-way
+    two_way = [j for j, s in enumerate(sign) if s is None]
+    reach = _two_way_reach(cg, two_way) if two_way else []
+    marking_guards: dict[IntTuple, tuple] = {}
+
+    def guards_of(marking: IntTuple) -> tuple:
+        up = down = 0
+        for q in set(marking):
+            up |= reach[q][0]
+            down |= reach[q][1]
+        return tuple((j, 1) for j in two_way if not down >> j & 1) + tuple(
+            (j, -1) for j in two_way if not up >> j & 1
+        )
 
     start = ((cg.nt_index[g.start],), (0,) * dim)
     visited = {start}
     frontier = [start]
     done: set[IntTuple] = set()
+    cut = False
     for level in range(depth):
         budget = depth - level
         new_frontier = []
@@ -112,7 +174,10 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
             # expansion policy
             rest = marking[1:]
             for targets, count, out, guards in moves[marking[0]]:
-                if len(rest) + count > budget - 1:
+                # a step past the budget is a cut unless it leaves the
+                # window anyway; once one is cut, the rest need no test
+                over = len(rest) + count >= budget
+                if over and cut:
                     continue
                 new_value = value if out is None else tuple(map(add, value, out))
                 if any(s * new_value[j] > window for j, s in guards):
@@ -124,6 +189,15 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
                 else:
                     done.add(new_value)
                     continue
+                if two_way:
+                    mg = marking_guards.get(new_marking)
+                    if mg is None:
+                        mg = marking_guards[new_marking] = guards_of(new_marking)
+                    if any(s * new_value[j] > window for j, s in mg):
+                        continue
+                if over:
+                    cut = True
+                    continue
                 state = (new_marking, new_value)
                 if state not in visited:
                     visited.add(state)
@@ -131,8 +205,9 @@ def oracle_language(g: Grammar, depth: int, window: int) -> frozenset[Vec]:
         frontier = new_frontier
         if not frontier:
             break
-    return frozenset(
-        Vec.from_tuple(v, cg.letters) for v in done if all(abs(x) <= window for x in v)
+    return OracleLanguage(
+        (Vec.from_tuple(v, cg.letters) for v in done if all(abs(x) <= window for x in v)),
+        not frontier and not cut,
     )
 
 

@@ -312,9 +312,6 @@ class DerivationTree:
     def used(self) -> TransitionMultiset:
         return TransitionMultiset.from_counts(self.grammar, ((tid, 1) for tid in self.labels))
 
-    def root_source(self) -> str:
-        return self.grammar.transition(self.labels[0]).source
-
     def size(self) -> int:
         return len(self.labels)
 

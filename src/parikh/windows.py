@@ -99,8 +99,8 @@ def membership_engine(
     pumped into the box), else None.  general-caps: sound yes, one
     tuple-level match per box point; rest is False only when a miss is a
     definite no (not when a run or cycle search stopped at its state
-    cap).  oracle: brute-force enumeration, exact only when every
-    in-window vector derives within `depth` steps; rest is False.
+    cap).  oracle: brute-force enumeration; rest is False only when the
+    search was `exhausted` (no derivation cut at `depth`), else None.
     """
     if engine == "regular-dp":
         if bound is None:
@@ -124,9 +124,12 @@ def membership_engine(
     elif engine == "oracle":
         if depth is None:
             depth = 4 * window + 4
-        members = frozenset(v.to_tuple(g.alphabet) for v in oracle_language(g, depth, window))
-        rest = False
-        note = f"oracle with depth {depth}, window {window}"
+        found = oracle_language(g, depth, window)
+        members = frozenset(v.to_tuple(g.alphabet) for v in found)
+        rest = False if found.exhausted else None
+        note = f"oracle with depth {depth}, window {window}" + (
+            "" if found.exhausted else " (search cut at the depth)"
+        )
     else:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if nonneg:

@@ -631,7 +631,12 @@ def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
     if depth is None:
         depth = 4 * window + 4
     members = oracle_language(g, depth, window)
-    return (lambda v: v in members), f"oracle with depth {depth}, window {window}"
+    # a miss is a definite no only when the search was exhausted
+    miss = False if members.exhausted else None
+    note = f"oracle with depth {depth}, window {window}" + (
+        "" if members.exhausted else " (search cut at the depth)"
+    )
+    return (lambda v: True if v in members else miss), note
 
 
 def _ref_box(alphabet, window: int, nonneg: bool = False):

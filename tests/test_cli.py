@@ -68,6 +68,26 @@ class TestDecisionCommands:
         code, out, _ = run_cli(capsys, "member", gb_file, "a^2", "--oracle", "10,4")
         assert code == 0 and "true" in out
 
+    def test_member_oracle_miss_is_false_only_when_exhausted(self, capsys, gb_file):
+        # gb's one letter only rises, so the search runs dry inside the window
+        code, out, err = run_cli(capsys, "member", gb_file, "a^3", "--oracle", "20,5")
+        assert (code, out, err) == (1, "VERDICT false WITNESS -\n", "")
+
+    def test_member_oracle_outside_the_window_is_unknown(self, capsys, ga_file):
+        # a^7 is in ga's language; a window of 5 never looks at it
+        code, out, err = run_cli(capsys, "member", ga_file, "a^7", "--oracle", "20,5")
+        assert (code, out) == (2, "VERDICT unknown WITNESS -\n")
+        assert err == "note: the vector lies outside the oracle window 5\n"
+
+    def test_member_oracle_cut_at_the_depth_is_unknown(self, capsys, tmp_path):
+        # a^3 needs 4 steps; S raises and lowers a, so nothing is pruned and
+        # depth 2 cuts the search
+        p = tmp_path / "updown.cg"
+        p.write_text("alphabet: a\nstart: S\nS -> a : S\nS -> a^-1 : S\nS -> :\n")
+        code, out, err = run_cli(capsys, "member", str(p), "a^3", "--oracle", "2,5")
+        assert (code, out) == (2, "VERDICT unknown WITNESS -\n")
+        assert err == "note: the oracle search was cut at depth 2\n"
+
     def test_exactly_one_verdict_line(self, capsys, ga_file, gb_file):
         for argv in (
             ("member", gb_file, "a^4"),
@@ -103,6 +123,19 @@ class TestDecisionCommands:
             "--engine", "regular-dp", "--bound", "20", "--window", "2",
         )
         assert (code, out) == (2, "VERDICT unknown WITNESS 1\n")
+
+    def test_compare_with_a_cut_oracle_is_unknown_not_disjoint(self, capsys, tmp_path):
+        # the same pair under the oracle: at depth 8 the chain's search is
+        # cut long before it derives `a`, so nothing is proved
+        chain, every = tmp_path / "chain.cg", tmp_path / "all.cg"
+        chain.write_text(CHAIN_TEXT)
+        every.write_text(ALL_WORDS_TEXT)
+        code, out, err = run_cli(
+            capsys, "compare", str(chain), str(every), "--mode", "disjoint",
+            "--depth", "8", "--window", "2",
+        )
+        assert (code, out) == (2, "VERDICT unknown WITNESS 1\n")
+        assert err.splitlines()[0] == "oracle with depth 8, window 2 (search cut at the depth)"
 
     @pytest.mark.parametrize("engine, flags, note", [
         ("oracle", ("--bound", "5", "--caps", "3,3"),
@@ -148,9 +181,14 @@ class TestArtifactCommands:
         assert out == "regular: true\nnormal_form: true\npositive: true\n"
 
     def test_oracle(self, capsys, ga_file):
-        code, out, _ = run_cli(capsys, "oracle", ga_file, "--depth", "5", "--window", "5")
+        code, out, err = run_cli(capsys, "oracle", ga_file, "--depth", "5", "--window", "5")
         assert code == 0
         assert out.splitlines() == ["1", "a", "a^2", "a^3", "a^4"]
+        assert err == "note: the oracle search was cut at depth 5; the list may be incomplete\n"
+        code, out, err = run_cli(capsys, "oracle", ga_file, "--depth", "7", "--window", "5")
+        assert code == 0
+        assert out.splitlines() == ["1", "a", "a^2", "a^3", "a^4", "a^5"]
+        assert err == ""
 
     def test_order(self, capsys, ga_file):
         code, out, _ = run_cli(capsys, "order", ga_file, "t1*2 t2*1")

@@ -19,6 +19,7 @@ from parikh.hardness import (
     unary_sat_universality_instance,
 )
 from parikh.windows import compare_within_window, universality_within_window
+from helpers import ref_oracle_language
 
 
 def clause(*lits):
@@ -117,6 +118,21 @@ class TestQsatReductions:
         gf = qsat_universality_instance(f)
         res = universality_within_window(gf, 20, "integers", engine="oracle", depth=120)
         assert res.verdict is False
+
+    def test_universality_search_is_exhausted(self):
+        # Zp raises the one letter and Zm lowers it, so no rule-level guard
+        # applies; a form whose pending nonterminals reach only Zp (or only
+        # Zm) moves it one way, and is dropped once past the window.  The
+        # false verdict is definite only because the search is exhausted
+        f = CnfFormula(1, 1, (clause(x0),))
+        g = qsat_universality_instance(f)
+        assert g.compiled.letter_sign == (None,)
+        found = oracle_language(g, 108, 12)
+        assert found.exhausted
+        assert found == ref_oracle_language(g, 216, 12)
+        res = universality_within_window(g, 12, "integers", engine="oracle", depth=108)
+        assert res.verdict is qbf2_holds(f) is False
+        assert res.witness == Vec.unit("a", 2)
 
 
 class TestSatMembership:

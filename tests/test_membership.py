@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from parikh import (
     GeneralMembership,
@@ -10,6 +12,7 @@ from parikh import (
     Vec,
     build_path_table,
     build_run_table,
+    grammar_from_rules,
     is_run,
     member_general,
     member_regular,
@@ -51,6 +54,25 @@ class TestOracle:
 
     def test_window_filter(self):
         assert oracle_language(ga(), 10, 2) == vecs(range(3))
+
+    def test_exhausted_only_when_nothing_was_cut(self):
+        # a^5 takes 6 steps; at depth 6 the one step past the budget
+        # leaves the window anyway, so it does not count as cut
+        assert not oracle_language(ga(), 5, 5).exhausted
+        assert oracle_language(ga(), 6, 5).exhausted
+        assert oracle_language(ga(), 6, 5) == vecs(range(6))
+        assert not oracle_language(ga(), 0, 5).exhausted
+
+    def test_two_way_letter_is_pruned_where_it_moves_one_way(self):
+        # a moves both ways, but U only raises it and D only lowers it
+        g = parse_grammar(
+            "alphabet: a\nstart: S\nS -> : U\nS -> : D\n"
+            "U -> a : U\nU -> :\nD -> a^-1 : D\nD -> :"
+        )
+        found = oracle_language(g, 50, 3)
+        assert found == vecs(range(-3, 4)) and found.exhausted
+        both = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nS -> a^-1 : S\nS -> :")
+        assert not oracle_language(both, 50, 3).exhausted
 
 
 class TestRunTable:
@@ -385,3 +407,48 @@ def test_general_cycle_subsets_are_tried_in_dense_tuple_order():
         ({"t1": 1}, 1),
         ({"t2": 1}, 1),
     ]
+
+
+@st.composite
+def normal_form_grammars(draw):
+    """Grammars over one or two letters with up to three nonterminals;
+    every rule emits at most one letter, positively or negatively, and
+    has at most two targets (one for a regular grammar)."""
+    letters = ("a", "b")[: draw(st.integers(1, 2))]
+    nts = [f"Q{i}" for i in range(draw(st.integers(1, 3)))]
+    max_targets = draw(st.sampled_from((1, 2)))
+    outputs = [Vec.zero()] + [Vec.unit(x, s) for x in letters for s in (1, -1)]
+    rule = st.tuples(
+        st.sampled_from(nts),
+        st.sampled_from(outputs),
+        st.lists(st.sampled_from(nts), max_size=max_targets),
+    )
+    rules = draw(st.lists(rule, min_size=1, max_size=len(nts) + 3))
+    return grammar_from_rules(
+        letters, "Q0", [(src, out, sum(map(Vec.unit, ts), Vec.zero())) for src, out, ts in rules]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(normal_form_grammars(), st.integers(1, 30))
+def test_definite_answers_agree_with_an_exhausted_oracle(g, bound):
+    # every vector the oracle finds is a member; when its search is
+    # exhausted, it finds every member in the window.  A yes must carry a
+    # witness that expands to a run onto v, a no must miss the oracle, and
+    # against an exhausted oracle every definite answer must match it
+    window = 2
+    found = oracle_language(g, 30, window)
+    event(f"oracle exhausted: {found.exhausted}")
+    engines = [GeneralMembership(g, 6, 4)]
+    if g.is_regular():
+        engines.append(RegularMembership(g, bound))
+    for t in product(range(-window, window + 1), repeat=len(g.alphabet)):
+        v = Vec.from_tuple(t, g.alphabet)
+        for state in engines:
+            res = state.result(v)
+            if res.status == MEMBER:
+                total = res.witness.expand()
+                assert is_run(total, g.start) and total.parikh() == v
+                assert v in found or not found.exhausted
+            elif res.status == NON_MEMBER:
+                assert v not in found
