@@ -44,12 +44,8 @@ from .membership import (
     GeneralMembership,
     MembershipResult,
     OracleLanguage,
-    PathTable,
     RegularMembership,
-    RunTable,
     Witness,
-    build_path_table,
-    build_run_table,
     member_general,
     member_regular,
     oracle_language,

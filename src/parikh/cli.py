@@ -228,18 +228,32 @@ def _engine_params(args) -> dict:
     if args.depth is not None:
         params["depth"] = args.depth
         given.append("--depth")
-    ignored = [flag for flag in given if flag != _ENGINE_FLAG[args.engine]]
+    _note_unused(given, _ENGINE_FLAG[args.engine], args.engine)
+    return params
+
+
+def _note_unused(given: list[str], used: str, engine: str) -> None:
+    """Name on stderr the size flags in `given` other than `used`."""
+    ignored = [flag for flag in given if flag != used]
     if ignored:
         verb = "is" if len(ignored) == 1 else "are"
-        print(f"note: {', '.join(ignored)} {verb} not used by the {args.engine} engine",
+        print(f"note: {', '.join(ignored)} {verb} not used by the {engine} engine",
               file=sys.stderr)
-    return params
 
 
 def _cmd_member(args) -> int:
     g = _load_grammar(args.grammar)
     v = parse_monomial(args.vector)
     if args.oracle:
+        engine, flag = "oracle", "--oracle"
+    elif args.caps or not g.is_regular():
+        engine, flag = "general-caps", "--caps"
+    else:
+        engine, flag = "regular-dp", "--bound"
+    given = [name for name, value in (("--bound", args.bound), ("--caps", args.caps),
+                                      ("--oracle", args.oracle)) if value is not None]
+    _note_unused(given, flag, engine)
+    if engine == "oracle":
         depth, window = args.oracle
         members = membership.oracle_language(g, depth, window)
         if v in members:
@@ -253,7 +267,7 @@ def _cmd_member(args) -> int:
             print(f"note: the oracle search was cut at depth {depth}", file=sys.stderr)
             return _verdict(None, None)
         return _verdict(False, None)
-    if args.caps or not g.is_regular():
+    if engine == "general-caps":
         run_cap, cycle_cap = args.caps or (10, 8)
         res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
     else:

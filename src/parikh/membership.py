@@ -27,6 +27,15 @@ For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps, answering yes or
 unknown; a run or cycle search cut by its state cap answers unknown.
 
+Both engines share one query structure.  `_prepare_queries` pairs each
+group of base vectors with one support (ordered by support size, then
+names) with every maximal independent subset of the cycle vectors
+anchored in that support.  A point is answered by the first query that
+reaches it (`_first_hit`), a box by the union of every query's box
+points (`_box_union`).  So a witness follows one rule in both: the first
+group, then the first subset in dense-tuple order, then the base with
+the lexicographically largest coefficient tuple.
+
 `oracle_language` is the independent cross-check: plain breadth-first
 expansion of sentential forms, pruned only where a letter has left the
 window for good.  Its result says whether the search was exhausted; only
@@ -35,11 +44,11 @@ then is a miss inside the window a definite no.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar
@@ -220,43 +229,6 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
 FINAL = ""
 
 
-@dataclass(frozen=True)
-class RunTable:
-    """Vectors of runs of size <= bound, per (required support, start).
-
-    entry(P, q) holds the letter vectors of runs from q of size at most
-    `bound` whose support includes P.  `cells` are the path cells into
-    FINAL, on canonical keys with q removed from P (a run from q always
-    uses q).
-    """
-
-    grammar: Grammar
-    bound: int
-    support_limit: int
-    cells: dict[Cell, dict[IntTuple, int]] = field(compare=False)
-
-    def entry(self, support: frozenset, q: str) -> frozenset[Vec]:
-        key = (frozenset(support) - {q}, q)
-        cell = self.cells.get(key, {})
-        return frozenset(Vec.from_tuple(v, self.grammar.alphabet) for v in cell)
-
-
-@dataclass(frozen=True)
-class PathTable:
-    """Vectors of paths of size <= bound between nonterminal pairs.
-
-    `cells[q2]` are the path cells into q2; entry(q1, q2) reads the one
-    keyed (empty support, q1)."""
-
-    grammar: Grammar
-    bound: int
-    cells: dict[str, dict[Cell, dict[IntTuple, int]]] = field(compare=False)
-
-    def entry(self, q1: str, q2: str) -> frozenset[Vec]:
-        cell = self.cells.get(q2, {}).get((frozenset(), q1), {})
-        return frozenset(Vec.from_tuple(v, self.grammar.alphabet) for v in cell)
-
-
 def _require_regular_normal(g: Grammar) -> None:
     if not g.is_regular() or not g.is_normal_form():
         raise ValueError("this procedure needs a regular grammar in normal form")
@@ -354,23 +326,6 @@ def _path_cells(
     return cells
 
 
-def build_run_table(g: Grammar, bound: int, support_limit: Optional[int] = None) -> RunTable:
-    """Tabulate run vectors for all supports of size <= support_limit
-    (default: alphabet size)."""
-    _require_regular_normal(g)
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    if support_limit is None:
-        support_limit = len(g.alphabet)
-    return RunTable(g, bound, support_limit, _path_cells(g, FINAL, bound, support_limit))
-
-
-def build_path_table(g: Grammar, bound: int) -> PathTable:
-    """Tabulate path vectors between all nonterminal pairs, size <= bound."""
-    _require_regular_normal(g)
-    return PathTable(g, bound, {q: _path_cells(g, q, bound) for q in g.nonterminals})
-
-
 # ---------------------------------------------------------------------------
 # membership results and witnesses
 
@@ -393,7 +348,7 @@ class MembershipResult:
 
 
 # ---------------------------------------------------------------------------
-# regular decision procedure
+# queries: base vectors plus nonnegative combinations of independent periods
 
 
 class _CosetIndex:
@@ -405,7 +360,7 @@ class _CosetIndex:
     query succeeds iff some base sits coordinatewise below it.
     """
 
-    def __init__(self, zs: list[IntTuple], bases: dict[IntTuple, int], dim: int):
+    def __init__(self, zs: list[IntTuple], bases: dict[IntTuple, object], dim: int):
         self.lattice = PeriodLattice(zs, dim)
         groups: dict[tuple, list[tuple[IntTuple, IntTuple]]] = {}
         for w in bases:
@@ -491,6 +446,85 @@ def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple
     return out
 
 
+def _support_order(supp: frozenset) -> tuple[int, list[str]]:
+    """The order of query groups in both engines: size, then names."""
+    return len(supp), sorted(supp)
+
+
+# a query: (group key, periods, coset index or None without periods,
+# bases, anchors); the bases map each dense base vector to its payload
+Query = tuple[object, tuple[IntTuple, ...], Optional[_CosetIndex], dict, list[str]]
+
+
+def _prepare_queries(
+    groups: Sequence[tuple[object, dict[IntTuple, object], list[str]]],
+    pools: dict[str, list[IntTuple]],
+    dim: int,
+) -> list[Query]:
+    """One query per group (key, bases, anchors), in order, and per
+    maximal independent subset of the nonzero cycle vectors anchored in
+    `anchors` (`pools` holds each anchor's, sorted); the subsets of one
+    group come in the order of their dense vector tuples."""
+    queries = []
+    for key, bases, anchors in groups:
+        pool = sorted({v for q in anchors for v in pools[q]})
+        for subset in maximal_independent_subsets(pool):
+            zs = tuple(pool[i] for i in subset)
+            index = _CosetIndex(list(zs), bases, dim) if zs else None
+            queries.append((key, zs, index, bases, anchors))
+    return queries
+
+
+def _first_hit(queries: list[Query], t: IntTuple) -> Optional[tuple]:
+    """(key, base, periods, coefficients, anchors) from the first query
+    that reaches the dense tuple t, or None.  Inside a query the base is
+    the one `_CosetIndex.lookup` returns: the least scaled coordinates,
+    so the lexicographically largest coefficient tuple."""
+    for key, zs, index, bases, anchors in queries:
+        if index is None:
+            if t in bases:
+                return key, t, zs, (), anchors
+            continue
+        hit = index.lookup(t)
+        if hit is not None:
+            return key, hit[0], zs, hit[1], anchors
+    return None
+
+
+def _box_union(queries: list[Query], lo: int, hi: int) -> frozenset[IntTuple]:
+    """Dense tuples of the box [lo..hi]^dim that some query reaches,
+    enumerated query by query (`_CosetIndex.box_points`)."""
+    found: set[IntTuple] = set()
+    for _key, _zs, index, bases, _anchors in queries:
+        if index is None:
+            found.update(w for w in bases if all(lo <= x <= hi for x in w))
+        else:
+            found |= index.box_points(lo, hi)
+    return frozenset(found)
+
+
+def _cycle_terms(
+    zs: tuple[IntTuple, ...],
+    coeffs: Sequence[int],
+    anchors: list[str],
+    pools: dict[str, list[IntTuple]],
+    cycle: Callable[[str, IntTuple], TransitionMultiset],
+) -> tuple[CycleTerm, ...]:
+    """A witness's pumped cycles: one term per period with a positive
+    coefficient, anchored at the first anchor whose pool holds it;
+    cycle(anchor, z) is the cycle behind z there."""
+    terms = []
+    for z, n in zip(zs, coeffs):
+        if n:
+            anchor = next(q for q in anchors if z in pools[q])
+            terms.append(CycleTerm(cycle(anchor, z), anchor, n))
+    return tuple(terms)
+
+
+# ---------------------------------------------------------------------------
+# regular decision procedure
+
+
 @dataclass(frozen=True)
 class _Runs:
     """One run table of a `RegularMembership` and what its queries need.
@@ -503,7 +537,7 @@ class _Runs:
     box: Optional[tuple[IntTuple, IntTuple]]
     cells: dict[Cell, dict[IntTuple, int]]
     last: frozenset[IntTuple]
-    queries: list[tuple]
+    queries: list[Query]
 
 
 class RegularMembership:
@@ -545,7 +579,12 @@ class RegularMembership:
     def _build(self, box: Optional[tuple[IntTuple, IntTuple]]) -> _Runs:
         cells = _path_cells(self.grammar, FINAL, self.bound, self._support_limit, box)
         last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
-        return _Runs(box, cells, last, self._prepare_queries(cells))
+        # one group per run cell from the start, by support size and names
+        start = self.grammar.start
+        keys = sorted((key for key in cells if key[1] == start),
+                      key=lambda key: _support_order(key[0]))
+        groups = [(key, cells[key], sorted(key[0] | {start})) for key in keys]
+        return _Runs(box, cells, last, _prepare_queries(groups, self._pools, len(self.order)))
 
     @cached_property
     def _run_table(self) -> _Runs:
@@ -553,7 +592,7 @@ class RegularMembership:
         return self._build(None)
 
     @property
-    def _queries(self) -> list[tuple]:
+    def _queries(self) -> list[Query]:
         return self._run_table.queries
 
     @property
@@ -604,36 +643,6 @@ class RegularMembership:
         guards = _box_guards(self._sign, lo, hi)
         return not any(all(s * v[j] <= limit for j, s, limit in guards) for v in last)
 
-    def _prepare_queries(self, cells: dict[Cell, dict[IntTuple, int]]) -> list[tuple]:
-        """(key, periods, coset index or None, bases, anchors) for every
-        run cell from the start and every maximal independent subset of
-        the cycle vectors anchored in its support."""
-        g = self.grammar
-        start = g.start
-        dim = len(self.order)
-        queries = []
-        cell_keys = sorted(
-            (key for key in cells if key[1] == start),
-            key=lambda key: (len(key[0]), sorted(key[0])),
-        )
-        seen: set[tuple] = set()
-        for key in cell_keys:
-            bases = cells[key]
-            anchors = sorted(set(key[0]) | {start})
-            pool: list[IntTuple] = sorted({v for q in anchors for v in self._pools[q]})
-            for subset in maximal_independent_subsets(pool):
-                zs = tuple(pool[i] for i in subset)
-                sig = (id(bases), zs)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                if zs:
-                    index = _CosetIndex(list(zs), bases, dim)
-                else:
-                    index = None
-                queries.append((key, zs, index, bases, anchors))
-        return queries
-
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
         """MEMBER with a witness, NON_MEMBER when no match is certified
         (`certified` at the box of v), else NO_WITHIN_BOUND.  The answer
@@ -643,18 +652,11 @@ class RegularMembership:
             return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
         tv = v.to_tuple(self.order)
         runs = self._runs(tv, tv)
-        for key, zs, index, bases, anchors in runs.queries:
-            if index is None:
-                hit = (tv, ()) if tv in bases else None
-            else:
-                hit = index.lookup(tv)
-            if hit is not None:
-                if not want_witness:
-                    return MembershipResult(MEMBER)
-                w, coeffs = hit
-                return MembershipResult(
-                    MEMBER, self._witness(runs.cells, key, w, zs, coeffs, anchors)
-                )
+        hit = _first_hit(runs.queries, tv)
+        if hit is not None:
+            if not want_witness:
+                return MembershipResult(MEMBER)
+            return MembershipResult(MEMBER, self._witness(runs.cells, *hit))
         if self.certified(tv, tv):
             return MembershipResult(NON_MEMBER)
         return MembershipResult(
@@ -670,13 +672,7 @@ class RegularMembership:
         if self._last_box is not None and self._last_box[:2] == (lo, hi):
             return self._last_box[2]
         dim = len(self.order)
-        found: set[IntTuple] = set()
-        for _key, _zs, index, bases, _anchors in self._runs((lo,) * dim, (hi,) * dim).queries:
-            if index is None:
-                found.update(w for w in bases if all(lo <= x <= hi for x in w))
-            else:
-                found |= index.box_points(lo, hi)
-        members = frozenset(found)
+        members = _box_union(self._runs((lo,) * dim, (hi,) * dim).queries, lo, hi)
         self._last_box = (lo, hi, members)
         return members
 
@@ -691,15 +687,11 @@ class RegularMembership:
         coeffs: Sequence[int],
         anchors: list[str],
     ) -> Witness:
-        base = self._walk(cells, key, w)
-        terms = []
-        for z, n in zip(zs, coeffs):
-            if n == 0:
-                continue
-            anchor = next(q for q in anchors if z in self._pools[q])
-            cycle = self._walk(self._paths[anchor], (frozenset(), anchor), z)
-            terms.append(CycleTerm(cycle, anchor, n))
-        return Witness(base, tuple(terms))
+        def cycle(anchor: str, z: IntTuple) -> TransitionMultiset:
+            return self._walk(self._paths[anchor], (frozenset(), anchor), z)
+
+        terms = _cycle_terms(zs, coeffs, anchors, self._pools, cycle)
+        return Witness(self._walk(cells, key, w), terms)
 
     def _walk(self, cells: dict, key: Cell, vec: IntTuple) -> TransitionMultiset:
         """The transitions of the path behind cells[key][vec]: each step takes
@@ -748,7 +740,13 @@ def _regular_state(g: Grammar, bound: Optional[int]) -> RegularMembership:
 
 
 class GeneralMembership:
-    """Bounded base-run and cycle enumeration for normal-form grammars."""
+    """Bounded base-run and cycle enumeration for normal-form grammars.
+
+    The base runs are grouped by support, in the order of the regular
+    engine's run cells (support size, then names), each dense vector
+    standing for its first, smallest run; the periods are the simple
+    cycle vectors anchored in the support.  Points and boxes are answered
+    by the same queries as `RegularMembership`."""
 
     def __init__(
         self,
@@ -763,22 +761,16 @@ class GeneralMembership:
         self.run_cap = run_cap
         self.cycle_cap = cycle_cap
         self.state_cap = state_cap
+        alphabet = g.alphabet
         search = enumerate_runs(g, g.start, run_cap, state_cap)
         self.runs_complete = search.complete
         self.runs_capped = search.capped
-        bases: dict[tuple[Vec, frozenset], TransitionMultiset] = {}
+        # per support: dense base vector -> its first (smallest) run
+        by_support: dict[frozenset, dict[IntTuple, TransitionMultiset]] = {}
         for run in search.runs:
-            key = (run.parikh(), run.supp())
-            if key not in bases:
-                bases[key] = run
-        # (dense base vector, support, run), smallest runs first
-        self._bases = [
-            (w.to_tuple(g.alphabet), supp, run)
-            for (w, supp), run in sorted(
-                bases.items(), key=lambda kv: (kv[1].size(), kv[0][0].sort_key())
-            )
-        ]
-        anchors = sorted({q for _w, supp, _run in self._bases for q in supp})
+            by_support.setdefault(run.supp(), {}).setdefault(run.parikh().to_tuple(alphabet), run)
+        self._bases = {supp: by_support[supp] for supp in sorted(by_support, key=_support_order)}
+        anchors = sorted({q for supp in by_support for q in supp})
         # an anchor whose cycle search outgrows the state cap pumps nothing:
         # fewer cycles only lose yes answers, and a miss becomes unknown
         self._cycles: dict[str, list[TransitionMultiset]] = {}
@@ -789,46 +781,17 @@ class GeneralMembership:
             except SearchCapExceeded:
                 self.cycles_capped = True
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
-        self._zs_cache: dict[frozenset, list[tuple[PeriodLattice, tuple]]] = {}
-
-    def _zs_for_support(self, supp: frozenset) -> list[tuple[PeriodLattice, tuple]]:
-        """One lattice per maximal independent subset of the nonzero cycle
-        vectors anchored in supp, with the (cycle, anchor) behind each
-        period; subsets come in the order of their dense vector tuples."""
-        if supp in self._zs_cache:
-            return self._zs_cache[supp]
-        alphabet = self.grammar.alphabet
-        pool: dict[Vec, tuple[TransitionMultiset, str]] = {}
-        for q in sorted(supp):
-            for cyc in self._cycles.get(q, ()):
-                key = cyc.parikh()
-                if not key.is_zero() and key not in pool:
-                    pool[key] = (cyc, q)
-        vec_list = sorted(pool, key=Vec.sort_key)
-        tuples = [v.to_tuple(alphabet) for v in vec_list]
-        subsets = sorted(
-            maximal_independent_subsets(tuples), key=lambda idx: [tuples[i] for i in idx]
-        )
-        lattices = [
-            (
-                PeriodLattice([tuples[i] for i in idx], len(alphabet)),
-                tuple(pool[vec_list[i]] for i in idx),
-            )
-            for idx in subsets
-        ]
-        self._zs_cache[supp] = lattices
-        return lattices
-
-    def _match(self, t: IntTuple) -> Optional[tuple[TransitionMultiset, tuple, IntTuple]]:
-        """(base run, per-period (cycle, anchor), coefficients) for the first
-        base and cycle subset that reach the dense tuple t, or None."""
-        for w, supp, run in self._bases:
-            delta = tuple(map(sub, t, w))
-            for lattice, reps in self._zs_for_support(supp):
-                coeffs = lattice.solve(delta)
-                if coeffs is not None:
-                    return run, reps, coeffs
-        return None
+        # per anchor: each nonzero cycle vector -> its first cycle there
+        zero = (0,) * len(alphabet)
+        self._reps: dict[str, dict[IntTuple, TransitionMultiset]] = {q: {} for q in anchors}
+        for q, cycles in self._cycles.items():
+            for cyc in cycles:
+                z = cyc.parikh().to_tuple(alphabet)
+                if z != zero:
+                    self._reps[q].setdefault(z, cyc)
+        self._pools = {q: sorted(reps) for q, reps in self._reps.items()}
+        groups = [(supp, bases, sorted(supp)) for supp, bases in self._bases.items()]
+        self._queries = _prepare_queries(groups, self._pools, len(alphabet))
 
     @cached_property
     def _miss(self) -> MembershipResult:
@@ -845,19 +808,23 @@ class GeneralMembership:
         return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        """MEMBER with a witness, else `_miss`."""
         alphabet = self.grammar.alphabet
         if any(sym not in alphabet for sym in v.support()):
             return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        hit = self._match(v.to_tuple(alphabet))
+        hit = _first_hit(self._queries, v.to_tuple(alphabet))
         if hit is None:
             return self._miss
         if not want_witness:
             return MembershipResult(MEMBER)
-        run, reps, coeffs = hit
-        terms = tuple(
-            CycleTerm(rep, anchor, n) for (rep, anchor), n in zip(reps, coeffs) if n > 0
-        )
-        return MembershipResult(MEMBER, Witness(run, terms))
+        supp, w, zs, coeffs, anchors = hit
+        terms = _cycle_terms(zs, coeffs, anchors, self._pools, lambda q, z: self._reps[q][z])
+        return MembershipResult(MEMBER, Witness(self._bases[supp][w], terms))
+
+    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
+        """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
+        that `result` answers MEMBER, enumerated query by query."""
+        return _box_union(self._queries, lo, hi)
 
 
 def member_general(

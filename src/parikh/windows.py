@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 from .decomposition import base_run_bound
 from .grammar import Grammar
 from .intlinalg import hadamard_bound
-from .membership import NON_MEMBER, GeneralMembership, IntTuple, _regular_state, oracle_language
-from .runs import tree_size_bound
+from .membership import NON_MEMBER, IntTuple, _general_state, _regular_state, oracle_language
+from .runs import DEFAULT_STATE_CAP, tree_size_bound
 from .vector import Vec
 
 WINDOW_NOTE = (
@@ -96,12 +96,15 @@ def membership_engine(
     still be pumped into the box and keeps its last box; rest is False
     only when the box is `certified` (the bound reaches the completeness
     threshold, or no run vector of the table's last frontier can still be
-    pumped into the box), else None.  general-caps: sound yes, one
-    tuple-level match per box point; rest is False only when a miss is a
-    definite no (not when a run or cycle search stopped at its state
-    cap).  oracle: brute-force enumeration; rest is False only when the
-    search was `exhausted` (no derivation cut at `depth`), else None.
+    pumped into the box), else None.  general-caps: sound yes; the
+    members of the box asked come from the `GeneralMembership` shared
+    through `_general_state`, enumerated query by query like
+    regular-dp's; rest is False only when a miss is a definite no (not
+    when a run or cycle search stopped at its state cap).  oracle:
+    brute-force enumeration; rest is False only when the search was
+    `exhausted` (no derivation cut at `depth`), else None.
     """
+    lo = 0 if nonneg else -window
     if engine == "regular-dp":
         if bound is None:
             bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
@@ -112,13 +115,10 @@ def membership_engine(
         # the sweeps of one window share one enumeration of the symmetric box
         members = state.box_members(-window, window)
         dim = len(g.alphabet)
-        lo = 0 if nonneg else -window
         rest = False if state.certified((lo,) * dim, (window,) * dim) else None
     elif engine == "general-caps":
-        state = GeneralMembership(g, run_cap, cycle_cap)
-        members = frozenset(
-            t for t in iter_window(g.alphabet, window, nonneg) if state._match(t) is not None
-        )
+        state = _general_state(g, run_cap, cycle_cap, DEFAULT_STATE_CAP)
+        members = state.box_members(lo, window)
         rest = False if state._miss.status == NON_MEMBER else None
         note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
     elif engine == "oracle":

@@ -16,7 +16,9 @@ from parikh import (
     TransitionMultiset,
     Vec,
     Witness,
+    difference_grammar,
     grammar_from_rules,
+    member_regular,
     parse_grammar,
 )
 from parikh.decomposition import base_run_bound
@@ -595,6 +597,27 @@ def ref_regular_reachable(g: Grammar, v: Sequence[int]) -> bool:
     return False
 
 
+# member_regular at the completeness threshold tabulates every run up to
+# it; above this threshold that is too slow for a test
+EXACT_DIFFERENCE_BOUND = 1000
+
+
+def zero_in_difference(g1: Grammar, g2: Grammar) -> Optional[bool]:
+    """Whether the zero vector is in the language of difference_grammar(g1,
+    g2), that is, whether L(g1) and L(g2) meet, decided exactly: by
+    `member_regular` at its default bound (the completeness threshold)
+    when that is at most EXACT_DIFFERENCE_BOUND, else by an oracle search
+    that was exhausted.  None when neither applies."""
+    diff = difference_grammar(g1, g2)
+    zero = Vec.zero()
+    if base_run_bound(diff).value <= EXACT_DIFFERENCE_BOUND:
+        res = member_regular(diff, zero)
+        assert res.status in (MEMBER, NON_MEMBER), res
+        return res.status == MEMBER
+    found = oracle_language(diff, 33, 0)
+    return zero in found if found.exhausted else None
+
+
 def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
                   cycle_cap=8, depth=None, nonneg: bool = False):
     """A point answer (True, False or None = unknown) for every vector of
@@ -720,41 +743,41 @@ def ref_maximal_independent_subsets(periods: Sequence[Vec]) -> list[tuple[int, .
 
 def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     """`state.result(v)` recomputed from a fresh run enumeration and the
-    state's simple cycles, one `ref_nonneg_integer_solve` per candidate."""
+    state's simple cycles, one `ref_nonneg_integer_solve` per candidate.
+
+    Supports are tried by size, then names; per support, the maximal
+    independent subsets of its cycle vectors in dense tuple order; per
+    subset, of the bases it reaches v from (the first run per vector),
+    the one with the lexicographically largest coefficient tuple."""
     g = state.grammar
     if any(sym not in g.alphabet for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
     search = enumerate_runs(g, g.start, state.run_cap, state.state_cap)
-    bases: dict = {}
+    groups: dict = {}
     for run in search.runs:
-        bases.setdefault((run.parikh(), run.supp()), run)
-    for (w, supp), run in sorted(bases.items(), key=lambda kv: (kv[1].size(), kv[0][0].sort_key())):
-        delta = v - w
+        groups.setdefault(run.supp(), {}).setdefault(run.parikh(), run)
+    for supp in sorted(groups, key=lambda s: (len(s), sorted(s))):
         pool: dict = {}
         for q in sorted(supp):
             for cyc in state._cycles.get(q, ()):
                 key = cyc.parikh()
                 if not key.is_zero() and key not in pool:
                     pool[key] = (cyc, q)
-        vec_list = sorted(pool, key=Vec.sort_key)
-        tuples = [x.to_tuple(g.alphabet) for x in vec_list]
-        subsets = sorted(
-            {tuple(tuples[i] for i in idx) for idx in ref_maximal_independent_subsets(vec_list)}
-        )
-        back = dict(zip(tuples, vec_list))
-        for zs in subsets:
-            vecs = [back[z] for z in zs]
-            if not vecs:
-                if delta.is_zero():
-                    return MembershipResult(MEMBER, Witness(run, ()))
-                continue
-            coeffs = ref_nonneg_integer_solve(vecs, delta)
-            if coeffs is None:
-                continue
-            terms = tuple(
-                CycleTerm(*pool[p], n) for p, n in zip(vecs, coeffs) if n > 0
-            )
-            return MembershipResult(MEMBER, Witness(run, terms))
+        vec_list = sorted(pool, key=lambda x: x.to_tuple(g.alphabet))
+        for idx in ref_maximal_independent_subsets(vec_list):
+            vecs = [vec_list[i] for i in idx]
+            best = None
+            for w, run in groups[supp].items():
+                if not vecs:
+                    coeffs = [] if (v - w).is_zero() else None
+                else:
+                    coeffs = ref_nonneg_integer_solve(vecs, v - w)
+                if coeffs is not None and (best is None or coeffs > best[0]):
+                    best = (coeffs, run)
+            if best is not None:
+                coeffs, run = best
+                terms = tuple(CycleTerm(*pool[p], n) for p, n in zip(vecs, coeffs) if n > 0)
+                return MembershipResult(MEMBER, Witness(run, terms))
     if search.complete:
         return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
     if search.capped:

@@ -6,7 +6,7 @@ import pytest
 
 import parikh
 from parikh.cli import _build_parser, main
-from helpers import ALL_WORDS_TEXT, CHAIN_TEXT, GA_TEXT, GB_TEXT
+from helpers import ALL_WORDS_TEXT, CHAIN_TEXT, GA_TEXT, GB_TEXT, GC_TEXT
 
 # Child interpreters import the same package as this one, installed or not.
 _SRC = os.path.dirname(os.path.dirname(parikh.__file__))
@@ -154,6 +154,28 @@ class TestDecisionCommands:
             code, out, err = run_cli(capsys, *base, *used)
             assert "not used" not in err
             extra_code, extra_out, extra_err = run_cli(capsys, *base, *flags)
+            assert (extra_code, extra_out) == (code, out)
+            assert extra_err == note + err
+
+    @pytest.mark.parametrize("grammar, used, flags, note", [
+        ("gc", (), ("--bound", "5"),
+         "note: --bound is not used by the general-caps engine\n"),
+        ("gb", ("--caps", "6,4"), ("--bound", "5"),
+         "note: --bound is not used by the general-caps engine\n"),
+        ("gb", ("--oracle", "10,4"), ("--bound", "5", "--caps", "3,3"),
+         "note: --bound, --caps are not used by the oracle engine\n"),
+    ])
+    def test_member_names_ignored_size_flags(self, capsys, tmp_path, grammar, used, flags,
+                                             note):
+        # gc is not regular, so member runs the general engine without
+        # --caps; --oracle selects the oracle over both other engines
+        path = tmp_path / f"{grammar}.cg"
+        path.write_text(GC_TEXT if grammar == "gc" else GB_TEXT)
+        for vector in ("a^2", "a^3"):
+            code, out, err = run_cli(capsys, "member", str(path), vector, *used)
+            assert "not used" not in err
+            extra_code, extra_out, extra_err = run_cli(capsys, "member", str(path), vector,
+                                                       *used, *flags)
             assert (extra_code, extra_out) == (code, out)
             assert extra_err == note + err
 

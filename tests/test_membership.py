@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -10,16 +13,15 @@ from parikh import (
     MembershipResult,
     RegularMembership,
     Vec,
-    build_path_table,
-    build_run_table,
     grammar_from_rules,
     is_run,
     member_general,
     member_regular,
     oracle_language,
     parse_grammar,
+    regular_bundles,
 )
-from parikh import normalize
+from parikh import membership, normalize
 from parikh.hardness import hard_grammar
 from parikh.membership import FINAL, MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN, _path_cells
 from helpers import (
@@ -75,54 +77,64 @@ class TestOracle:
         assert not oracle_language(both, 50, 3).exhausted
 
 
+def entry(cells, support, q, alphabet) -> frozenset:
+    """The vectors of the path cell from q whose support includes
+    `support` (q removed), as Vecs."""
+    cell = cells.get((frozenset(support) - {q}, q), {})
+    return frozenset(Vec.from_tuple(v, alphabet) for v in cell)
+
+
+def run_cells(g, bound):
+    """Run cells for every support of size <= the alphabet's."""
+    return _path_cells(g, FINAL, bound, len(g.alphabet))
+
+
 class TestRunTable:
     def test_ga_unfolding(self):
-        table = build_run_table(ga(), 2)
-        assert table.entry(frozenset({"S"}), "S") == vecs([0, 1])
-        one_step = build_run_table(ga(), 1)
-        assert one_step.entry(frozenset({"S"}), "S") == vecs([0])
+        g = ga()
+        assert entry(run_cells(g, 2), {"S"}, "S", g.alphabet) == vecs([0, 1])
+        assert entry(run_cells(g, 1), {"S"}, "S", g.alphabet) == vecs([0])
 
     def test_unreachable_final_empty(self):
         g = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nT -> :")
-        table = build_run_table(g, 5)
-        assert table.entry(frozenset(), "S") == frozenset()
+        assert entry(run_cells(g, 5), (), "S", g.alphabet) == frozenset()
 
     def test_support_constraint_monotone(self):
         rng = random.Random(43)
         for _ in range(25):
             g = random_grammar(rng, regular=True)
-            table = build_run_table(g, 8)
+            cells = run_cells(g, 8)
             for q in g.nonterminals:
-                loose = table.entry(frozenset(), q)
+                loose = entry(cells, (), q, g.alphabet)
                 for q2 in g.nonterminals:
-                    assert table.entry(frozenset({q2}), q) <= loose
+                    assert entry(cells, {q2}, q, g.alphabet) <= loose
 
     def test_vector_norm_and_size_bounded(self):
         rng = random.Random(44)
         for _ in range(15):
             g = random_grammar(rng, regular=True)
             bound = 7
-            table = build_run_table(g, bound)
-            for cell in table.cells.values():
+            for cell in run_cells(g, bound).values():
                 assert len(cell) <= (2 * bound + 1) ** len(g.alphabet)
                 for vec in cell:
                     assert max((abs(x) for x in vec), default=0) <= bound
 
 
 class TestPathTable:
+    # the paths from q1 into q2 are the cell (empty support, q1) of the
+    # path cells into q2
     def test_ga(self):
-        table = build_path_table(ga(), 1)
-        assert table.entry("S", "S") == vecs([0, 1])
+        g = ga()
+        assert entry(_path_cells(g, "S", 1), (), "S", g.alphabet) == vecs([0, 1])
 
     def test_two_state_loop(self):
         g = parse_grammar("alphabet: a b\nstart: S\nS -> a : T\nT -> b : S")
-        table = build_path_table(g, 2)
-        assert table.entry("S", "S") == {Vec.zero(), Vec({"a": 1, "b": 1})}
+        paths = entry(_path_cells(g, "S", 2), (), "S", g.alphabet)
+        assert paths == {Vec.zero(), Vec({"a": 1, "b": 1})}
 
     def test_disconnected_pair_empty(self):
         g = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nT -> a : T")
-        table = build_path_table(g, 4)
-        assert table.entry("S", "T") == frozenset()
+        assert entry(_path_cells(g, "T", 4), (), "S", g.alphabet) == frozenset()
 
 
 def test_one_path_table_matches_the_separate_run_and_path_builders():
@@ -359,7 +371,11 @@ def _general_probes(state, rng):
     its support, and a few random vectors (one with a foreign letter)."""
     alphabet = state.grammar.alphabet
     probes = []
-    for w, supp, _run in state._bases:
+    bases = sorted(
+        ((w, supp, run) for supp, group in state._bases.items() for w, run in group.items()),
+        key=lambda base: (base[2].size(), Vec.from_tuple(base[0], alphabet).sort_key()),
+    )
+    for w, supp, _run in bases:
         probes.append(w)
         for q in sorted(supp):
             for cyc in state._cycles.get(q, ())[:3]:
@@ -393,9 +409,10 @@ def test_general_reference_cases_cover_every_outcome():
 
 
 def test_general_cycle_subsets_are_tried_in_dense_tuple_order():
-    # cycles a, b and ab at S: a+b is reached by {a, b} and by {a, ab}.
-    # {a, b} comes first in dense tuple order ((1,0),(0,1)) < ((1,0),(1,1)),
-    # although the pool lists ab before b
+    # cycles a, b and ab at S: a+b is reached by {b, a} and by {b, ab}.
+    # {b, a} comes first in dense tuple order ((0,1),(1,0)) < ((0,1),(1,1)),
+    # so the terms come in that order; of the bases the subset reaches a+b
+    # from, the empty run has the largest coefficients (1, 1)
     g = parse_grammar(
         "alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> a : T\nT -> b : S\nS -> :"
     )
@@ -403,9 +420,10 @@ def test_general_cycle_subsets_are_tried_in_dense_tuple_order():
     v = Vec({"a": 1, "b": 1})
     res = state.result(v)
     assert res == ref_general_result(state, v)
+    assert res.witness.base_run.counts.to_dict() == {"t5": 1}
     assert [(t.cycle.counts.to_dict(), t.count) for t in res.witness.cycles] == [
-        ({"t1": 1}, 1),
         ({"t2": 1}, 1),
+        ({"t1": 1}, 1),
     ]
 
 
@@ -435,13 +453,20 @@ def test_definite_answers_agree_with_an_exhausted_oracle(g, bound):
     # every vector the oracle finds is a member; when its search is
     # exhausted, it finds every member in the window.  A yes must carry a
     # witness that expands to a run onto v, a no must miss the oracle, and
-    # against an exhausted oracle every definite answer must match it
+    # against an exhausted oracle every definite answer must match it.
+    # The same holds for the general engine's box members and for the
+    # regular bundles, which are exact when not truncated
     window = 2
     found = oracle_language(g, 30, window)
     event(f"oracle exhausted: {found.exhausted}")
-    engines = [GeneralMembership(g, 6, 4)]
+    general = GeneralMembership(g, 6, 4)
+    engines = [general]
+    box = general.box_members(-window, window)
+    bundles = None
     if g.is_regular():
         engines.append(RegularMembership(g, bound))
+        bundles = regular_bundles(g, bound)
+        event(f"bundles truncated: {bundles.truncated}")
     for t in product(range(-window, window + 1), repeat=len(g.alphabet)):
         v = Vec.from_tuple(t, g.alphabet)
         for state in engines:
@@ -452,3 +477,55 @@ def test_definite_answers_agree_with_an_exhausted_oracle(g, bound):
                 assert v in found or not found.exhausted
             elif res.status == NON_MEMBER:
                 assert v not in found
+        assert (t in box) == (general.result(v, want_witness=False).status == MEMBER)
+        if found.exhausted:
+            assert t not in box or v in found
+        if bundles is not None and found.exhausted:
+            if bundles.member(v):
+                assert v in found
+            elif not bundles.truncated:
+                assert v not in found
+
+
+# Prints both engines' answers, witnesses and box members on fixed
+# grammars: the general engine's query order rests on frozenset-keyed
+# groups, so it must not follow the hash seed.
+_WITNESS_SCRIPT = """
+from itertools import product
+from parikh import GeneralMembership, RegularMembership, Vec, normalize, parse_grammar
+from parikh.hardness import hard_grammar
+from parikh.runs import format_multiset
+texts = [
+    "alphabet: a\\nstart: S\\nS -> a : T\\nT -> a : S\\nS -> :",
+    "alphabet: a b\\nstart: S\\nS -> a : S\\nS -> b : S\\nS -> a : T\\nT -> b : S\\nS -> :",
+    "alphabet: a b\\nstart: S\\nS -> a : S\\nS -> b^-1 : T\\nT -> a^-1 : U\\nU -> b : S\\nS -> :",
+    "alphabet: a b\\nstart: S\\nS -> a : S T\\nT -> b^-1 : S\\nS -> :\\nT -> b :",
+    "alphabet: a b\\nstart: S\\nS -> : T\\nT -> a : U\\nU -> b : T\\nU -> :",
+]
+grammars = [parse_grammar(t) for t in texts] + [normalize(hard_grammar(1, "cone"))]
+for g in grammars:
+    engines = [GeneralMembership(g, 7, 5)]
+    if g.is_regular():
+        engines.append(RegularMembership(g, 12))
+    for state in engines:
+        print(sorted(state.box_members(-2, 2)))
+        for t in product(range(-2, 3), repeat=len(g.alphabet)):
+            res = state.result(Vec.from_tuple(t, g.alphabet))
+            if res.witness is not None:
+                terms = [(format_multiset(c.cycle), c.anchor, c.count) for c in res.witness.cycles]
+                print(t, format_multiset(res.witness.base_run), terms)
+"""
+
+
+def test_witnesses_do_not_follow_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(membership.__file__))
+    outputs = []
+    for seed in ("0", "1", "2", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _WITNESS_SCRIPT], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert all(out == outputs[0] for out in outputs)
+    assert outputs[0].count("t") > 50  # witnesses from every grammar

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -8,7 +7,6 @@ from parikh import (
     RegularMembership,
     Vec,
     compare_within_window,
-    difference_grammar,
     oracle_language,
     parse_grammar,
     universality_within_window,
@@ -24,6 +22,7 @@ from helpers import (
     ref_box_members,
     ref_compare_within_window,
     ref_universality_within_window,
+    zero_in_difference,
 )
 
 
@@ -135,10 +134,8 @@ class TestDisjointnessDifferenceConsistency:
         odd = parse_grammar("alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nT -> :")
         for g2, expect_disjoint in ((odd, True), (ga(), False)):
             sweep = compare_within_window(gb(), g2, 8, "disjointness", engine="oracle", depth=16)
-            diff = difference_grammar(gb(), g2)
-            zero_in_diff = Vec.zero() in oracle_language(diff, 33, 0)
             assert sweep.verdict is expect_disjoint
-            assert zero_in_diff == (not expect_disjoint)
+            assert zero_in_difference(gb(), g2) is (not expect_disjoint)
 
 
 # Bounds at the completeness threshold are only tabulated where it is
@@ -286,19 +283,22 @@ class TestSweepReadsOnlyMembers:
 
 
 def test_general_caps_matches_only_the_asked_box(monkeypatch):
-    matched = []
-    match = GeneralMembership._match
+    # universality over the naturals asks the engine for [0..3]^2 only
+    asked = []
+    box_members = GeneralMembership.box_members
 
-    def counting(self, t):
-        matched.append(t)
-        return match(self, t)
+    def recording(self, lo, hi):
+        asked.append((lo, hi))
+        return box_members(self, lo, hi)
 
-    monkeypatch.setattr(GeneralMembership, "_match", counting)
+    monkeypatch.setattr(GeneralMembership, "box_members", recording)
     g = parse_grammar("alphabet: a b\nstart: S\nS -> a : S\nS -> b^-1 : S\nS -> :")
     res = universality_within_window(g, 3, "naturals", engine="general-caps", run_cap=6,
                                      cycle_cap=4)
     assert (res.verdict, res.witness) == (None, Vec.unit("b"))
-    assert sorted(matched) == sorted(product(range(4), repeat=2))
+    assert asked == [(0, 3)]
+    members = GeneralMembership(g, 6, 4).box_members(0, 3)
+    assert members == {(a, 0) for a in range(4)}
 
 
 class TestEngineReuse:
