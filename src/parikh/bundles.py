@@ -22,14 +22,8 @@ from typing import Optional, Sequence
 from .decomposition import base_run_bound
 from .grammar import Grammar
 from .intlinalg import hadamard_bound, period_solver
-from .membership import RegularMembership
-from .runs import (
-    DEFAULT_STATE_CAP,
-    SearchCapExceeded,
-    enumerate_runs,
-    enumerate_simple_cycles,
-    tree_size_bound,
-)
+from .membership import RegularMembership, _general_state
+from .runs import DEFAULT_STATE_CAP, SearchCapExceeded, tree_size_bound
 from .semilinear import SimpleBundle
 from .vector import Vec
 
@@ -183,8 +177,10 @@ def two_letter_bundles(
 ) -> BundlesResult:
     """Bundle decomposition over a two-letter alphabet.
 
-    Base runs are enumerated up to run_cap and grouped by support; the
-    simple cycles anchored in each support supply the period sets via
+    The base runs up to run_cap, grouped by support, and the simple
+    cycles anchored in each support come from the `GeneralMembership`
+    shared through `_general_state` (cycle_cap defaults to
+    min(gamma - 1, 8)); the cycle vectors supply the period sets via
     angular sectors.  Interior lattice offsets (cycle directions that are
     not period boundaries) are folded into the base set with coefficients
     up to fold_cap.  Results below the theoretical caps are marked
@@ -192,39 +188,21 @@ def two_letter_bundles(
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
-    if not g.is_normal_form():
-        raise ValueError("grammar must be in normal form")
-    gamma = tree_size_bound(len(g.nonterminals), g.is_regular())
-    full_cycle_cap = gamma - 1
     if cycle_cap is None:
-        cycle_cap = min(full_cycle_cap, 8)
-
-    search = enumerate_runs(g, g.start, run_cap, state_cap)
+        cycle_cap = min(tree_size_bound(len(g.nonterminals), g.is_regular()) - 1, 8)
+    state = _general_state(g, run_cap, cycle_cap, state_cap)
+    if state.cycles_capped:
+        raise SearchCapExceeded(f"cycle search exceeded {state_cap} states; raise the cap")
     truncated = (
-        search.capped
-        or (not search.complete and run_cap < base_run_bound(g).value)
-        or cycle_cap < full_cycle_cap
+        state.runs_capped
+        or (not state.runs_complete and run_cap < base_run_bound(g).value)
+        or not state.cycles_complete
     )
-    groups: dict[frozenset, list[Vec]] = {}
-    for run in search.runs:
-        groups.setdefault(run.supp(), []).append(run.parikh())
-
-    anchors = sorted({q for supp in groups for q in supp})
-    cycles_by_anchor = {
-        q: enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap) for q in anchors
-    }
 
     raw: list[SimpleBundle] = []
-    for supp in sorted(groups, key=sorted):
-        bases = groups[supp]
-        pool_vecs = sorted(
-            {
-                c.parikh().to_tuple(g.alphabet)
-                for q in supp
-                for c in cycles_by_anchor.get(q, ())
-                if not c.parikh().is_zero()
-            }
-        )
+    for supp in sorted(state._bases, key=sorted):
+        bases = [Vec.from_tuple(w, g.alphabet) for w in state._bases[supp]]
+        pool_vecs = sorted(set().union(*(state._pools[q] for q in supp)))
         if fold_cap is None:
             bound = max((max(abs(x), abs(y)) for x, y in pool_vecs), default=0)
             cap = hadamard_bound(2, bound)

@@ -271,9 +271,7 @@ def _cmd_member(args) -> int:
         run_cap, cycle_cap = args.caps or (10, 8)
         res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
     else:
-        bound = args.bound if args.bound is not None else min(
-            decomposition.base_run_bound(g).value, windows.DESK_BOUND_CAP
-        )
+        bound = args.bound if args.bound is not None else windows.desk_run_bound(g)
         res = membership.member_regular(g, v, bound)
     if res.status == membership.MEMBER:
         return _verdict(True, v, g.alphabet)

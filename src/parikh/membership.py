@@ -774,28 +774,34 @@ class GeneralMembership:
         # an anchor whose cycle search outgrows the state cap pumps nothing:
         # fewer cycles only lose yes answers, and a miss becomes unknown
         self._cycles: dict[str, list[TransitionMultiset]] = {}
+        # per anchor: each nonzero cycle vector -> its first cycle there
+        self._reps: dict[str, dict[IntTuple, TransitionMultiset]] = {}
         self.cycles_capped = False
         for q in anchors:
             try:
                 self._cycles[q] = enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap)
             except SearchCapExceeded:
                 self.cycles_capped = True
-        self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
-        # per anchor: each nonzero cycle vector -> its first cycle there
-        zero = (0,) * len(alphabet)
-        self._reps: dict[str, dict[IntTuple, TransitionMultiset]] = {q: {} for q in anchors}
-        for q, cycles in self._cycles.items():
-            for cyc in cycles:
+            reps = self._reps[q] = {}
+            for cyc in self._cycles.get(q, ()):
                 z = cyc.parikh().to_tuple(alphabet)
-                if z != zero:
-                    self._reps[q].setdefault(z, cyc)
+                if any(z):
+                    reps.setdefault(z, cyc)
+        self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
         self._pools = {q: sorted(reps) for q, reps in self._reps.items()}
+
+    @cached_property
+    def _queries(self) -> list[Query]:
+        # built on the first query; `two_letter_bundles` reads only bases and pools
         groups = [(supp, bases, sorted(supp)) for supp, bases in self._bases.items()]
-        self._queries = _prepare_queries(groups, self._pools, len(alphabet))
+        return _prepare_queries(groups, self._pools, len(self.grammar.alphabet))
 
     @cached_property
     def _miss(self) -> MembershipResult:
-        """The answer for a vector no base and cycle subset reaches."""
+        """The answer for a vector no base and cycle subset reaches.  At
+        full caps the no rests on the base-run bound and on the split that
+        `cycle_enumeration_complete` states, not on a size bound for
+        simple cycles (they have none)."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
         if self.runs_capped or self.cycles_capped:

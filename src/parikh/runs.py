@@ -8,13 +8,15 @@ cycles are the special cases (to zero, singleton to singleton, and
 singleton back to itself).  Any subrun can be fired in some order that
 never consumes a missing nonterminal; that ordering also yields a
 derivation tree whose per-vertex free-symbol accounting stays
-nonnegative.
+nonnegative.  So one breadth-first firing search, `_fire`, lists every
+run (`enumerate_runs`) and every cycle (`iter_cycles`), and a cycle's
+splits into two smaller cycles are looked up among those it listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterator, Optional, Sequence
 
 from .grammar import CompiledGrammar, Grammar
@@ -365,13 +367,66 @@ def _dense_unit(cg: CompiledGrammar, q: str) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(len(cg.nonterminals)))
 
 
-def _bump(used: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return used[:i] + (used[i] + 1,) + used[i + 1:]
+def _fire(
+    cg: CompiledGrammar,
+    starts: Sequence[tuple[int, ...]],
+    ends: Sequence[tuple[int, ...]],
+    max_size: int,
+    limit: Optional[tuple[int, ...]],
+    state_cap: int,
+) -> Iterator[tuple[list[tuple[Vec, int]], bool, bool]]:
+    """The breadth-first firing search behind every run and cycle listing.
 
-
-def _in_vec_order(cg: CompiledGrammar, found) -> list[tuple[Vec, tuple[int, ...]]]:
-    """(multiset Vec, dense use counts) pairs in `Vec.sort_key` order."""
-    return sorted(((cg.multiset(used), used) for used in found), key=lambda p: p[0].sort_key())
+    A state is (marking, used): dense nonterminal and per-transition use
+    counts.  Each start keeps its own visited set, all share one state
+    count, and transitions are tried in grammar order, so a capped search
+    stops at the same state every time.  `limit` caps each transition's
+    uses.  Yields `(found, capped, exhausted)` per size 1..max_size:
+    `found` lists (multiset Vec, start index) for the new states at their
+    start's end marking, in `Vec.sort_key` order (the first start wins a
+    tie).  A capped level is partial; a capped or exhausted level is the
+    last.
+    """
+    steps = [
+        (i, cg.source[i], cg.delta[i], None if limit is None else limit[i])
+        for i in range(len(cg.tids))
+        if limit is None or limit[i] > 0
+    ]
+    no_use = (0,) * len(cg.tids)
+    frontiers = [[(m, no_use)] for m in starts]
+    visited = [set(f) for f in frontiers]
+    states = len(starts)
+    for _size in range(1, max_size + 1):
+        level: dict[tuple[int, ...], int] = {}
+        new: list[list] = [[] for _ in starts]
+        capped = False
+        for k, (marking, used) in ((k, s) for k, f in enumerate(frontiers) for s in f):
+            seen, out, end = visited[k], new[k], ends[k]
+            for i, src, delta, cap in steps:
+                if marking[src] < 1 or (cap is not None and used[i] >= cap):
+                    continue
+                new_marking = tuple(map(add, marking, delta))
+                new_used = used[:i] + (used[i] + 1,) + used[i + 1:]
+                state = (new_marking, new_used)
+                if state in seen:
+                    continue
+                seen.add(state)
+                states += 1
+                if states > state_cap:
+                    capped = True
+                    break
+                out.append(state)
+                if new_marking == end:
+                    level.setdefault(new_used, k)
+            if capped:
+                break
+        frontiers = new
+        found = [(cg.multiset(used), k) for used, k in level.items()]
+        found.sort(key=lambda f: f[0].sort_key())
+        exhausted = not capped and not any(frontiers)
+        yield found, capped, exhausted
+        if capped or exhausted:
+            return
 
 
 def iter_cycles(
@@ -388,57 +443,16 @@ def iter_cycles(
     of the given bound.  Raises SearchCapExceeded when the breadth-first
     state count outgrows `state_cap`, and ValueError for an anchor that
     is not a nonterminal.
-
-    A search state is (marking, used): dense nonterminal counts and
-    dense per-transition use counts.
     """
     cg = g.compiled
     anchors = sorted(set(anchors))
-    units = {q: _dense_unit(cg, q) for q in anchors}
+    units = [_dense_unit(cg, q) for q in anchors]
     limit = None if within is None else cg.counts(within.counts)
-    steps = [
-        (i, cg.source[i], cg.delta[i], None if limit is None else limit[i])
-        for i in range(len(cg.tids))
-        if limit is None or limit[i] > 0
-    ]
-    no_use = (0,) * len(cg.tids)
-    frontiers: dict[str, list] = {}
-    visited: dict[str, set] = {}
-    for q in anchors:
-        start = (units[q], no_use)
-        frontiers[q] = [start]
-        visited[q] = {start}
-    states = len(anchors)
-    for _size in range(1, max_size + 1):
-        level: dict[tuple[int, ...], str] = {}
-        new_frontiers: dict[str, list] = {q: [] for q in anchors}
-        for q in anchors:
-            unit_q = units[q]
-            seen = visited[q]
-            out = new_frontiers[q]
-            for marking, used in frontiers[q]:
-                for i, src, delta, cap in steps:
-                    if marking[src] < 1 or (cap is not None and used[i] >= cap):
-                        continue
-                    new_marking = tuple(map(add, marking, delta))
-                    new_used = _bump(used, i)
-                    state = (new_marking, new_used)
-                    if state in seen:
-                        continue
-                    seen.add(state)
-                    states += 1
-                    if states > state_cap:
-                        raise SearchCapExceeded(
-                            f"cycle search exceeded {state_cap} states; raise the cap"
-                        )
-                    out.append(state)
-                    if new_marking == unit_q and new_used not in level:
-                        level[new_used] = q
-        for vec, used in _in_vec_order(cg, level):
-            yield TransitionMultiset(g, vec), level[used]
-        frontiers = new_frontiers
-        if all(not f for f in frontiers.values()):
-            return
+    for found, capped, _exhausted in _fire(cg, units, units, max_size, limit, state_cap):
+        if capped:
+            raise SearchCapExceeded(f"cycle search exceeded {state_cap} states; raise the cap")
+        for vec, k in found:
+            yield TransitionMultiset(g, vec), anchors[k]
 
 
 @dataclass(frozen=True)
@@ -456,62 +470,30 @@ def enumerate_runs(
     max_size: int,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> RunSearch:
-    """All runs from `p` of size <= max_size, by breadth-first firing.
-
-    Search states are (marking, used) dense tuples as in `iter_cycles`;
-    transitions are tried in grammar order, so a capped search stops at
-    the same state on every run.  Raises ValueError when `p` is not a
+    """All runs from `p` of size <= max_size, by breadth-first firing
+    (`_fire` from p to the empty marking).  A capped search keeps the
+    runs of its partial last level.  Raises ValueError when `p` is not a
     nonterminal.
     """
     cg = g.compiled
-    steps = list(zip(range(len(cg.tids)), cg.source, cg.delta))
-    start = (_dense_unit(cg, p), (0,) * len(cg.tids))
-    frontier = [start]
-    visited = {start}
-    found: list[TransitionMultiset] = []
-    capped = False
-    exhausted = False
-    states = 1
-    for _size in range(1, max_size + 1):
-        new_frontier = []
-        level = []
-        for marking, used in frontier:
-            for i, src, delta in steps:
-                if marking[src] < 1:
-                    continue
-                new_marking = tuple(map(add, marking, delta))
-                state = (new_marking, _bump(used, i))
-                if state in visited:
-                    continue
-                visited.add(state)
-                states += 1
-                if states > state_cap:
-                    capped = True
-                    break
-                new_frontier.append(state)
-                if not any(new_marking):
-                    level.append(state[1])
-            if capped:
-                break
-        found.extend(TransitionMultiset(g, vec) for vec, _used in _in_vec_order(cg, level))
-        frontier = new_frontier
-        if capped:
-            break
-        if not frontier:
-            exhausted = True
-            break
-    return RunSearch(tuple(found), exhausted and not capped, capped)
+    start = _dense_unit(cg, p)
+    runs: list[TransitionMultiset] = []
+    capped = exhausted = False
+    for found, capped, exhausted in _fire(
+        cg, [start], [(0,) * len(start)], max_size, None, state_cap
+    ):
+        runs.extend(TransitionMultiset(g, vec) for vec, _k in found)
+    return RunSearch(tuple(runs), exhausted, capped)
 
 
-def is_simple_cycle(
-    ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STATE_CAP
-) -> bool:
+def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff `ms` is a nonzero cycle from q that is not the sum of two
-    smaller nonzero cycles from q."""
+    smaller nonzero cycles from q (those a search bounded by `ms` lists).
+    A loop anchored elsewhere does not count (`enumerate_simple_cycles`)."""
     if ms.is_zero() or not is_cycle(ms, q):
         return False
-    if ms.size() == 1:
-        return True
+    # testing each part's rest stops at a split's smaller part, where a
+    # lookup among listed parts would search on to the larger one
     for part, _anchor in iter_cycles(ms.grammar, [q], ms.size() - 1, within=ms, state_cap=state_cap):
         if is_cycle(ms - part, q):
             return False
@@ -549,22 +531,33 @@ def enumerate_simple_cycles(
     cap: int,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[TransitionMultiset]:
-    """All simple cycles from q of size <= cap, smallest first.
+    """All simple cycles from q of size <= min(cap, gamma - 1), smallest
+    first, where gamma = tree_size_bound(N, regular); a candidate is
+    dropped when two cycles listed before it add up to it.
 
-    Simple cycles never reach size tree_size_bound(N, regular), so the
-    listing is complete whenever cap >= that bound minus one; a smaller
-    cap is an explicit truncation chosen by the caller.
+    Simple cycles are not bounded in size: with `S -> a : T`,
+    `T -> b : T`, `T -> : S`, `S -> :` the cycle t1 t2*k t3 from S is
+    simple at every k, its loop being anchored at T.  The cut at gamma - 1
+    rests on `cycle_enumeration_complete`; a smaller cap is an explicit
+    truncation chosen by the caller.
     """
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
     limit = min(cap, tree_size_bound(len(g.nonterminals), g.is_regular()) - 1)
+    cg = g.compiled
+    listed: set[tuple[int, ...]] = set()
     out = []
     for cand, _anchor in iter_cycles(g, [q], limit, state_cap=state_cap):
-        if is_simple_cycle(cand, q, state_cap=state_cap):
+        used = cg.counts(cand.counts)
+        if not any(tuple(map(sub, used, c)) in listed for c in listed):
             out.append(cand)
+        listed.add(used)
     return out
 
 
 def cycle_enumeration_complete(g: Grammar, cap: int) -> bool:
-    """Whether a size cap suffices for a complete simple-cycle listing."""
+    """Whether a size cap reaches gamma - 1 = tree_size_bound(N, regular) - 1:
+    every cycle from q of size >= gamma is a smaller nonzero cycle anchored
+    in its support plus a cycle from q, so splitting ends in listed simple
+    cycles, each anchored in the support of the cycle it came from."""
     return cap >= tree_size_bound(len(g.nonterminals), g.is_regular()) - 1

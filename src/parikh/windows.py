@@ -40,6 +40,11 @@ ENGINES = ("regular-dp", "general-caps", "oracle")
 DESK_BOUND_CAP = 200
 
 
+def desk_run_bound(g: Grammar) -> int:
+    """regular-dp's default run bound: the base-run bound, at most DESK_BOUND_CAP."""
+    return min(base_run_bound(g).value, DESK_BOUND_CAP)
+
+
 @dataclass(frozen=True)
 class GrammarBounds:
     base_run: int
@@ -107,7 +112,7 @@ def membership_engine(
     lo = 0 if nonneg else -window
     if engine == "regular-dp":
         if bound is None:
-            bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
+            bound = desk_run_bound(g)
         state = _regular_state(g, bound)
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"

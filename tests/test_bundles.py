@@ -4,16 +4,18 @@ import pytest
 
 from parikh import (
     Vec,
+    member_general,
     normalize,
     oracle_language,
     parse_grammar,
     regular_bundles,
     two_letter_bundles,
 )
-from parikh import bundles
+from parikh import bundles, membership, runs
 from parikh.bundles import _direction_reps, _sector_period_sets
 from helpers import ga, gb, random_grammar
 from parikh.hardness import hard_grammar
+from parikh.runs import DEFAULT_STATE_CAP
 
 
 class TestRegularBundles:
@@ -145,9 +147,22 @@ class TestTwoLetterBundles:
             "alphabet: x y\nstart: S\n"
             "S -> x : S\nS -> : T\nT -> : S\nT -> y^-1 : T\nS -> :"
         )
-        assert any(c.parikh().is_zero() for c in bundles.enumerate_simple_cycles(g, "S", 4))
+        assert any(c.parikh().is_zero() for c in runs.enumerate_simple_cycles(g, "S", 4))
         two_letter_bundles(g, run_cap=6)
         assert seen and (0, 0) not in seen
+
+    def test_bundles_share_the_general_state(self):
+        # bundles and member_general read one enumeration; bundles never
+        # build the coset indexes that only queries read
+        g = normalize(hard_grammar(1, "stripped"))
+        membership._general_state.cache_clear()
+        two_letter_bundles(g, run_cap=8, cycle_cap=5)
+        state = membership._general_state(g, 8, 5, DEFAULT_STATE_CAP)
+        assert "_queries" not in state.__dict__
+        member_general(g, Vec({"x": 1}), 8, 5)
+        info = membership._general_state.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert "_queries" in state.__dict__
 
     def test_needs_two_letters(self):
         with pytest.raises(ValueError):

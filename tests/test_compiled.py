@@ -18,7 +18,13 @@ from parikh import (
     tree_size_bound,
 )
 from parikh.hardness import hard_grammar
-from parikh.runs import SearchCapExceeded, TransitionMultiset, enumerate_runs, iter_cycles
+from parikh.runs import (
+    RunSearch,
+    SearchCapExceeded,
+    TransitionMultiset,
+    enumerate_runs,
+    iter_cycles,
+)
 from helpers import (
     GC_TEXT,
     brute_force_multisets,
@@ -70,23 +76,27 @@ def test_oracle_language_matches_reference(index):
 @pytest.mark.parametrize("index", range(len(GRAMMARS)))
 def test_enumerate_runs_matches_reference(index):
     g = GRAMMARS[index]
-    for state_cap in (1, 2, 7, 40, 300, 10**6):
-        search = enumerate_runs(g, g.start, 7, state_cap)
-        runs, complete, capped = ref_enumerate_runs(g, g.start, 7, state_cap)
-        assert [r.counts for r in search.runs] == runs
-        assert (search.complete, search.capped) == (complete, capped)
+    for max_size in (0, 1, 7):
+        for state_cap in (1, 2, 7, 40, 300, 10**6):
+            search = enumerate_runs(g, g.start, max_size, state_cap)
+            runs, complete, capped = ref_enumerate_runs(g, g.start, max_size, state_cap)
+            assert [r.counts for r in search.runs] == runs
+            assert (search.complete, search.capped) == (complete, capped)
+    # no search ran, so nothing is known to be exhausted
+    assert enumerate_runs(g, g.start, 0) == RunSearch((), False, False)
 
 
 @pytest.mark.parametrize("index", range(len(GRAMMARS)))
 def test_iter_cycles_matches_reference(index):
     g = GRAMMARS[index]
     anchors = g.nonterminals
-    full = cycle_events(ref_iter_cycles(g, anchors, 5))
-    assert cycle_events(iter_cycles(g, anchors, 5)) == full
-    for state_cap in (1, 3, 10, 60, 400):
-        assert cycle_events(iter_cycles(g, anchors, 5, state_cap=state_cap)) == cycle_events(
-            ref_iter_cycles(g, anchors, 5, state_cap=state_cap)
-        )
+    for max_size in (0, 1, 5):
+        full = cycle_events(ref_iter_cycles(g, anchors, max_size))
+        assert cycle_events(iter_cycles(g, anchors, max_size)) == full
+        for state_cap in (1, 3, 10, 60, 400):
+            assert cycle_events(
+                iter_cycles(g, anchors, max_size, state_cap=state_cap)
+            ) == cycle_events(ref_iter_cycles(g, anchors, max_size, state_cap=state_cap))
     rng = random.Random(index)
     run = random_run(rng, g, max_steps=10)
     if run is not None:

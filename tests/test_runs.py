@@ -18,7 +18,7 @@ from parikh import (
     tree_size_bound,
     tree_to_multiset,
 )
-from parikh.runs import find_removable_cycle
+from parikh.runs import find_removable_cycle, is_cycle, iter_cycles
 from helpers import ga, gb, random_grammar, random_marking, random_run, simulate_subrun
 
 
@@ -198,6 +198,35 @@ class TestSimpleCycles:
         assert [format_multiset(c) for c in enumerate_simple_cycles(g, "S", 5)] == ["t1*1 t2*1"]
         nocycle = parse_grammar("alphabet: a\nstart: S\nS -> a : T\nT -> :")
         assert enumerate_simple_cycles(nocycle, "S", 5) == []
+
+    def test_simple_cycles_through_a_loop_anchored_elsewhere_are_unbounded(self):
+        g = parse_grammar("alphabet: a b\nstart: S\nS -> a : T\nT -> b : T\nT -> : S\nS -> :")
+        gamma = tree_size_bound(len(g.nonterminals), g.is_regular())
+        loop = ms(g, "t2*1")
+        for k in range(1, gamma + 3):
+            cycle = ms(g, f"t1*1 t2*{k} t3*1")
+            assert is_simple_cycle(cycle, "S")
+            # what bounds the listing instead: T's loop splits off
+            assert is_cycle(loop, "T") and is_cycle(cycle - loop, "S")
+        assert [format_multiset(c) for c in enumerate_simple_cycles(g, "S", 10)] == ["t1*1 t3*1"]
+
+    def test_long_cycles_split_off_a_cycle_anchored_in_their_support(self):
+        # every cycle from q of size gamma..gamma+1 is a smaller nonzero
+        # cycle from an anchor in its support plus a cycle from q
+        rng = random.Random(41)
+        checked = 0
+        for k in range(80):
+            regular = k % 2 == 0
+            g = random_grammar(rng, max_nonterminals=3 if regular else 2, regular=regular)
+            gamma = tree_size_bound(len(g.nonterminals), g.is_regular())
+            for q in g.nonterminals:
+                for cycle, _ in iter_cycles(g, [q], gamma + 1):
+                    if cycle.size() < gamma:
+                        continue
+                    parts = iter_cycles(g, sorted(cycle.supp()), cycle.size() - 1, within=cycle)
+                    assert any(is_cycle(cycle - part, q) for part, _ in parts), cycle.counts
+                    checked += 1
+        assert checked >= 400
 
 
 class TestSkeletonRuns:
