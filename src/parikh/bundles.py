@@ -6,9 +6,10 @@ vectors as periods.  Over a two-letter alphabet the cycle vectors of
 each support class are split into angular sectors whose boundary pairs
 serve as periods (the outermost boundaries are the classic extreme
 cycles), with bounded fold-in corrections absorbing interior lattice
-offsets.  Both constructions take explicit enumeration caps and report
-truncation instead of chasing the theoretical bounds, which are
-astronomically large outside toy sizes.
+offsets.  A bundle's bases are the minimal entries of the membership
+engines' coset index over its periods.  Both constructions take explicit
+enumeration caps and report truncation instead of chasing the
+theoretical bounds, which are astronomically large outside toy sizes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .decomposition import base_run_bound
 from .grammar import Grammar
-from .intlinalg import hadamard_bound, period_solver
-from .membership import RegularMembership, _general_state
+from .intlinalg import hadamard_bound
+from .membership import IntTuple, RegularMembership, _CosetIndex, _general_state
 from .runs import DEFAULT_STATE_CAP, SearchCapExceeded, tree_size_bound
 from .semilinear import SimpleBundle
 from .vector import Vec
@@ -38,18 +38,19 @@ class BundlesResult:
         return any(b.member(v) for b in self.bundles)
 
 
-def _minimize_bases(bases: Sequence[Vec], periods: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Drop base vectors generated by another base plus the periods.
-
-    Periods are independent, so "is generated by" is a strict partial
-    order on distinct bases and keeping its minimal elements preserves
-    the denoted set.
-    """
-    uniq = sorted(set(bases), key=Vec.sort_key)
-    solve = period_solver(periods)
-    return tuple(
-        w for w in uniq if not any(other != w and solve(w - other) is not None for other in uniq)
-    )
+def _bundle(
+    zs: Sequence[IntTuple],
+    index: Optional[_CosetIndex],
+    bases: Iterable[IntTuple],
+    alphabet: tuple[str, ...],
+) -> SimpleBundle:
+    """The bundle of the dense bases plus N-combinations of zs, keeping
+    the minimal bases (those `index`, the `_CosetIndex` over zs, keeps;
+    all of them without periods) in `Vec.sort_key` order."""
+    if index is not None:
+        bases = [w for entries in index.groups.values() for _coords, w in entries]
+    base_vecs = sorted((Vec.from_tuple(w, alphabet) for w in bases), key=Vec.sort_key)
+    return SimpleBundle(tuple(base_vecs), tuple(Vec.from_tuple(z, alphabet) for z in zs))
 
 
 def _subsumes(a: SimpleBundle, b: SimpleBundle) -> bool:
@@ -85,17 +86,14 @@ def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
     One bundle per (required support, maximal independent cycle-vector
     set): bases are the table run vectors, periods the cycle vectors.
     The union equals the language once run_cap reaches the base-run
-    bound; below that the result is marked truncated.  Subsumed bundles
-    are removed and base sets minimized.
+    bound; below that the result is marked truncated.  Each bundle is one
+    query of a `RegularMembership`, its bases the minimal entries of the
+    query's coset index; subsumed bundles are removed.
     """
     if not g.is_regular():
         raise ValueError("regular_bundles needs a regular grammar")
     state = RegularMembership(g, run_cap)
-    raw = []
-    for _key, zs, _index, bases, _anchors in state._queries:
-        base_vecs = [Vec.from_tuple(w, g.alphabet) for w in bases]
-        periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
-        raw.append(SimpleBundle(_minimize_bases(base_vecs, periods), periods))
+    raw = [_bundle(zs, index, bases, g.alphabet) for _key, zs, index, bases, _ in state._queries]
     bundles = _drop_subsumed(raw)
     truncated = run_cap < base_run_bound(g).value and not state.runs_exhausted
     return BundlesResult(bundles, truncated, run_cap)
@@ -183,8 +181,9 @@ def two_letter_bundles(
     min(gamma - 1, 8)); the cycle vectors supply the period sets via
     angular sectors.  Interior lattice offsets (cycle directions that are
     not period boundaries) are folded into the base set with coefficients
-    up to fold_cap.  Results below the theoretical caps are marked
-    truncated.
+    up to fold_cap, as one set of dense tuples; each sector's bases are
+    the minimal entries of a coset index over its periods.  Results below
+    the theoretical caps are marked truncated.
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
@@ -201,7 +200,6 @@ def two_letter_bundles(
 
     raw: list[SimpleBundle] = []
     for supp in sorted(state._bases, key=sorted):
-        bases = [Vec.from_tuple(w, g.alphabet) for w in state._bases[supp]]
         pool_vecs = sorted(set().union(*(state._pools[q] for q in supp)))
         if fold_cap is None:
             bound = max((max(abs(x), abs(y)) for x, y in pool_vecs), default=0)
@@ -212,14 +210,10 @@ def two_letter_bundles(
             raise SearchCapExceeded(
                 "fold-in enumeration too large; lower fold_cap or simplify the grammar"
             )
-        folded: list[Vec] = []
-        for combo in product(range(cap + 1), repeat=len(pool_vecs)):
-            shift = Vec.zero()
-            for c, pv in zip(combo, pool_vecs):
-                if c:
-                    shift = shift + Vec.from_tuple(pv, g.alphabet) * c
-            folded.extend(w + shift for w in bases)
-        for period_tuple in _sector_period_sets(pool_vecs):
-            periods = tuple(Vec.from_tuple(p, g.alphabet) for p in period_tuple)
-            raw.append(SimpleBundle(_minimize_bases(folded, periods), periods))
+        folded = set(state._bases[supp])
+        for zx, zy in pool_vecs:
+            folded = {(x + c * zx, y + c * zy) for x, y in folded for c in range(cap + 1)}
+        for zs in _sector_period_sets(pool_vecs):
+            index = _CosetIndex(list(zs), folded, 2) if zs else None
+            raw.append(_bundle(zs, index, folded, g.alphabet))
     return BundlesResult(_drop_subsumed(raw), truncated, run_cap)

@@ -7,8 +7,9 @@ gives the pivot columns, the determinant, the adjugate and the kernel of
 a matrix in a single pass.  `determinant` and `cramer_solve` read their
 answers off it, and `PeriodLattice` keeps them for a set of independent
 periods: it solves nonnegative integer combinations of the periods on
-dense integer tuples for both membership engines, and through
-`period_solver`/`nonneg_integer_solve` for `semilinear` and `bundles`.
+dense integer tuples for both membership engines (whose coset indexes
+also give `bundles` its minimal bases), and through
+`period_solver`/`nonneg_integer_solve` for `semilinear`.
 `find_integer_dependency` takes its prefix coefficients and its basis
 determinants from two lattices.
 

@@ -357,7 +357,9 @@ class _CosetIndex:
     Bases are grouped by their class modulo the lattice of Z (rational
     coset functionals plus residues of the scaled coordinates); inside a
     class only the Pareto-minimal coordinate tuples are kept, because a
-    query succeeds iff some base sits coordinatewise below it.
+    query succeeds iff some base sits coordinatewise below it.  So the
+    kept bases are the minimal ones, which no other base reaches by
+    adding periods; `bundles` reads them as a bundle's bases.
     """
 
     def __init__(self, zs: list[IntTuple], bases: dict[IntTuple, object], dim: int):

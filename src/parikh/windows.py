@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .decomposition import base_run_bound
-from .grammar import Grammar
+from .grammar import Grammar, normalize
 from .intlinalg import hadamard_bound
 from .membership import NON_MEMBER, IntTuple, _general_state, _regular_state, oracle_language
 from .runs import DEFAULT_STATE_CAP, tree_size_bound
@@ -102,12 +102,12 @@ def membership_engine(
     only when the box is `certified` (the bound reaches the completeness
     threshold, or no run vector of the table's last frontier can still be
     pumped into the box), else None.  general-caps: sound yes; the
-    members of the box asked come from the `GeneralMembership` shared
-    through `_general_state`, enumerated query by query like
-    regular-dp's; rest is False only when a miss is a definite no (not
-    when a run or cycle search stopped at its state cap).  oracle:
-    brute-force enumeration; rest is False only when the search was
-    `exhausted` (no derivation cut at `depth`), else None.
+    members of the box asked come from the `GeneralMembership` of the
+    normalized grammar shared through `_general_state`, enumerated query
+    by query like regular-dp's; rest is False only when a miss is a
+    definite no (not when a run or cycle search stopped at its state
+    cap).  oracle: brute-force enumeration; rest is False only when the
+    search was `exhausted` (no derivation cut at `depth`), else None.
     """
     lo = 0 if nonneg else -window
     if engine == "regular-dp":
@@ -122,7 +122,7 @@ def membership_engine(
         dim = len(g.alphabet)
         rest = False if state.certified((lo,) * dim, (window,) * dim) else None
     elif engine == "general-caps":
-        state = _general_state(g, run_cap, cycle_cap, DEFAULT_STATE_CAP)
+        state = _general_state(normalize(g), run_cap, cycle_cap, DEFAULT_STATE_CAP)
         members = state.box_members(lo, window)
         rest = False if state._miss.status == NON_MEMBER else None
         note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"

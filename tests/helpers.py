@@ -227,6 +227,17 @@ def ref_nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[in
     return [int(x) for x in sol]
 
 
+def ref_minimal_bases(bases: Sequence[Vec], periods: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The distinct bases that no other base reaches by adding an
+    N-combination of the periods, in `Vec.sort_key` order: every pair is
+    checked with the exact `Fraction` solve above."""
+    uniq = sorted(set(bases), key=Vec.sort_key)
+    return tuple(
+        w for w in uniq
+        if not any(u != w and ref_nonneg_integer_solve(periods, w - u) is not None for u in uniq)
+    )
+
+
 def enumerate_combinations(base: Vec, periods: Sequence[Vec], coeff_bound: int) -> set[Vec]:
     """All base + sum c_i * periods[i] with 0 <= c_i <= coeff_bound."""
     out = set()

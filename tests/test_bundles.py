@@ -13,9 +13,9 @@ from parikh import (
 )
 from parikh import bundles, membership, runs
 from parikh.bundles import _direction_reps, _sector_period_sets
-from helpers import ga, gb, random_grammar
+from helpers import enumerate_combinations, ga, gb, random_grammar, ref_minimal_bases
 from parikh.hardness import hard_grammar
-from parikh.runs import DEFAULT_STATE_CAP
+from parikh.runs import DEFAULT_STATE_CAP, SearchCapExceeded
 
 
 class TestRegularBundles:
@@ -167,3 +167,91 @@ class TestTwoLetterBundles:
     def test_needs_two_letters(self):
         with pytest.raises(ValueError):
             two_letter_bundles(ga(), run_cap=5)
+
+
+def _bundle_keys(result):
+    return {(b.bases, b.periods) for b in result.bundles}
+
+
+class TestMinimalBases:
+    """Each bundle's bases are exactly the minimal ones of its unminimized
+    base set, in `Vec.sort_key` order; minimization never drops a whole
+    bundle, so every bundle is one of the reference bundles."""
+
+    def test_regular_bundles_keep_exactly_the_minimal_bases(self):
+        rng = random.Random(307)
+        minimized = 0
+        for _ in range(25):
+            g = random_grammar(rng, max_nonterminals=3, max_letters=3, regular=True)
+            expected = set()
+            for _key, zs, _index, bases, _anchors in membership.RegularMembership(g, 7)._queries:
+                periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
+                base_vecs = [Vec.from_tuple(w, g.alphabet) for w in bases]
+                kept = ref_minimal_bases(base_vecs, periods)
+                minimized += len(kept) < len(base_vecs)
+                expected.add((kept, periods))
+            assert _bundle_keys(regular_bundles(g, 7)) <= expected
+        assert minimized  # the seeds exercise bases that another base reaches
+
+    @pytest.mark.parametrize("fold_cap", [2, None])
+    def test_two_letter_bundles_keep_exactly_the_minimal_bases(self, fold_cap):
+        rng = random.Random(311)
+        done = minimized = 0
+        while done < 15:
+            g = random_grammar(rng, max_nonterminals=3, exact_letters=2)
+            try:
+                result = two_letter_bundles(g, 6, cycle_cap=4, fold_cap=fold_cap,
+                                            fold_product_cap=300)
+            except SearchCapExceeded:
+                continue
+            state = membership._general_state(g, 6, 4, DEFAULT_STATE_CAP)
+            expected = set()
+            for supp, bases in state._bases.items():
+                pool = sorted(set().union(*(state._pools[q] for q in supp)))
+                # the default fold cap: n! * c**n at n = 2 for the pool's largest entry
+                cap = fold_cap
+                if cap is None:
+                    cap = 2 * max((max(map(abs, z)) for z in pool), default=0) ** 2
+                pool_vecs = [Vec.from_tuple(z, g.alphabet) for z in pool]
+                folded = set().union(*(
+                    enumerate_combinations(Vec.from_tuple(w, g.alphabet), pool_vecs, cap)
+                    for w in bases
+                ))
+                for zs in _sector_period_sets(pool):
+                    periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
+                    kept = ref_minimal_bases(folded, periods)
+                    minimized += len(kept) < len(folded)
+                    expected.add((kept, periods))
+            assert _bundle_keys(result) <= expected
+            done += 1
+        assert minimized
+
+
+class TestPinnedOutputs:
+    """Two grammars whose bundles were slow to minimize pairwise; their
+    output is pinned to the pairwise construction's."""
+
+    def test_three_letter_regular_grammar(self):
+        g = parse_grammar(
+            "alphabet: a b c\nstart: Q0\n"
+            "Q0 -> a : Q1\nQ0 -> c : Q0\nQ1 -> a : Q0\nQ1 -> c : Q0\nQ1 -> :"
+        )
+        result = regular_bundles(g, 40)
+        shape = [(len(b.bases), [p.to_dict() for p in b.periods]) for b in result.bundles]
+        assert shape == [
+            (39, [{"a": 1, "c": 1}, {"a": 2}]),
+            (20, [{"c": 1}, {"a": 1, "c": 1}]),
+            (2, [{"c": 1}, {"a": 2}]),
+        ]
+        assert result.truncated
+        for b in result.bundles:
+            assert list(b.bases) == sorted(b.bases, key=Vec.sort_key)
+
+    def test_seed_151_two_letter_grammar(self):
+        g = random_grammar(random.Random(151), max_nonterminals=3, exact_letters=2)
+        result = two_letter_bundles(g, 6)
+        assert [(b.bases, b.periods) for b in result.bundles] == [
+            ((Vec.unit("b", 109),), (Vec.unit("b", -1),)),
+            ((Vec.unit("b", -20),), (Vec.unit("b"),)),
+        ]
+        assert result.truncated

@@ -179,6 +179,27 @@ class TestDecisionCommands:
             assert (extra_code, extra_out) == (code, out)
             assert extra_err == note + err
 
+    @pytest.mark.parametrize("cmd", [
+        ("compare", "{g}", "{a}", "--mode", "disjoint"),
+        ("compare", "{a}", "{g}", "--mode", "include"),
+        ("universal", "{g}", "--ambient", "nat"),
+    ])
+    def test_general_caps_sweeps_normalize_first(self, capsys, tmp_path, cmd):
+        # like member, the general-caps sweeps accept a grammar outside
+        # normal form and answer as for its normal form
+        wide, normal, a_star = tmp_path / "wide.cg", tmp_path / "normal.cg", tmp_path / "a.cg"
+        wide.write_text("alphabet: a b\nstart: S\nS -> a^3 : T\nT -> b : S\nT -> :\n")
+        a_star.write_text("alphabet: a b\nstart: S\nS -> a : S\nS -> :\n")
+        code, out, _ = run_cli(capsys, "normalize", str(wide))
+        assert code == 0 and out.count("->") > 3
+        normal.write_text(out)
+        results = []
+        for g in (wide, normal):
+            argv = [arg.format(g=g, a=a_star) for arg in cmd]
+            results.append(run_cli(capsys, *argv, "--window", "4", "--engine", "general-caps"))
+        assert results[0][0] != 65
+        assert results[0] == results[1]
+
     def test_universal(self, capsys, ga_file, gb_file):
         code, out, _ = run_cli(capsys, "universal", ga_file, "--window", "6", "--depth", "10")
         assert code == 0

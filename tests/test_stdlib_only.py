@@ -22,3 +22,23 @@ def test_only_standard_library_imports():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_no_unused_module_level_imports():
+    # __init__.py imports in order to re-export; every other module-level
+    # import must be read somewhere in its module
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
