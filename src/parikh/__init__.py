@@ -30,6 +30,7 @@ from .grammar import (
     serialize_grammar,
 )
 from .intlinalg import (
+    CosetIndex,
     PeriodLattice,
     cramer_solve,
     determinant,

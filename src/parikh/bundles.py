@@ -6,10 +6,13 @@ vectors as periods.  Over a two-letter alphabet the cycle vectors of
 each support class are split into angular sectors whose boundary pairs
 serve as periods (the outermost boundaries are the classic extreme
 cycles), with bounded fold-in corrections absorbing interior lattice
-offsets.  A bundle's bases are the minimal entries of the membership
-engines' coset index over its periods.  Both constructions take explicit
-enumeration caps and report truncation instead of chasing the
-theoretical bounds, which are astronomically large outside toy sizes.
+offsets.  A bundle's bases are the minimal entries of an
+`intlinalg.CosetIndex` over its periods (for `regular_bundles`, the one
+the membership engine already built), and `SimpleBundle`'s own index
+over its bases answers membership and subsumption.  Both constructions
+take explicit enumeration caps and report truncation instead of chasing
+the theoretical bounds, which are astronomically large outside toy
+sizes.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .decomposition import base_run_bound
 from .grammar import Grammar
-from .intlinalg import hadamard_bound
-from .membership import IntTuple, RegularMembership, _CosetIndex, _general_state
+from .intlinalg import CosetIndex, hadamard_bound
+from .membership import RegularMembership, _general_state
 from .runs import DEFAULT_STATE_CAP, SearchCapExceeded, tree_size_bound
 from .semilinear import SimpleBundle
 from .vector import Vec
@@ -38,26 +41,19 @@ class BundlesResult:
         return any(b.member(v) for b in self.bundles)
 
 
-def _bundle(
-    zs: Sequence[IntTuple],
-    index: Optional[_CosetIndex],
-    bases: Iterable[IntTuple],
-    alphabet: tuple[str, ...],
-) -> SimpleBundle:
-    """The bundle of the dense bases plus N-combinations of zs, keeping
-    the minimal bases (those `index`, the `_CosetIndex` over zs, keeps;
-    all of them without periods) in `Vec.sort_key` order."""
-    if index is not None:
-        bases = [w for entries in index.groups.values() for _coords, w in entries]
+def _bundle(index: CosetIndex, alphabet: tuple[str, ...]) -> SimpleBundle:
+    """The bundle of a `CosetIndex`: the minimal bases it keeps, in
+    `Vec.sort_key` order, plus N-combinations of its periods."""
+    bases = (w for entries in index.groups.values() for _coords, w in entries)
     base_vecs = sorted((Vec.from_tuple(w, alphabet) for w in bases), key=Vec.sort_key)
-    return SimpleBundle(tuple(base_vecs), tuple(Vec.from_tuple(z, alphabet) for z in zs))
+    periods = tuple(Vec.from_tuple(z, alphabet) for z in index.lattice.zs)
+    return SimpleBundle(tuple(base_vecs), periods)
 
 
 def _subsumes(a: SimpleBundle, b: SimpleBundle) -> bool:
-    """Whether bundle a denotes a superset of bundle b."""
-    return all(a.solve(z) is not None for z in b.periods) and all(
-        a.member(w) for w in b.bases
-    )
+    """Whether bundle a denotes a superset of bundle b: a spans every
+    period of b and holds every base of b."""
+    return all(a.spans(z) for z in b.periods) and all(a.member(w) for w in b.bases)
 
 
 def _drop_subsumed(raw: Sequence[SimpleBundle]) -> tuple[SimpleBundle, ...]:
@@ -93,7 +89,7 @@ def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
     if not g.is_regular():
         raise ValueError("regular_bundles needs a regular grammar")
     state = RegularMembership(g, run_cap)
-    raw = [_bundle(zs, index, bases, g.alphabet) for _key, zs, index, bases, _ in state._queries]
+    raw = [_bundle(index, g.alphabet) for _key, _zs, index, _anchors in state._queries]
     bundles = _drop_subsumed(raw)
     truncated = run_cap < base_run_bound(g).value and not state.runs_exhausted
     return BundlesResult(bundles, truncated, run_cap)
@@ -214,6 +210,5 @@ def two_letter_bundles(
         for zx, zy in pool_vecs:
             folded = {(x + c * zx, y + c * zy) for x, y in folded for c in range(cap + 1)}
         for zs in _sector_period_sets(pool_vecs):
-            index = _CosetIndex(list(zs), folded, 2) if zs else None
-            raw.append(_bundle(zs, index, folded, g.alphabet))
+            raw.append(_bundle(CosetIndex(zs, folded, 2), g.alphabet))
     return BundlesResult(_drop_subsumed(raw), truncated, run_cap)

@@ -246,10 +246,10 @@ def _cmd_member(args) -> int:
     v = parse_monomial(args.vector)
     if args.oracle:
         engine, flag = "oracle", "--oracle"
-    elif args.caps or not g.is_regular():
-        engine, flag = "general-caps", "--caps"
     else:
-        engine, flag = "regular-dp", "--bound"
+        g = normalize(g)  # what both other engines read
+        regular = g.is_regular() and not args.caps
+        engine, flag = ("regular-dp", "--bound") if regular else ("general-caps", "--caps")
     given = [name for name, value in (("--bound", args.bound), ("--caps", args.caps),
                                       ("--oracle", args.oracle)) if value is not None]
     _note_unused(given, flag, engine)
@@ -269,7 +269,7 @@ def _cmd_member(args) -> int:
         return _verdict(False, None)
     if engine == "general-caps":
         run_cap, cycle_cap = args.caps or (10, 8)
-        res = membership.member_general(normalize(g), v, run_cap, cycle_cap)
+        res = membership.member_general(g, v, run_cap, cycle_cap)
     else:
         bound = args.bound if args.bound is not None else windows.desk_run_bound(g)
         res = membership.member_regular(g, v, bound)
@@ -390,7 +390,7 @@ def _dispatch(args) -> int:
                 normalize(g), args.run_cap, cycle_cap=args.cycle_cap, fold_cap=args.fold_cap
             )
         else:
-            result = bundles_mod.regular_bundles(g, args.run_cap)
+            result = bundles_mod.regular_bundles(normalize(g), args.run_cap)
         blocks = []
         for b in result.bundles:
             lines = [f"W: {format_monomial(w, g.alphabet)}" for w in b.bases]

@@ -16,10 +16,9 @@ from .intlinalg import hadamard_bound, is_linearly_independent, reduce_multiplic
 from .runs import (
     DEFAULT_STATE_CAP,
     TransitionMultiset,
-    is_cycle,
+    find_removable_cycle,
     is_run,
     is_simple_cycle,
-    iter_cycles,
     tree_size_bound,
 )
 from .vector import Vec
@@ -90,7 +89,8 @@ def decompose_run(
     """Decompose a run from `p` per the bounded-base-run guarantee.
 
     Repeatedly strips the smallest removable cycle (one whose removal
-    leaves a run still supporting every anchor recorded so far), merges
+    leaves a run still supporting every anchor recorded so far:
+    `runs.find_removable_cycle` with those anchors to keep), merges
     stripped cycles with equal letter vectors, then reduces
     multiplicities so the surviving cycle vectors are linearly
     independent; leftovers that stay dependent on the kept cycles are
@@ -104,29 +104,10 @@ def decompose_run(
     rest = ms
     stripped: list[tuple[TransitionMultiset, str]] = []
     held: set[str] = set()
-    while True:
-        hit = None
-        for cand, _least in iter_cycles(
-            g, sorted(rest.supp()), rest.size(), within=rest, state_cap=state_cap
-        ):
-            remainder = rest - cand
-            if not is_run(remainder, p):
-                continue
-            supp = remainder.supp()
-            if not held <= supp:
-                continue
-            anchor = next(
-                (q for q in sorted(cand.supp()) if q in supp and is_cycle(cand, q)), None
-            )
-            if anchor is not None:
-                hit = (cand, anchor)
-                break
-        if hit is None:
-            break
-        cycle, anchor = hit
-        stripped.append((cycle, anchor))
-        held.add(anchor)
-        rest = rest - cycle
+    while (hit := find_removable_cycle(rest, p, state_cap, keep=held)) is not None:
+        stripped.append(hit)
+        held.add(hit[1])
+        rest = rest - hit[0]
 
     # merge cycles with the same letter vector; first-stripped wins as
     # the representative

@@ -339,8 +339,10 @@ def normalize(g: Grammar) -> Grammar:
     A violating transition is unrolled into a chain: each link emits at
     most one letter unit and hands at most one spawned nonterminal off,
     carrying the rest in a fresh continuation nonterminal named
-    ``<source>__k``.  Already-normal grammars are returned unchanged.
-    Fresh transition ids continue after the existing ones.
+    ``<source>__k``.  A rule with one target hands it to the last link,
+    so a grammar whose rules have at most one target normalizes to a
+    regular one.  Already-normal grammars are returned unchanged.  Fresh
+    transition ids continue after the existing ones.
     """
     if g.is_normal_form():
         return g
@@ -367,11 +369,14 @@ def normalize(g: Grammar) -> Grammar:
         for sym, count in t.targets:
             pending.extend([sym] * count)
         src = t.source
+        # a single target waits for the last link, so a regular rule
+        # unrolls into a regular chain
+        peel = len(pending) > 1
         while len(letters) > 1 or len(pending) > 2:
             output = letters.pop(0) if letters else Vec.zero()
             carry = _fresh_name(t.source, used_names)
             step = {carry: 1}
-            if pending:
+            if peel and pending:
                 peeled = pending.pop(0)
                 step[peeled] = step.get(peeled, 0) + 1
             fresh_rule(src, output, Vec(step))

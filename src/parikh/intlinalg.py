@@ -5,11 +5,11 @@ Everything runs on arbitrary-precision integers, with no floating point;
 fraction-free Gauss–Jordan elimination (Bareiss 1968, `_gauss_jordan`)
 gives the pivot columns, the determinant, the adjugate and the kernel of
 a matrix in a single pass.  `determinant` and `cramer_solve` read their
-answers off it, and `PeriodLattice` keeps them for a set of independent
-periods: it solves nonnegative integer combinations of the periods on
-dense integer tuples for both membership engines (whose coset indexes
-also give `bundles` its minimal bases), and through
-`period_solver`/`nonneg_integer_solve` for `semilinear`.
+answers off it, and `PeriodLattice` keeps them to solve nonnegative
+integer combinations of independent periods on dense integer tuples.
+`CosetIndex` answers every simple bundle's question, is v a base plus
+such a combination, from one lattice; both membership engines, both
+bundle constructions and `SimpleBundle` read it.
 `find_integer_dependency` takes its prefix coefficients and its basis
 determinants from two lattices.
 
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Optional, Sequence
+from itertools import product
+from operator import mul, sub
+from typing import Iterable, Optional, Sequence
 
 from .vector import Vec
 
@@ -362,20 +363,105 @@ class PeriodLattice:
         return tuple(out)
 
 
-def period_solver(periods: Sequence[Vec]) -> Callable[[Vec], Optional[IntTuple]]:
-    """`PeriodLattice.solve` for linearly independent Vec periods and Vec
-    targets, from one lattice built over the periods' symbols; raises
-    ValueError on dependent periods."""
-    symbols = _union_symbols(periods)
-    known = set(symbols)
-    lattice = PeriodLattice([p.to_tuple(symbols) for p in periods], len(symbols))
+class CosetIndex:
+    """Point lookups for the simple bundle {w + N-combinations of zs : w
+    in bases} on dense integer tuples.
 
-    def solve(v: Vec) -> Optional[IntTuple]:
-        if not known.issuperset(v.support()):
-            return None
-        return lattice.solve(v.to_tuple(symbols))
+    Bases are grouped by their class modulo the lattice of zs (rational
+    coset functionals plus residues of the scaled coordinates); inside a
+    class only the Pareto-minimal coordinate tuples are kept, because a
+    query succeeds iff some base sits coordinatewise below it.  So the
+    kept bases are the minimal ones, which no other base reaches by
+    adding periods.  With no periods every base is its own class.
+    """
 
-    return solve
+    def __init__(self, zs: Sequence[IntTuple], bases: Iterable[IntTuple], dim: int):
+        self.lattice = PeriodLattice(zs, dim)
+        self.dim = dim
+        groups: dict[tuple, list[tuple[IntTuple, IntTuple]]] = {}
+        for w in bases:
+            key, coords = self._key_coords(w)
+            groups.setdefault(key, []).append((coords, w))
+        self.groups = {key: _pareto_min(entries) for key, entries in groups.items()}
+
+    @property
+    def det(self) -> int:
+        return self.lattice.det
+
+    def _key_coords(self, v: IntTuple) -> tuple[tuple, IntTuple]:
+        lattice = self.lattice
+        scaled = lattice.scaled(v)
+        det = lattice.det
+        return (lattice.functionals(v), tuple(c % det for c in scaled)), scaled
+
+    def box_points(self, lo: int, hi: int) -> set[IntTuple]:
+        """Members of the indexed set inside the box [lo..hi]^dim.
+
+        A member v = w + sum(c_i z_i) is fixed by its pivot coordinates
+        u = v[rows], because adj * (u - w[rows]) = det * c.  So each
+        Pareto-minimal base w tries every u in [lo..hi]^k once and keeps
+        it when every det * c_i is a nonnegative multiple of det and v
+        lies in the box: at most (hi - lo + 1)^k candidates per base.
+        """
+        lattice = self.lattice
+        det = lattice.det
+        # columns[i][j] = z_j[i], one (possibly empty) column per letter
+        columns = [tuple(z[i] for z in lattice.zs) for i in range(self.dim)]
+        # adj * u for every pivot tuple, bucketed by its residues mod det;
+        # a class's residue key selects the tuples whose c is integral
+        images: dict[IntTuple, list[IntTuple]] = {}
+        for u in product(range(lo, hi + 1), repeat=len(lattice.zs)):
+            image = tuple(sum(map(mul, row, u)) for row in lattice.adj)
+            images.setdefault(tuple(c % det for c in image), []).append(image)
+        found: set[IntTuple] = set()
+        for (_kern, residues), entries in self.groups.items():
+            candidates = images.get(residues, ())
+            for base_coords, w in entries:
+                for image in candidates:
+                    scaled = tuple(map(sub, image, base_coords))
+                    if any(c < 0 for c in scaled):
+                        continue
+                    # det * v = det * w + sum(scaled_j * z_j), divisible here
+                    v = tuple(
+                        (det * x + sum(map(mul, scaled, col))) // det
+                        for x, col in zip(w, columns)
+                    )
+                    if all(lo <= x <= hi for x in v):
+                        found.add(v)
+        return found
+
+    def lookup(self, v: IntTuple) -> Optional[tuple[IntTuple, IntTuple]]:
+        """(base vector, coefficients) or None; the base has the least
+        scaled coordinates, so the coefficients are lexicographically largest."""
+        key, coords = self._key_coords(v)
+        for base_coords, w in self.groups.get(key, ()):
+            if all(b <= c for b, c in zip(base_coords, coords)):
+                coeffs = tuple((c - b) // self.det for b, c in zip(base_coords, coords))
+                return w, coeffs
+        return None
+
+
+def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
+    """Antichain of coordinatewise-minimal entries (coords, payload)."""
+    if not entries:
+        return []
+    k = len(entries[0][0])
+    entries = sorted(entries)
+    if k <= 1:
+        return [entries[0]]
+    if k == 2:
+        out: list[tuple[IntTuple, IntTuple]] = []
+        best = None
+        for coords, w in entries:
+            if best is None or coords[1] < best:
+                out.append((coords, w))
+                best = coords[1]
+        return out
+    out = []
+    for coords, w in entries:
+        if not any(all(b <= c for b, c in zip(kept[0], coords)) for kept in out):
+            out.append((coords, w))
+    return out
 
 
 def nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[int]]:
@@ -385,5 +471,9 @@ def nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[int]]:
     unique; it is accepted only if it is integral and componentwise
     nonnegative.
     """
-    sol = period_solver(periods)(v)
+    symbols = _union_symbols(periods)
+    lattice = PeriodLattice([p.to_tuple(symbols) for p in periods], len(symbols))
+    if not set(symbols).issuperset(v.support()):
+        return None
+    sol = lattice.solve(v.to_tuple(symbols))
     return None if sol is None else list(sol)

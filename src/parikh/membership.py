@@ -30,7 +30,8 @@ unknown; a run or cycle search cut by its state cap answers unknown.
 Both engines share one query structure.  `_prepare_queries` pairs each
 group of base vectors with one support (ordered by support size, then
 names) with every maximal independent subset of the cycle vectors
-anchored in that support.  A point is answered by the first query that
+anchored in that support, as an `intlinalg.CosetIndex` of the group's
+bases over the subset.  A point is answered by the first query that
 reaches it (`_first_hit`), a box by the union of every query's box
 points (`_box_union`).  So a witness follows one rule in both: the first
 group, then the first subset in dense-tuple order, then the base with
@@ -46,13 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar
-from .intlinalg import PeriodLattice, maximal_independent_subsets
+from .intlinalg import CosetIndex, IntTuple, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
     SearchCapExceeded,
@@ -64,7 +64,6 @@ from .runs import (
 from .vector import Vec
 
 Cell = tuple[frozenset, str]
-IntTuple = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -351,111 +350,13 @@ class MembershipResult:
 # queries: base vectors plus nonnegative combinations of independent periods
 
 
-class _CosetIndex:
-    """Point lookups for {w + N-combinations of Z : w in bases}.
-
-    Bases are grouped by their class modulo the lattice of Z (rational
-    coset functionals plus residues of the scaled coordinates); inside a
-    class only the Pareto-minimal coordinate tuples are kept, because a
-    query succeeds iff some base sits coordinatewise below it.  So the
-    kept bases are the minimal ones, which no other base reaches by
-    adding periods; `bundles` reads them as a bundle's bases.
-    """
-
-    def __init__(self, zs: list[IntTuple], bases: dict[IntTuple, object], dim: int):
-        self.lattice = PeriodLattice(zs, dim)
-        groups: dict[tuple, list[tuple[IntTuple, IntTuple]]] = {}
-        for w in bases:
-            key, coords = self._key_coords(w)
-            groups.setdefault(key, []).append((coords, w))
-        self.groups = {key: _pareto_min(entries) for key, entries in groups.items()}
-
-    @property
-    def det(self) -> int:
-        return self.lattice.det
-
-    def _key_coords(self, v: IntTuple) -> tuple[tuple, IntTuple]:
-        lattice = self.lattice
-        scaled = lattice.scaled(v)
-        det = lattice.det
-        return (lattice.functionals(v), tuple(c % det for c in scaled)), scaled
-
-    def box_points(self, lo: int, hi: int) -> set[IntTuple]:
-        """Members of the indexed set inside the box [lo..hi]^dim.
-
-        A member v = w + sum(c_i z_i) is fixed by its pivot coordinates
-        u = v[rows], because adj * (u - w[rows]) = det * c.  So each
-        Pareto-minimal base w tries every u in [lo..hi]^k once and keeps
-        it when every det * c_i is a nonnegative multiple of det and v
-        lies in the box: at most (hi - lo + 1)^k candidates per base.
-        """
-        lattice = self.lattice
-        det = lattice.det
-        columns = list(zip(*lattice.zs))  # columns[i][j] = z_j[i]
-        # adj * u for every pivot tuple, bucketed by its residues mod det;
-        # a class's residue key selects the tuples whose c is integral
-        images: dict[IntTuple, list[IntTuple]] = {}
-        for u in product(range(lo, hi + 1), repeat=len(lattice.zs)):
-            image = tuple(sum(map(mul, row, u)) for row in lattice.adj)
-            images.setdefault(tuple(c % det for c in image), []).append(image)
-        found: set[IntTuple] = set()
-        for (_kern, residues), entries in self.groups.items():
-            candidates = images.get(residues, ())
-            for base_coords, w in entries:
-                for image in candidates:
-                    scaled = tuple(map(sub, image, base_coords))
-                    if any(c < 0 for c in scaled):
-                        continue
-                    # det * v = det * w + sum(scaled_j * z_j), divisible here
-                    v = tuple(
-                        (det * x + sum(map(mul, scaled, col))) // det
-                        for x, col in zip(w, columns)
-                    )
-                    if all(lo <= x <= hi for x in v):
-                        found.add(v)
-        return found
-
-    def lookup(self, v: IntTuple) -> Optional[tuple[IntTuple, tuple[int, ...]]]:
-        """Return (base vector, coefficients) or None."""
-        key, coords = self._key_coords(v)
-        for base_coords, w in self.groups.get(key, ()):
-            if all(b <= c for b, c in zip(base_coords, coords)):
-                coeffs = tuple((c - b) // self.det for b, c in zip(base_coords, coords))
-                return w, coeffs
-        return None
-
-
-def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
-    """Antichain of coordinatewise-minimal entries (coords, payload)."""
-    if not entries:
-        return []
-    k = len(entries[0][0])
-    entries = sorted(entries)
-    if k == 1:
-        return [entries[0]]
-    if k == 2:
-        out: list[tuple[IntTuple, IntTuple]] = []
-        best = None
-        for coords, w in entries:
-            if best is None or coords[1] < best:
-                out.append((coords, w))
-                best = coords[1]
-        return out
-    out = []
-    for coords, w in entries:
-        if not any(all(b <= c for b, c in zip(kept[0], coords)) for kept in out):
-            out.append((coords, w))
-    return out
-
-
 def _support_order(supp: frozenset) -> tuple[int, list[str]]:
     """The order of query groups in both engines: size, then names."""
     return len(supp), sorted(supp)
 
 
-# a query: (group key, periods, coset index or None without periods,
-# bases, anchors); the bases map each dense base vector to its payload
-Query = tuple[object, tuple[IntTuple, ...], Optional[_CosetIndex], dict, list[str]]
+# a query: (group key, periods, coset index of the group's bases, anchors)
+Query = tuple[object, tuple[IntTuple, ...], CosetIndex, list[str]]
 
 
 def _prepare_queries(
@@ -472,21 +373,14 @@ def _prepare_queries(
         pool = sorted({v for q in anchors for v in pools[q]})
         for subset in maximal_independent_subsets(pool):
             zs = tuple(pool[i] for i in subset)
-            index = _CosetIndex(list(zs), bases, dim) if zs else None
-            queries.append((key, zs, index, bases, anchors))
+            queries.append((key, zs, CosetIndex(zs, bases, dim), anchors))
     return queries
 
 
 def _first_hit(queries: list[Query], t: IntTuple) -> Optional[tuple]:
     """(key, base, periods, coefficients, anchors) from the first query
-    that reaches the dense tuple t, or None.  Inside a query the base is
-    the one `_CosetIndex.lookup` returns: the least scaled coordinates,
-    so the lexicographically largest coefficient tuple."""
-    for key, zs, index, bases, anchors in queries:
-        if index is None:
-            if t in bases:
-                return key, t, zs, (), anchors
-            continue
+    that reaches the dense tuple t (`CosetIndex.lookup`), or None."""
+    for key, zs, index, anchors in queries:
         hit = index.lookup(t)
         if hit is not None:
             return key, hit[0], zs, hit[1], anchors
@@ -495,13 +389,10 @@ def _first_hit(queries: list[Query], t: IntTuple) -> Optional[tuple]:
 
 def _box_union(queries: list[Query], lo: int, hi: int) -> frozenset[IntTuple]:
     """Dense tuples of the box [lo..hi]^dim that some query reaches,
-    enumerated query by query (`_CosetIndex.box_points`)."""
+    enumerated query by query (`CosetIndex.box_points`)."""
     found: set[IntTuple] = set()
-    for _key, _zs, index, bases, _anchors in queries:
-        if index is None:
-            found.update(w for w in bases if all(lo <= x <= hi for x in w))
-        else:
-            found |= index.box_points(lo, hi)
+    for _key, _zs, index, _anchors in queries:
+        found |= index.box_points(lo, hi)
     return frozenset(found)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .grammar import CompiledGrammar, Grammar
 from .vector import Vec
@@ -501,18 +501,31 @@ def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STA
 
 
 def find_removable_cycle(
-    ms: TransitionMultiset, p: str, state_cap: int = DEFAULT_STATE_CAP
+    ms: TransitionMultiset,
+    p: str,
+    state_cap: int = DEFAULT_STATE_CAP,
+    keep: Optional[Iterable[str]] = None,
 ) -> Optional[tuple[TransitionMultiset, str]]:
     """Smallest cycle inside the run `ms` whose removal keeps a run from
-    `p` with the same support; None when `ms` is a skeleton run.
+    `p` whose support holds `keep` (default: all of `ms`'s), with its
+    anchor: the first nonterminal of the cycle's support that the rest
+    holds and the cycle returns to.  None when there is no such cycle;
+    by default, when `ms` is a skeleton run.
 
     Candidates are generated smallest-first with a deterministic
     tie-break, so repeated stripping is reproducible.
     """
     supp = ms.supp()
-    for cand, anchor in iter_cycles(ms.grammar, sorted(supp), ms.size(), within=ms, state_cap=state_cap):
+    keep = supp if keep is None else frozenset(keep)
+    for cand, _least in iter_cycles(ms.grammar, sorted(supp), ms.size(), within=ms, state_cap=state_cap):
         rest = ms - cand
-        if rest.supp() == supp and is_run(rest, p):
+        rest_supp = rest.supp()
+        if not keep <= rest_supp or not is_run(rest, p):
+            continue
+        anchor = next(
+            (q for q in sorted(cand.supp()) if q in rest_supp and is_cycle(cand, q)), None
+        )
+        if anchor is not None:
             return cand, anchor
     return None
 

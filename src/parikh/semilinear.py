@@ -2,12 +2,14 @@
 
 A linear set is base + nonnegative integer combinations of its periods;
 a semilinear set is a finite union of linear sets; a simple bundle is a
-finite base set plus linearly independent periods.  Membership in a
-linear set with arbitrary (possibly dependent) periods is decided
-exactly: any representable vector is representable with all period
-coefficients below the determinant bound except on an independent
-subset, so a finite search over bounded assignments plus one exact
-solve per independent core is complete.
+finite base set plus linearly independent periods.  A simple bundle
+answers membership through one `intlinalg.CosetIndex` of its bases over
+its periods, built on first use.  Membership in a linear set with
+arbitrary (possibly dependent) periods is decided exactly: any
+representable vector is representable with all period coefficients
+below the determinant bound except on an independent subset, so a
+finite search over bounded assignments plus one exact solve per
+independent core (a `PeriodLattice` on dense tuples) is complete.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from .intlinalg import (
+    CosetIndex,
+    IntTuple,
+    PeriodLattice,
     hadamard_bound,
     is_linearly_independent,
     maximal_independent_subsets,
-    period_solver,
 )
 from .vector import Vec
 
@@ -49,12 +53,26 @@ class SimpleBundle:
         )
 
     @cached_property
-    def solve(self) -> Callable[[Vec], Optional[tuple[int, ...]]]:
-        """Coefficients in N^k of a vector over the periods, or None."""
-        return period_solver(self.periods)
+    def _index(self) -> tuple[tuple[str, ...], CosetIndex]:
+        """The bundle's letters, and its coset index on dense tuples of them."""
+        letters = tuple(sorted({s for v in self.bases + self.periods for s in v.support()}))
+        zs = [p.to_tuple(letters) for p in self.periods]
+        return letters, CosetIndex(zs, [w.to_tuple(letters) for w in self.bases], len(letters))
+
+    def _dense(self, v: Vec) -> Optional[IntTuple]:
+        """v on the bundle's letters; None when it uses another letter, so
+        that it is neither a member nor a combination of the periods."""
+        letters = self._index[0]
+        return v.to_tuple(letters) if all(s in letters for s in v.support()) else None
 
     def member(self, v: Vec) -> bool:
-        return any(self.solve(v - w) is not None for w in self.bases)
+        t = self._dense(v)
+        return t is not None and self._index[1].lookup(t) is not None
+
+    def spans(self, z: Vec) -> bool:
+        """Whether z is a nonnegative integer combination of the periods."""
+        t = self._dense(z)
+        return t is not None and self._index[1].lattice.solve(t) is not None
 
 
 @dataclass(frozen=True)
@@ -75,18 +93,21 @@ def linear_member(ls: LinearSet, v: Vec) -> bool:
     periods = ls.periods
     if not periods:
         return target.is_zero()
-    dims = {s for p in periods for s in p.support()} | set(target.support())
-    coeff_bound = hadamard_bound(len(dims), max(p.norm_inf() for p in periods))
     symbols = sorted({sym for p in periods for sym in p.support()})
-    for core in maximal_independent_subsets([p.to_tuple(symbols) for p in periods]):
-        solve = period_solver([periods[i] for i in core])
-        rest = [i for i in range(len(periods)) if i not in core]
+    if not set(symbols).issuperset(target.support()):
+        return False  # no period moves a letter the target needs
+    coeff_bound = hadamard_bound(len(symbols), max(p.norm_inf() for p in periods))
+    zs = [p.to_tuple(symbols) for p in periods]
+    t = target.to_tuple(symbols)
+    for core in maximal_independent_subsets(zs):
+        lattice = PeriodLattice([zs[i] for i in core], len(symbols))
+        rest = [zs[i] for i in range(len(zs)) if i not in core]
         for assignment in product(range(coeff_bound + 1), repeat=len(rest)):
-            residue = target
-            for i, c in zip(rest, assignment):
+            residue = t
+            for z, c in zip(rest, assignment):
                 if c:
-                    residue = residue - periods[i] * c
-            if solve(residue) is not None:
+                    residue = tuple(x - c * y for x, y in zip(residue, z))
+            if lattice.solve(residue) is not None:
                 return True
     return False
 

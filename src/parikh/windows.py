@@ -69,12 +69,11 @@ def _grammar_bounds(g: Grammar) -> GrammarBounds:
 
 
 def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
-    """Computable bound ingredients for a pair of normal-form grammars."""
+    """Computable bound ingredients for a pair of grammars, each taken in
+    normal form (`normalize`)."""
     if g1.alphabet != g2.alphabet:
         raise ValueError("grammars must share one alphabet")
-    if not g1.is_normal_form() or not g2.is_normal_form():
-        raise ValueError("grammars must be in normal form")
-    return WindowBoundReport(_grammar_bounds(g1), _grammar_bounds(g2))
+    return WindowBoundReport(_grammar_bounds(normalize(g1)), _grammar_bounds(normalize(g2)))
 
 
 Answer = tuple[frozenset[IntTuple], Optional[bool]]  # (members, rest); None = unknown
@@ -95,6 +94,7 @@ def membership_engine(
     `members`, the dense tuples (alphabet order) the engine accepts, and
     `rest`, its one answer for every other box point (None = unknown).
 
+    Every engine but the oracle reads the normalized grammar (`normalize`).
     regular-dp: exact up to its run bound (default min of the theoretical
     bound and a desk cap).  The members come from the `RegularMembership`
     shared through `_regular_state`, which reads only the runs that can
@@ -102,15 +102,16 @@ def membership_engine(
     only when the box is `certified` (the bound reaches the completeness
     threshold, or no run vector of the table's last frontier can still be
     pumped into the box), else None.  general-caps: sound yes; the
-    members of the box asked come from the `GeneralMembership` of the
-    normalized grammar shared through `_general_state`, enumerated query
-    by query like regular-dp's; rest is False only when a miss is a
-    definite no (not when a run or cycle search stopped at its state
-    cap).  oracle: brute-force enumeration; rest is False only when the
-    search was `exhausted` (no derivation cut at `depth`), else None.
+    members of the box asked come from the `GeneralMembership` shared
+    through `_general_state`, enumerated query by query like
+    regular-dp's; rest is False only when a miss is a definite no (not
+    when a run or cycle search stopped at its state cap).  oracle:
+    brute-force enumeration; rest is False only when the search was
+    `exhausted` (no derivation cut at `depth`), else None.
     """
     lo = 0 if nonneg else -window
     if engine == "regular-dp":
+        g = normalize(g)
         if bound is None:
             bound = desk_run_bound(g)
         state = _regular_state(g, bound)

@@ -227,6 +227,23 @@ def ref_nonneg_integer_solve(periods: Sequence[Vec], v: Vec) -> Optional[list[in
     return [int(x) for x in sol]
 
 
+def random_bundle_parts(rng: random.Random) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(bases, periods) of a random simple bundle over some of the letters
+    a, b, c: 1-4 bases and 0-dim linearly independent periods."""
+    letters = rng.sample("abc", rng.randint(1, 3))
+    while True:
+        periods = tuple(
+            Vec({s: rng.randint(-2, 2) for s in letters})
+            for _ in range(rng.randint(0, len(letters)))
+        )
+        if naive_rank(periods) == len(periods):
+            break
+    bases = tuple(
+        Vec({s: rng.randint(-3, 3) for s in letters}) for _ in range(rng.randint(1, 4))
+    )
+    return bases, periods
+
+
 def ref_minimal_bases(bases: Sequence[Vec], periods: Sequence[Vec]) -> tuple[Vec, ...]:
     """The distinct bases that no other base reaches by adding an
     N-combination of the periods, in `Vec.sort_key` order: every pair is
@@ -565,9 +582,9 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
     if any(sym not in state.order for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
     tv = v.to_tuple(state.order)
-    for key, zs, index, bases, anchors in state._queries:
-        if index is None:
-            hit = (tv, ()) if tv in bases else None
+    for key, zs, index, anchors in state._queries:
+        if not zs:
+            hit = (tv, ()) if tv in state._run_table.cells[key] else None
         else:
             hit = index.lookup(tv)
         if hit is not None:

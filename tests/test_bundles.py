@@ -3,8 +3,10 @@ import random
 import pytest
 
 from parikh import (
+    SimpleBundle,
     Vec,
     member_general,
+    nonneg_integer_solve,
     normalize,
     oracle_language,
     parse_grammar,
@@ -13,7 +15,14 @@ from parikh import (
 )
 from parikh import bundles, membership, runs
 from parikh.bundles import _direction_reps, _sector_period_sets
-from helpers import enumerate_combinations, ga, gb, random_grammar, ref_minimal_bases
+from helpers import (
+    enumerate_combinations,
+    ga,
+    gb,
+    random_bundle_parts,
+    random_grammar,
+    ref_minimal_bases,
+)
 from parikh.hardness import hard_grammar
 from parikh.runs import DEFAULT_STATE_CAP, SearchCapExceeded
 
@@ -184,7 +193,9 @@ class TestMinimalBases:
         for _ in range(25):
             g = random_grammar(rng, max_nonterminals=3, max_letters=3, regular=True)
             expected = set()
-            for _key, zs, _index, bases, _anchors in membership.RegularMembership(g, 7)._queries:
+            state = membership.RegularMembership(g, 7)
+            for key, zs, _index, _anchors in state._queries:
+                bases = state._run_table.cells[key]
                 periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
                 base_vecs = [Vec.from_tuple(w, g.alphabet) for w in bases]
                 kept = ref_minimal_bases(base_vecs, periods)
@@ -225,6 +236,43 @@ class TestMinimalBases:
             assert _bundle_keys(result) <= expected
             done += 1
         assert minimized
+
+
+def ref_subsumes(a, b):
+    """Whether bundle a denotes a superset of bundle b, from the
+    definition: a spans every period of b, and every base of b is a base
+    of a plus an N-combination of a's periods."""
+    def spanned(v):
+        return nonneg_integer_solve(list(a.periods), v) is not None
+
+    return all(spanned(z) for z in b.periods) and all(
+        any(spanned(w - u) for u in a.bases) for w in b.bases
+    )
+
+
+class TestSubsumes:
+    def test_matches_the_definition(self):
+        # half the second bundles are built inside the first, so both
+        # answers come up; the rest are independent draws
+        rng = random.Random(337)
+        seen = set()
+        for i in range(300):
+            bases, periods = random_bundle_parts(rng)
+            a = SimpleBundle(bases, periods)
+            if i % 2:
+                b = SimpleBundle(*random_bundle_parts(rng))
+            else:
+                def inside():
+                    return sum((p * rng.randint(0, 2) for p in periods), Vec.zero())
+                b_periods = tuple(p * rng.randint(1, 2) for p in periods[:rng.randint(0, 2)])
+                b_bases = tuple(rng.choice(bases) + inside() for _ in range(rng.randint(1, 3)))
+                if rng.random() < 0.3:
+                    b_bases += (Vec.unit("d"),)  # a letter outside a
+                b = SimpleBundle(b_bases, b_periods)
+            want = ref_subsumes(a, b)
+            assert bundles._subsumes(a, b) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestPinnedOutputs:

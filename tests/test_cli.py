@@ -15,6 +15,12 @@ _CHILD_ENV = {
     "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
 }
 
+# a regular language outside normal form: its one-target rule S -> a^3 : T
+# normalizes to a chain that stays regular
+WIDE_TEXT = "alphabet: a b\nstart: S\nS -> a^3 : T\nT -> b : S\nT -> :\n"
+GENERAL_CAPS = ("--window", "4", "--engine", "general-caps")
+REGULAR_DP = ("--window", "4", "--engine", "regular-dp")
+
 COMMANDS = [
     "parse", "normalize", "classify", "member", "oracle", "order", "decompose",
     "cycles", "bundles", "compare", "universal", "bound-report", "gen",
@@ -180,15 +186,23 @@ class TestDecisionCommands:
             assert extra_err == note + err
 
     @pytest.mark.parametrize("cmd", [
-        ("compare", "{g}", "{a}", "--mode", "disjoint"),
-        ("compare", "{a}", "{g}", "--mode", "include"),
-        ("universal", "{g}", "--ambient", "nat"),
+        ("compare", "{g}", "{a}", "--mode", "disjoint", *GENERAL_CAPS),
+        ("compare", "{a}", "{g}", "--mode", "include", *GENERAL_CAPS),
+        ("universal", "{g}", "--ambient", "nat", *GENERAL_CAPS),
+        ("compare", "{g}", "{a}", "--mode", "disjoint", *REGULAR_DP),
+        ("compare", "{a}", "{g}", "--mode", "include", *REGULAR_DP),
+        ("universal", "{g}", "--ambient", "nat", *REGULAR_DP),
+        ("member", "{g}", "a^3 b"),
+        ("member", "{g}", "a^6 b"),
+        ("bundles", "{g}", "--run-cap", "12"),
+        ("bound-report", "{g}", "{a}"),
     ])
     def test_general_caps_sweeps_normalize_first(self, capsys, tmp_path, cmd):
-        # like member, the general-caps sweeps accept a grammar outside
-        # normal form and answer as for its normal form
+        # like member, every engine command (the sweeps of both engines,
+        # bundles and bound-report) accepts a grammar outside normal form
+        # and answers as for its normal form
         wide, normal, a_star = tmp_path / "wide.cg", tmp_path / "normal.cg", tmp_path / "a.cg"
-        wide.write_text("alphabet: a b\nstart: S\nS -> a^3 : T\nT -> b : S\nT -> :\n")
+        wide.write_text(WIDE_TEXT)
         a_star.write_text("alphabet: a b\nstart: S\nS -> a : S\nS -> :\n")
         code, out, _ = run_cli(capsys, "normalize", str(wide))
         assert code == 0 and out.count("->") > 3
@@ -196,9 +210,19 @@ class TestDecisionCommands:
         results = []
         for g in (wide, normal):
             argv = [arg.format(g=g, a=a_star) for arg in cmd]
-            results.append(run_cli(capsys, *argv, "--window", "4", "--engine", "general-caps"))
+            results.append(run_cli(capsys, *argv))
         assert results[0][0] != 65
         assert results[0] == results[1]
+
+    def test_member_decides_a_regular_normal_form_with_regular_dp(self, capsys, tmp_path):
+        # the wide grammar normalizes to a regular one, so member answers
+        # with regular-dp, whose no is certified (general-caps says unknown)
+        wide = tmp_path / "wide.cg"
+        wide.write_text(WIDE_TEXT)
+        assert run_cli(capsys, "member", str(wide), "a^3 b") == (
+            1, "VERDICT false WITNESS -\n", ""
+        )
+        assert run_cli(capsys, "member", str(wide), "a^3 b", "--caps", "10,8")[0] == 2
 
     def test_universal(self, capsys, ga_file, gb_file):
         code, out, _ = run_cli(capsys, "universal", ga_file, "--window", "6", "--depth", "10")

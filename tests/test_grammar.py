@@ -8,6 +8,7 @@ from parikh import (
     Vec,
     classify,
     difference_grammar,
+    grammar_from_rules,
     negate_grammar,
     normalize,
     oracle_language,
@@ -102,6 +103,30 @@ class TestNormalize:
         assert len(ng.transitions) == 3
         assert all(t.output == Vec({"a": 1}) for t in ng.transitions)
         assert lang(ng, 5, 5) == {Vec({"a": 3})}
+
+    def test_single_target_goes_to_the_last_link(self):
+        g = parse_grammar("alphabet: a b\nstart: S\nS -> a^3 : T\nT -> b : S\nT -> :")
+        assert serialize_grammar(normalize(g)) == (
+            "alphabet: a b\nstart: S\nS -> a : S__1\nS__1 -> a : S__2\nS__2 -> a : T\n"
+            "T -> b : S\nT -> :\n"
+        )
+
+    def test_at_most_one_target_normalizes_to_regular(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_grammar(rng, max_nonterminals=3, max_letters=3, regular=True)
+            # widen some rules to outputs of 1-norm up to 6, keeping <= 1 target
+            rules = []
+            for t in g.transitions:
+                out = t.output
+                if rng.random() < 0.5:
+                    out = Vec({a: rng.randint(-2, 3) for a in g.alphabet})
+                rules.append((t.source, out, t.targets))
+            g = grammar_from_rules(g.alphabet, g.start, rules)
+            ng = normalize(g)
+            assert classify(ng)["regular"]
+            assert lang(g, 5, 3) <= lang(ng, 30, 3)
+            assert lang(ng, 5, 3) <= lang(g, 30, 3)
 
     def test_preserves_language_randomly(self):
         # two-sided window check: each side's depth-limited language sits

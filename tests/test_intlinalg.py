@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parikh import (
+    CosetIndex,
     PeriodLattice,
     Vec,
     cramer_solve,
@@ -398,6 +399,57 @@ class TestPeriodLattice:
                 assert all(sum(a * b for a, b in zip(u, z)) == 0 for z in zs)
                 assert u[c] > 0 and all(u[f] == 0 for f in free if f != c)
             checked += 1
+
+
+def reference_lookup(zs, bases, v):
+    """(base, coefficients) with the lexicographically largest coefficient
+    tuple over every base w with v - w an N-combination of zs, or None."""
+    hits = []
+    for w in bases:
+        sol = reference_solve(zs, tuple(x - y for x, y in zip(v, w)))
+        if sol is not None:
+            hits.append((sol, w))
+    if not hits:
+        return None
+    sol, w = max(hits)
+    return w, sol
+
+
+class TestCosetIndex:
+    def test_lookup_and_box_points_match_brute_force(self):
+        rng = random.Random(89)
+        seen = set()
+        checked = 0
+        while checked < 60:
+            dim = rng.randint(1, 3)
+            k = rng.randint(0, dim) if checked % 3 else 0
+            zs = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(k)]
+            if not independent(zs, dim):
+                continue
+            checked += 1
+            # bases reach past the box [-2..2]^dim on both sides
+            bases = {tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(rng.randint(1, 6))}
+            index = CosetIndex(zs, bases, dim)
+            expected = set()
+            for v in product(range(-2, 3), repeat=dim):
+                want = reference_lookup(zs, bases, v)
+                assert index.lookup(v) == want
+                if want is not None:
+                    expected.add(v)
+                    seen.add("no periods" if not zs else "periods")
+                    if any(abs(x) > 2 for x in want[0]):
+                        seen.add("base outside the box")
+            assert index.box_points(-2, 2) == expected
+            if index.det > 1:
+                seen.add("det>1")
+        assert seen == {"no periods", "periods", "base outside the box", "det>1"}
+
+    def test_without_periods_every_base_is_its_own_class(self):
+        index = CosetIndex([], [(1, 2), (0, 0), (3, -1)], 2)
+        assert index.det == 1 and len(index.groups) == 3
+        assert index.lookup((1, 2)) == ((1, 2), ())
+        assert index.lookup((1, 1)) is None
+        assert index.box_points(0, 2) == {(1, 2), (0, 0)}
 
 
 class TestMaximalIndependentSubsets:

@@ -1,4 +1,7 @@
 import random
+from itertools import product
+
+import pytest
 
 from parikh import (
     LinearSet,
@@ -11,7 +14,7 @@ from parikh import (
     semilinear_member,
 )
 from parikh.membership import MEMBER
-from helpers import enumerate_combinations, gb
+from helpers import enumerate_combinations, gb, random_bundle_parts
 
 
 def vec2(x, y):
@@ -97,3 +100,26 @@ class TestSimpleBundle:
         b = SimpleBundle((Vec.zero(),), (Vec.unit("a", 2),))
         assert b.member(Vec.unit("a", 4))
         assert not b.member(Vec.unit("a", 3))
+
+    def test_member_matches_linear_member_over_its_bases(self):
+        # the d coordinate is outside every bundle, and a random bundle
+        # often leaves out some of a, b, c as well
+        rng = random.Random(331)
+        seen = set()
+        points = [Vec.from_tuple(t, "abcd") for t in product(range(-3, 4), range(-3, 4),
+                                                               range(-2, 3), range(0, 2))]
+        for _ in range(40):
+            bases, periods = random_bundle_parts(rng)
+            b = SimpleBundle(bases, periods)
+            for v in points:
+                want = any(linear_member(LinearSet(w, periods), v) for w in bases)
+                assert b.member(v) == want
+                if want:
+                    seen.add("periods" if periods else "no periods")
+        assert seen == {"periods", "no periods"}
+
+    def test_dependent_periods_rejected(self):
+        with pytest.raises(ValueError):
+            SimpleBundle((Vec.zero(),), (vec2(1, 2), vec2(-2, -4)))
+        with pytest.raises(ValueError):
+            SimpleBundle((Vec.zero(),), (Vec.zero(),))

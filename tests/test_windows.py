@@ -169,8 +169,7 @@ class TestBoxEnumeration:
             # back to the symmetric box after the last box moved
             assert state.box_members(-window, window) == ref_box_members(state, -window, window)
             seen_det |= any(
-                index is not None and index.det > 1 and len(zs) > 1
-                for _key, zs, index, _bases, _anchors in state._queries
+                index.det > 1 and len(zs) > 1 for _key, zs, index, _anchors in state._queries
             )
             seen_complete |= bound == state.complete_bound and bool(
                 state.box_members(-window, window)
