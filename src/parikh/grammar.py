@@ -144,6 +144,11 @@ class Grammar:
         return all(t.output.nonneg() for t in self.transitions)
 
 
+# the run-size weight of a nonterminal without runs: more steps than any
+# search has left (none gets near 2**62 levels)
+NO_RUN = 1 << 62
+
+
 class CompiledGrammar:
     """Dense integer view of one grammar.
 
@@ -167,13 +172,14 @@ class CompiledGrammar:
     sum of emissions brings it back once it has passed a limit on that
     side (either side, for sign 0).  `Vec` stays the API type; this view
     is internal to the loops that would otherwise build a `Vec` per
-    search state.
+    search state.  The least run sizes are worked out on first use, by
+    the run and cycle searches.
     """
 
     __slots__ = (
         "letters", "nonterminals", "tids", "nt_index", "tid_index",
         "source", "output", "delta", "targets", "target_count", "from_source",
-        "letter_sign",
+        "letter_sign", "_run_sizes",
     )
 
     def __init__(self, g: Grammar):
@@ -198,6 +204,48 @@ class CompiledGrammar:
             _sign_of({out[j] for out in self.output if out[j]})
             for j in range(len(self.letters))
         )
+        self._run_sizes: Optional[tuple] = None
+
+    @property
+    def least_run_sizes(self) -> tuple[Optional[int], ...]:
+        """Per nonterminal id, the fewest transitions in a run from it, or
+        None when it has no run (it is unproductive)."""
+        return self._run_size_tables()[0]
+
+    @property
+    def run_size_weights(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The least run sizes as weights for the search loops, with
+        `NO_RUN` for a nonterminal without runs: per nonterminal id its
+        weight; per transition, its targets' weight sum less its source's
+        weight, and its targets' largest weight (0 for a final rule)."""
+        return self._run_size_tables()[1:]
+
+    def _run_size_tables(self) -> tuple:
+        """A run from q is one rule out of q plus a run from each of its
+        targets, so the least run sizes are the least fixpoint of
+        d(q) = min over rules of 1 + sum of d(targets).  Each round over
+        the rules settles at least every nonterminal whose least run tree
+        is one level deeper, so at most N + 1 rounds run."""
+        if self._run_sizes is None:
+            d: list[Optional[int]] = [None] * len(self.nonterminals)
+            changed = True
+            while changed:
+                changed = False
+                for q, ts in zip(self.source, self.targets):
+                    if all(d[r] is not None for r in ts):
+                        size = 1 + sum(d[r] for r in ts)  # type: ignore[misc]
+                        if d[q] is None or size < d[q]:  # type: ignore[operator]
+                            d[q] = size
+                            changed = True
+            weight = tuple(NO_RUN if x is None else x for x in d)
+            target_weights = [[weight[r] for r in ts] for ts in self.targets]
+            self._run_sizes = (
+                tuple(d),
+                weight,
+                tuple(sum(ws) - weight[q] for q, ws in zip(self.source, target_weights)),
+                tuple(max(ws, default=0) for ws in target_weights),
+            )
+        return self._run_sizes
 
     def _delta(self, source: int, targets: tuple[int, ...]) -> tuple[int, ...]:
         row = [0] * len(self.nonterminals)

@@ -691,8 +691,11 @@ class GeneralMembership:
 
     @cached_property
     def _miss(self) -> MembershipResult:
-        """The answer for a vector no base and cycle subset reaches.  At
-        full caps the no rests on the base-run bound and on the split that
+        """The answer for a vector no base and cycle subset reaches.  An
+        exhaustive run enumeration (`RunSearch.complete`: no run left
+        that the run cap cut off, which holds at once when the start has
+        no run) lists the whole language.  At full caps the no rests on
+        the base-run bound and on the split that
         `cycle_enumeration_complete` states, not on a size bound for
         simple cycles (they have none)."""
         if self.runs_complete:

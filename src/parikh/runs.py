@@ -11,12 +11,17 @@ derivation tree whose per-vertex free-symbol accounting stays
 nonnegative.  So one breadth-first firing search, `_fire`, lists every
 run (`enumerate_runs`) and every cycle (`iter_cycles`), and a cycle's
 splits into two smaller cycles are looked up among those it listed.
+The search keeps only the states that can still finish within its size
+cap: each pending nonterminal q still costs at least its least run size
+d(q), the least fixpoint of d(q) = min over rules of 1 + sum of
+d(targets) (`CompiledGrammar.least_run_sizes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import compress
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .grammar import CompiledGrammar, Grammar
@@ -377,45 +382,86 @@ def _fire(
 ) -> Iterator[tuple[list[tuple[Vec, int]], bool, bool]]:
     """The breadth-first firing search behind every run and cycle listing.
 
-    A state is (marking, used): dense nonterminal and per-transition use
-    counts.  Each start keeps its own visited set, all share one state
-    count, and transitions are tried in grammar order, so a capped search
-    stops at the same state every time.  `limit` caps each transition's
-    uses.  Yields `(found, capped, exhausted)` per size 1..max_size:
-    `found` lists (multiset Vec, start index) for the new states at their
+    A state is (marking, used, need): dense nonterminal and
+    per-transition use counts, and the sum of the marking's run-size
+    weights (`CompiledGrammar.run_size_weights`).  The marking follows
+    from the start and the uses, so each start's visited set holds use
+    counts alone.  All starts share one
+    state count, and transitions are tried in grammar order, so a capped
+    search stops at the same state every time.  `limit` caps each
+    transition's uses.  The ends are all empty (a run search) or all
+    equal to the starts (a cycle search).
+
+    Only the states that can still finish within `max_size` are kept,
+    and only kept states count towards `state_cap`.  A run from a
+    marking to the empty one is a forest with one derivation tree per
+    pending nonterminal, so with d(q) the least run size
+    (`CompiledGrammar.least_run_sizes`) it takes at least the sum of d
+    over the marking.  Towards a unit end, one tree may instead end at
+    the pending end nonterminal, so the largest d over the marking's
+    support is not counted.  A state whose bound is finite but more than
+    the size left is cut.  A state that can never finish is dropped:
+    in a run search one that reaches a nonterminal without runs, in a
+    cycle search an empty marking or two such nonterminals pending.
+
+    Yields `(found, capped, exhausted)` per size 1..max_size: `found`
+    lists (multiset Vec, start index) for the new states at their
     start's end marking, in `Vec.sort_key` order (the first start wins a
-    tie).  A capped level is partial; a capped or exhausted level is the
-    last.
+    tie).  A capped level is partial.  `exhausted` says the frontier ran
+    dry with nothing capped or cut, so no larger size finds more (a cycle
+    search counts its drops as cuts).  A capped level, or one that leaves
+    the frontier empty, is the last.
     """
+    cycles = any(map(any, ends))
+    least = cg.least_run_sizes
+    weight, changes, tops = cg.run_size_weights
+    # per step: the change in the weight sum, and that change less a floor
+    # for the new marking's largest weight where it is not counted: its
+    # targets' largest, or 1 after a final rule (any nonempty marking has 1)
     steps = [
-        (i, cg.source[i], cg.delta[i], None if limit is None else limit[i])
-        for i in range(len(cg.tids))
-        if limit is None or limit[i] > 0
+        (i, q, cg.delta[i], None if limit is None else limit[i], changes[i],
+         changes[i] - max(tops[i], 1) if cycles else changes[i])
+        for i, q in enumerate(cg.source)
+        if (limit is None or limit[i] > 0)
+        # a run search never fires into a nonterminal without runs, nor so
+        # out of one: each of its rules has such a target
+        and (cycles or all(least[r] is not None for r in cg.targets[i]))
     ]
     no_use = (0,) * len(cg.tids)
-    frontiers = [[(m, no_use)] for m in starts]
-    visited = [set(f) for f in frontiers]
+    frontiers = [[(m, no_use, sum(map(mul, m, weight)))] for m in starts]
+    visited: list[set[tuple[int, ...]]] = [{no_use} for _ in starts]
     states = len(starts)
-    for _size in range(1, max_size + 1):
+    cut = False
+    for size in range(1, max_size + 1):
+        room = max_size - size
         level: dict[tuple[int, ...], int] = {}
         new: list[list] = [[] for _ in starts]
         capped = False
-        for k, (marking, used) in ((k, s) for k, f in enumerate(frontiers) for s in f):
+        for k, (marking, used, need) in ((k, s) for k, f in enumerate(frontiers) for s in f):
             seen, out, end = visited[k], new[k], ends[k]
-            for i, src, delta, cap in steps:
+            for i, src, delta, cap, change, gap in steps:
                 if marking[src] < 1 or (cap is not None and used[i] >= cap):
                     continue
-                new_marking = tuple(map(add, marking, delta))
-                new_used = used[:i] + (used[i] + 1,) + used[i + 1:]
-                state = (new_marking, new_used)
-                if state in seen:
+                # at least the bound, and exact in a run search; below 0 only
+                # where a final rule empties the marking in a cycle search
+                over = need + gap
+                if not 0 <= over <= room and (
+                    over < 0
+                    or not cycles
+                    or need + change - max(compress(weight, map(add, marking, delta))) > room
+                ):
+                    cut = True
                     continue
-                seen.add(state)
+                new_used = used[:i] + (used[i] + 1,) + used[i + 1:]
+                if new_used in seen:
+                    continue
+                seen.add(new_used)
                 states += 1
                 if states > state_cap:
                     capped = True
                     break
-                out.append(state)
+                new_marking = tuple(map(add, marking, delta))
+                out.append((new_marking, new_used, need + change))
                 if new_marking == end:
                     level.setdefault(new_used, k)
             if capped:
@@ -423,9 +469,9 @@ def _fire(
         frontiers = new
         found = [(cg.multiset(used), k) for used, k in level.items()]
         found.sort(key=lambda f: f[0].sort_key())
-        exhausted = not capped and not any(frontiers)
-        yield found, capped, exhausted
-        if capped or exhausted:
+        dry = not any(frontiers)
+        yield found, capped, dry and not (capped or cut)
+        if capped or dry:
             return
 
 
@@ -441,8 +487,9 @@ def iter_cycles(
     Yields (multiset, anchor) pairs, deduplicated across anchors (the
     least anchor wins).  `within` restricts the search to sub-multisets
     of the given bound.  Raises SearchCapExceeded when the breadth-first
-    state count outgrows `state_cap`, and ValueError for an anchor that
-    is not a nonterminal.
+    search keeps more than `state_cap` states (it keeps only those that
+    can still close a cycle within `max_size`, see `_fire`), and
+    ValueError for an anchor that is not a nonterminal.
     """
     cg = g.compiled
     anchors = sorted(set(anchors))
@@ -460,7 +507,9 @@ class RunSearch:
     """Result of a bounded run enumeration."""
 
     runs: tuple[TransitionMultiset, ...]
-    complete: bool  # the grammar has no runs beyond those listed
+    # the grammar has no runs beyond those listed: the search ran dry
+    # before the size cap cut off a state that could still finish
+    complete: bool
     capped: bool  # state cap was hit; listing may be incomplete
 
 
@@ -471,9 +520,13 @@ def enumerate_runs(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> RunSearch:
     """All runs from `p` of size <= max_size, by breadth-first firing
-    (`_fire` from p to the empty marking).  A capped search keeps the
-    runs of its partial last level.  Raises ValueError when `p` is not a
-    nonterminal.
+    (`_fire` from p to the empty marking).  `state_cap` counts only the
+    states that can still finish a run within max_size.  The search is
+    complete when it runs dry with no such state cut off by max_size;
+    states that can never finish (they hold a nonterminal without runs)
+    do not count against it, so a `p` without runs gives a complete
+    empty listing.  A capped search keeps the runs of its partial last
+    level.  Raises ValueError when `p` is not a nonterminal.
     """
     cg = g.compiled
     start = _dense_unit(cg, p)

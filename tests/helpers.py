@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Optional, Sequence
@@ -95,6 +96,24 @@ def random_grammar(
     if not any(t.is_zero() for _, _, t in rules):
         rules.append((rng.choice(nts), Vec.zero(), Vec.zero()))
     return grammar_from_rules(letters, "Q0", rules)
+
+
+def random_grammar_with_dead_ends(rng: random.Random, start: Optional[str] = None, **kw) -> Grammar:
+    """`random_grammar` plus two nonterminals without runs, which some
+    rules lead into: `U`, whose every rule leads back to `U`, and `Z`,
+    which has no rules.  `start` replaces the start symbol."""
+    g = random_grammar(rng, **kw)
+    nts, letters = list(g.nonterminals), list(g.alphabet)
+    rules = [(t.source, t.output, t.targets) for t in g.transitions]
+    rules.append(("U", Vec.unit(rng.choice(letters)), Vec.unit("U")))
+    rules.append(("U", Vec.zero(), Vec.unit("U") + Vec.unit(rng.choice(nts))))
+    for _ in range(rng.randint(1, 3)):
+        targets = Vec.unit(rng.choice(["U", "Z"]))
+        if rng.random() < 0.5:
+            targets = targets + Vec.unit(rng.choice(nts))
+        out = Vec.unit(rng.choice(letters)) if rng.random() < 0.5 else Vec.zero()
+        rules.append((rng.choice(nts), out, targets))
+    return grammar_from_rules(letters, start or g.start, rules)
 
 
 def random_marking(rng: random.Random, g: Grammar, max_total: int = 2) -> Vec:
@@ -322,19 +341,83 @@ def ref_oracle_language(g: Grammar, depth: int, window: int) -> frozenset:
     return frozenset(Vec.from_tuple(v, order) for v in done if all(abs(x) <= window for x in v))
 
 
-def ref_enumerate_runs(g: Grammar, p: str, max_size: int, state_cap: int):
-    """(runs, complete, capped) as plain values."""
+@lru_cache(maxsize=256)
+def ref_least_run_sizes(g: Grammar) -> dict:
+    """Per nonterminal, the fewest transitions in a run from it (None for
+    no run), by breadth-first search over nonempty markings at doubling
+    budgets.  Within a budget b >= d(q), every marking on the least
+    run's way has at most b - level pending nonterminals, so the first
+    level that reaches the empty marking is d(q).  A least run tree repeats no
+    nonterminal on a root-to-leaf path (a repeat could stand in for its
+    ancestor), so it has at most 1 + f + ... + f^(N-1) vertices (f the
+    widest fan-out) and no pending q below its root q; a search finding
+    nothing within that budget means no run."""
+    fan = max([1] + [t.targets.total() for t in g.transitions])
+    cap = sum(fan**k for k in range(len(g.nonterminals)))
+    out = {}
+    for q in g.nonterminals:
+        out[q] = None
+        budget = 1
+        while out[q] is None and budget < 2 * cap:
+            frontier, seen = {Vec.unit(q)}, set()
+            for level in range(1, min(budget, cap) + 1):
+                # a derivation tree can grow its pending leaves in any order,
+                # so each step expands the first pending nonterminal
+                frontier = {
+                    m - Vec.unit(t.source) + t.targets
+                    for m in frontier
+                    for t in g.transitions
+                    if t.source == m.support()[0]
+                }
+                if Vec.zero() in frontier:
+                    out[q] = level
+                    break
+                # every pending nonterminal still needs a step
+                frontier = {
+                    m for m in frontier if m.total() <= budget - level and not m.get(q)
+                } - seen
+                seen |= frontier
+            budget *= 2
+    return out
+
+
+def ref_steps_needed(d: dict, marking: Vec, to_unit: bool) -> Optional[int]:
+    """Bound on the steps from `marking` to the empty marking, or to a
+    unit marking when `to_unit` (one pending occurrence may then be the
+    one left over, so the costliest is not counted), given the least run
+    sizes `d`.  None when no number of steps gets there."""
+    costs = [d[q] for q, c in marking for _ in range(c)]
+    if to_unit:
+        if not costs:
+            return None
+        costs.remove(None if None in costs else max(costs))
+    return None if None in costs else sum(costs)
+
+
+def ref_enumerate_runs(g: Grammar, p: str, max_size: int, state_cap: int, prune: bool = True):
+    """(runs, complete, capped) as plain values.  With `prune`, a state is
+    kept only when `ref_steps_needed` says it can finish within
+    max_size; one that can finish but not in time is cut, and a cut
+    search is not complete."""
     start = (Vec.unit(p), Vec.zero())
     frontier, visited, found = [start], {start}, []
-    capped = exhausted = False
+    capped = exhausted = cut = False
+    d = ref_least_run_sizes(g)
     states = 1
-    for _size in range(1, max_size + 1):
+    for size in range(1, max_size + 1):
         new_frontier, level = [], set()
         for marking, used in frontier:
             for t in g.transitions:
                 if marking.get(t.source) < 1:
                     continue
                 state = (marking - Vec.unit(t.source) + t.targets, used + Vec.unit(t.tid))
+                if prune:
+                    need = ref_steps_needed(d, state[0], False)
+                    if need is None:
+                        continue
+                    if size + need > max_size:
+                        cut = True
+                        continue
                 if state in visited:
                     continue
                 visited.add(state)
@@ -354,16 +437,21 @@ def ref_enumerate_runs(g: Grammar, p: str, max_size: int, state_cap: int):
         if not frontier:
             exhausted = True
             break
-    return found, exhausted and not capped, capped
+    return found, exhausted and not capped and not cut, capped
 
 
-def ref_iter_cycles(g: Grammar, anchors, max_size: int, within=None, state_cap: int = 500_000):
-    """Yields (counts Vec, anchor); raises RuntimeError('cap') past the cap."""
+def ref_iter_cycles(
+    g: Grammar, anchors, max_size: int, within=None, state_cap: int = 500_000, prune: bool = True
+):
+    """Yields (counts Vec, anchor); raises RuntimeError('cap') past the cap.
+    With `prune`, a state is kept only when `ref_steps_needed` says it
+    can get back to its anchor within max_size."""
     anchors = sorted(set(anchors))
+    d = ref_least_run_sizes(g)
     frontiers = {q: [(Vec.unit(q), Vec.zero())] for q in anchors}
     visited = {q: set(f) for q, f in frontiers.items()}
     states = len(anchors)
-    for _size in range(1, max_size + 1):
+    for size in range(1, max_size + 1):
         level: dict = {}
         new_frontiers: dict = {q: [] for q in anchors}
         for q in anchors:
@@ -375,6 +463,10 @@ def ref_iter_cycles(g: Grammar, anchors, max_size: int, within=None, state_cap: 
                     if within is not None and not new_used <= within:
                         continue
                     state = (marking - Vec.unit(t.source) + t.targets, new_used)
+                    if prune:
+                        need = ref_steps_needed(d, state[0], True)
+                        if need is None or size + need > max_size:
+                            continue
                     if state in visited[q]:
                         continue
                     visited[q].add(state)

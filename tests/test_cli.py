@@ -403,14 +403,14 @@ class TestInputValidation:
         member_general = membership.member_general
 
         def small_state_cap(g, v, run_cap, cycle_cap):
-            return member_general(g, v, run_cap, cycle_cap, state_cap=100)
+            return member_general(g, v, run_cap, cycle_cap, state_cap=40)
 
         monkeypatch.setattr(membership, "member_general", small_state_cap)
         membership._general_state.cache_clear()  # an equal grammar may be cached
         code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
         assert code == 2
         assert out == "VERDICT unknown WITNESS -\n"
-        assert err == "cycle search stopped at the state cap of 100\n"
+        assert err == "cycle search stopped at the state cap of 40\n"
 
         # an enumeration that raises past its cap is reported as truncation
         both = tmp_path / "both.cg"

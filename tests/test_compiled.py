@@ -29,11 +29,13 @@ from helpers import (
     GC_TEXT,
     brute_force_multisets,
     random_grammar,
+    random_grammar_with_dead_ends,
     random_marking,
     random_run,
     ref_enumerate_runs,
     ref_is_subrun,
     ref_iter_cycles,
+    ref_least_run_sizes,
     ref_oracle_language,
     ref_order_subrun,
     ref_simple_cycles,
@@ -48,6 +50,8 @@ def random_grammars(count=30):
 
 HARD = [hard_grammar(n, v) for n in range(4) for v in ("full", "stripped", "cone")]
 GRAMMARS = random_grammars() + HARD
+_dead_rng = random.Random(2025)
+DEAD_ENDS = [random_grammar_with_dead_ends(_dead_rng, regular=k % 3 == 0) for k in range(24)]
 
 
 def cycle_events(search):
@@ -104,6 +108,45 @@ def test_iter_cycles_matches_reference(index):
         assert cycle_events(iter_cycles(g, supp, run.size(), within=run)) == cycle_events(
             ref_iter_cycles(g, supp, run.size(), within=run.counts)
         )
+
+
+@pytest.mark.parametrize("index", range(len(DEAD_ENDS)))
+def test_pruned_listings_match_the_unpruned_reference(index):
+    # uncapped, keeping only the states that can still finish changes
+    # nothing listed, also past nonterminals without runs
+    g = DEAD_ENDS[index]
+    rng = random.Random(index)
+    for max_size in (3, 6):
+        search = enumerate_runs(g, g.start, max_size)
+        runs, _complete, capped = ref_enumerate_runs(g, g.start, max_size, 10**6, prune=False)
+        assert not capped and [r.counts for r in search.runs] == runs
+    anchors = g.nonterminals
+    assert cycle_events(iter_cycles(g, anchors, 5)) == cycle_events(
+        ref_iter_cycles(g, anchors, 5, prune=False)
+    )
+    within = TransitionMultiset.from_counts(g, {t.tid: rng.randint(0, 2) for t in g.transitions})
+    assert cycle_events(iter_cycles(g, anchors, 6, within=within)) == cycle_events(
+        ref_iter_cycles(g, anchors, 6, within=within.counts, prune=False)
+    )
+
+
+@pytest.mark.parametrize("index", range(len(GRAMMARS + DEAD_ENDS)))
+def test_complete_run_search_lists_every_run(index):
+    g = (GRAMMARS + DEAD_ENDS)[index]
+    for max_size in (3, 5):
+        search = enumerate_runs(g, g.start, max_size)
+        if search.complete:
+            runs, _complete, capped = ref_enumerate_runs(
+                g, g.start, max_size + 6, 300_000, prune=False
+            )
+            assert not capped and [r.counts for r in search.runs] == runs
+
+
+@pytest.mark.parametrize("index", range(len(GRAMMARS + DEAD_ENDS)))
+def test_least_run_sizes_match_brute_force(index):
+    g = (GRAMMARS + DEAD_ENDS)[index]
+    d = ref_least_run_sizes(g)
+    assert g.compiled.least_run_sizes == tuple(d[q] for q in g.nonterminals)
 
 
 @pytest.mark.parametrize("n, variant, size", [(1, "cone", 6), (2, "stripped", 5)])

@@ -30,6 +30,7 @@ from helpers import (
     gb,
     gc,
     random_grammar,
+    random_grammar_with_dead_ends,
     ref_full_table_result,
     ref_general_result,
     ref_path_cells,
@@ -304,20 +305,35 @@ class TestMemberGeneral:
         assert found.witness.base_run.counts.to_dict() == {"t2": 1, "t3": 1, "t4": 1}
 
     def test_capped_cycle_search_answers_unknown(self):
-        # at a state cap of 100 the run search fits and the cycle search
-        # from S does not; at 20 neither fits.  No cap may raise
+        # at a state cap of 40 the run search fits and the cycle search
+        # from S does not; at 10 neither fits.  No cap may raise
         g = parse_grammar(
             "alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :"
         )
-        res = member_general(g, Vec.unit("a", 2), 8, 15, state_cap=20)
-        assert res.status == UNKNOWN and "state cap of 20" in res.note
-        state = GeneralMembership(g, 8, 15, state_cap=100)
+        res = member_general(g, Vec.unit("a", 2), 8, 15, state_cap=10)
+        assert res.status == UNKNOWN and "state cap of 10" in res.note
+        state = GeneralMembership(g, 8, 15, state_cap=40)
         assert state.cycles_capped and not state.runs_capped
         assert state.result(Vec.unit("a", 3)) == MembershipResult(
-            UNKNOWN, note="cycle search stopped at the state cap of 100"
+            UNKNOWN, note="cycle search stopped at the state cap of 40"
         )
         found = state.result(Vec.unit("a", 2))
         assert found.status == MEMBER and found.witness.parikh() == Vec.unit("a", 2)
+
+    def test_start_without_runs_is_a_definite_no(self):
+        # the run search from S drops every state (each holds S) without
+        # cutting one, so it is exhaustive at any run cap
+        grammars = [parse_grammar("alphabet: a b\nstart: S\nS -> a : S\nS -> b : S T\nT -> b :\n")]
+        rng = random.Random(61)
+        grammars += [random_grammar_with_dead_ends(rng, start="U") for _ in range(10)]
+        for g in map(normalize, grammars):
+            for caps in ((3, 2), (8, 5)):
+                state = GeneralMembership(g, *caps)
+                assert state.runs_complete and not state.runs_capped
+                for v in product(range(-2, 3), repeat=len(g.alphabet)):
+                    assert state.result(Vec.from_tuple(v, g.alphabet)) == MembershipResult(
+                        NON_MEMBER, note="run enumeration was exhaustive"
+                    )
 
     def test_monotone_in_caps(self):
         rng = random.Random(53)
