@@ -232,9 +232,10 @@ class CompiledGrammar:
             while changed:
                 changed = False
                 for q, ts in zip(self.source, self.targets):
-                    if all(d[r] is not None for r in ts):
-                        size = 1 + sum(d[r] for r in ts)  # type: ignore[misc]
-                        if d[q] is None or size < d[q]:  # type: ignore[operator]
+                    sizes = [d[r] for r in ts]
+                    if None not in sizes:
+                        size = 1 + sum(sizes)
+                        if d[q] is None or size < d[q]:
                             d[q] = size
                             changed = True
             weight = tuple(NO_RUN if x is None else x for x in d)
