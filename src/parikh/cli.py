@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar2")
     p.add_argument("--mode", choices=("include", "equiv", "disjoint"), required=True)
     p.add_argument("--window", type=_nonneg_int, required=True)
-    p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
+    p.add_argument("--engine", choices=membership.ENGINES, default="oracle")
     p.add_argument("--bound", type=_positive_int, default=None)
     p.add_argument("--caps", type=_caps_pair, default=None)
     p.add_argument("--depth", type=_nonneg_int, default=None)
@@ -182,7 +182,7 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar")
     p.add_argument("--window", type=_nonneg_int, required=True)
     p.add_argument("--ambient", choices=("nat", "int"), default="nat")
-    p.add_argument("--engine", choices=windows.ENGINES, default="oracle")
+    p.add_argument("--engine", choices=membership.ENGINES, default="oracle")
     p.add_argument("--bound", type=_positive_int, default=None)
     p.add_argument("--caps", type=_caps_pair, default=None)
     p.add_argument("--depth", type=_nonneg_int, default=None)
@@ -210,69 +210,41 @@ def _build_parser() -> _Parser:
     return top
 
 
-# the one size flag each window engine reads
-_ENGINE_FLAG = {"regular-dp": "--bound", "general-caps": "--caps", "oracle": "--depth"}
+# per size flag: the engine that reads it, and the `membership.engine`
+# keywords it sets
+_SIZE_FLAGS = {
+    "--bound": ("regular-dp", ("bound",)),
+    "--caps": ("general-caps", ("run_cap", "cycle_cap")),
+    "--depth": ("oracle", ("depth",)),
+    "--oracle": ("oracle", ("depth", "window")),
+}
 
 
-def _engine_params(args) -> dict:
-    """Engine keyword arguments from the size flags; names on stderr the
-    flags the selected engine does not read."""
-    params = {}
-    given = []
-    if args.bound is not None:
-        params["bound"] = args.bound
-        given.append("--bound")
-    if args.caps:
-        params["run_cap"], params["cycle_cap"] = args.caps
-        given.append("--caps")
-    if args.depth is not None:
-        params["depth"] = args.depth
-        given.append("--depth")
-    _note_unused(given, _ENGINE_FLAG[args.engine], args.engine)
-    return params
-
-
-def _note_unused(given: list[str], used: str, engine: str) -> None:
-    """Name on stderr the size flags in `given` other than `used`."""
-    ignored = [flag for flag in given if flag != used]
+def _engine_params(args, engine: str) -> dict:
+    """`membership.engine` keywords from the size flags given; names on
+    stderr the flags that `engine` does not read."""
+    params, ignored = {}, []
+    for flag, (reader, keys) in _SIZE_FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None:
+            params.update(zip(keys, value if isinstance(value, tuple) else (value,)))
+            if reader != engine:
+                ignored.append(flag)
     if ignored:
         verb = "is" if len(ignored) == 1 else "are"
         print(f"note: {', '.join(ignored)} {verb} not used by the {engine} engine",
               file=sys.stderr)
+    return params
 
 
 def _cmd_member(args) -> int:
     g = _load_grammar(args.grammar)
     v = parse_monomial(args.vector)
-    if args.oracle:
-        engine, flag = "oracle", "--oracle"
-    else:
-        g = normalize(g)  # what both other engines read
-        regular = g.is_regular() and not args.caps
-        engine, flag = ("regular-dp", "--bound") if regular else ("general-caps", "--caps")
-    given = [name for name, value in (("--bound", args.bound), ("--caps", args.caps),
-                                      ("--oracle", args.oracle)) if value is not None]
-    _note_unused(given, flag, engine)
-    if engine == "oracle":
-        depth, window = args.oracle
-        members = membership.oracle_language(g, depth, window)
-        if v in members:
-            return _verdict(True, v, g.alphabet)
-        if any(sym not in g.alphabet for sym in v.support()):
-            return _verdict(False, None)
-        if v.norm_inf() > window:
-            print(f"note: the vector lies outside the oracle window {window}", file=sys.stderr)
-            return _verdict(None, None)
-        if not members.exhausted:
-            print(f"note: the oracle search was cut at depth {depth}", file=sys.stderr)
-            return _verdict(None, None)
-        return _verdict(False, None)
-    if engine == "general-caps":
-        run_cap, cycle_cap = args.caps or (10, 8)
-        res = membership.member_general(g, v, run_cap, cycle_cap)
-    else:
-        bound = args.bound if args.bound is not None else windows.desk_run_bound(g)
-        res = membership.member_regular(g, v, bound)
+    if not args.oracle:
+        g = normalize(g)  # regular-dp runs on a grammar that is regular once normalized
+    name = "oracle" if args.oracle else (
+        "general-caps" if args.caps or not g.is_regular() else "regular-dp")
+    res = membership.engine(g, name, **_engine_params(args, name)).result(v, want_witness=False)
     if res.status == membership.MEMBER:
         return _verdict(True, v, g.alphabet)
     if res.status == membership.NON_MEMBER:
@@ -287,7 +259,7 @@ def _cmd_compare(args) -> int:
     g2 = _load_grammar(args.grammar2)
     mode = {"include": "inclusion", "equiv": "equivalence", "disjoint": "disjointness"}[args.mode]
     res = windows.compare_within_window(
-        g1, g2, args.window, mode, engine=args.engine, **_engine_params(args)
+        g1, g2, args.window, mode, engine=args.engine, **_engine_params(args, args.engine)
     )
     return _window_verdict(res, g1.alphabet)
 
@@ -296,7 +268,7 @@ def _cmd_universal(args) -> int:
     g = _load_grammar(args.grammar)
     ambient = "naturals" if args.ambient == "nat" else "integers"
     res = windows.universality_within_window(
-        g, args.window, ambient, engine=args.engine, **_engine_params(args)
+        g, args.window, ambient, engine=args.engine, **_engine_params(args, args.engine)
     )
     return _window_verdict(res, g.alphabet)
 

@@ -24,18 +24,28 @@ theoretical bound.  Grammars without one-way letters read the full run
 table.
 
 For general normal-form grammars the same scheme runs on explicitly
-enumerated base runs and simple cycles under user caps, answering yes or
-unknown; a run or cycle search cut by its state cap answers unknown.
+enumerated base runs and simple cycles under user caps.
 
-Both engines share one query structure.  `_prepare_queries` pairs each
-group of base vectors with one support (ordered by support size, then
-names) with every maximal independent subset of the cycle vectors
-anchored in that support, as an `intlinalg.CosetIndex` of the group's
-bases over the subset.  A point is answered by the first query that
-reaches it (`_first_hit`), a box by the union of every query's box
-points (`_box_union`).  So a witness follows one rule in both: the first
-group, then the first subset in dense-tuple order, then the base with
-the lexicographically largest coefficient tuple.
+Three engine states, one per name in `ENGINES`, answer through one
+interface; `engine` is the one place that picks a state by name.
+`result(v)` answers a point, `box_members(lo, hi)` the members of a
+box, `miss(lo, hi)` every box point that no query reaches, and `note`
+names the engine and its sizes.  `miss` is where a no becomes definite:
+at the completeness threshold or past the last frontier (regular-dp),
+after an exhaustive run enumeration or at full caps (general-caps), and
+inside the window of an exhausted search (oracle); a search cut by its
+state cap or depth answers unknown.
+
+The regular and general states share one query structure.
+`_prepare_queries` pairs each group of base vectors with one support
+(ordered by support size, then names) with every maximal independent
+subset of the cycle vectors anchored in that support, as an
+`intlinalg.CosetIndex` of the group's bases over the subset.  A point is
+answered by the first query that reaches it (`_first_hit`), a box by the
+union of every query's box points (`_box_union`).  So a witness follows
+one rule in both: the first group, then the first subset in dense-tuple
+order, then the base with the lexicographically largest coefficient
+tuple.
 
 `oracle_language` is the independent cross-check: plain breadth-first
 expansion of sentential forms, pruned only where a letter has left the
@@ -51,7 +61,7 @@ from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
-from .grammar import CompiledGrammar, Grammar
+from .grammar import CompiledGrammar, Grammar, normalize
 from .intlinalg import CosetIndex, IntTuple, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
@@ -346,6 +356,10 @@ class MembershipResult:
     note: str = ""
 
 
+_NO = MembershipResult(NON_MEMBER)
+_CAPS_BELOW = MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
+
+
 # ---------------------------------------------------------------------------
 # queries: base vectors plus nonnegative combinations of independent periods
 
@@ -453,6 +467,11 @@ class RegularMembership:
         self.bound = self.complete_bound if bound is None else bound
         if self.bound < 1:
             raise ValueError("bound must be at least 1")
+        below = "" if self.bound >= self.complete_bound else " (below the completeness threshold)"
+        self.note = f"regular-dp with run bound {self.bound}{below}"
+        self._no_within_bound = MembershipResult(
+            NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
+        )
         self.order = g.alphabet
         self._support_limit = min(len(self.order), len(g.nonterminals))
         # per anchor q: the cells of paths into q, and its nonzero cycle vectors
@@ -517,28 +536,26 @@ class RegularMembership:
         self._cut = self._build((lo, hi))
         return self._cut
 
-    def certified(self, lo: IntTuple, hi: IntTuple) -> bool:
-        """Whether every vector of the box [lo..hi] (per letter) that no
-        query matches is a non-member.
+    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
+        """The answer for every vector of the box [lo..hi] (per letter)
+        that no query reaches: NON_MEMBER, else NO_WITHIN_BOUND.
 
-        It is when the bound reaches the completeness threshold, or when
-        no vector of the last frontier lies in the box on its one-way
-        letters: a longer path only extends a frontier vector, which
-        moves such a letter further out, so no level past the bound adds
-        a run vector that can be pumped into the box.  The answer depends
-        on the grammar, the bound and the box alone, not on the box the
-        table was cut to."""
-        if self.bound >= self.complete_bound:
-            return True
-        last = self._runs(lo, hi).last
-        if not last:
-            return True
-        guards = _box_guards(self._sign, lo, hi)
-        return not any(all(s * v[j] <= limit for j, s, limit in guards) for v in last)
+        It is a definite no when the bound reaches the completeness
+        threshold, or when no vector of the last frontier lies in the box
+        on its one-way letters: a longer path only extends a frontier
+        vector, which moves such a letter further out, so no level past
+        the bound adds a run vector that can be pumped into the box.  The
+        answer depends on the grammar, the bound and the box alone, not on
+        the box the table was cut to."""
+        last = self._runs(lo, hi).last if self.bound < self.complete_bound else ()
+        if last:
+            guards = _box_guards(self._sign, lo, hi)
+            if any(all(s * v[j] <= limit for j, s, limit in guards) for v in last):
+                return self._no_within_bound
+        return _NO
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        """MEMBER with a witness, NON_MEMBER when no match is certified
-        (`certified` at the box of v), else NO_WITHIN_BOUND.  The answer
+        """MEMBER with a witness, else `miss` at the box of v.  The answer
         and witness are those of the full run table; only the no is
         sharper."""
         if any(sym not in self.order for sym in v.support()):
@@ -546,24 +563,25 @@ class RegularMembership:
         tv = v.to_tuple(self.order)
         runs = self._runs(tv, tv)
         hit = _first_hit(runs.queries, tv)
-        if hit is not None:
-            if not want_witness:
-                return MembershipResult(MEMBER)
-            return MembershipResult(MEMBER, self._witness(runs.cells, *hit))
-        if self.certified(tv, tv):
-            return MembershipResult(NON_MEMBER)
-        return MembershipResult(
-            NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
-        )
+        if hit is None:
+            return self.miss(tv, tv)
+        if not want_witness:
+            return MembershipResult(MEMBER)
+        return MembershipResult(MEMBER, self._witness(runs.cells, *hit))
 
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
         """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
         that `result` answers MEMBER, enumerated group by group instead of
         asked point by point, from a run table cut to the box (`_runs`).
-        The last box and its members are kept, so the sweeps of one
-        window enumerate once."""
-        if self._last_box is not None and self._last_box[:2] == (lo, hi):
-            return self._last_box[2]
+        The last box enumerated and its members are kept, and a box inside
+        it with the same top is read off them, so the sweeps of one window
+        (symmetric, or over the naturals) enumerate once."""
+        last = self._last_box
+        if last is not None:
+            if last[:2] == (lo, hi):
+                return last[2]
+            if last[0] <= lo and hi == last[1]:
+                return frozenset(t for t in last[2] if min(t, default=lo) >= lo)
         dim = len(self.order)
         members = _box_union(self._runs((lo,) * dim, (hi,) * dim).queries, lo, hi)
         self._last_box = (lo, hi, members)
@@ -616,7 +634,7 @@ def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> Membershi
 
     With the default bound the answer is exact.  A smaller bound keeps
     yes answers sound; a no stays NON_MEMBER when the run table cut to
-    v's box certifies it (see `RegularMembership.certified`) and is
+    v's box certifies it (see `RegularMembership.miss`) and is
     NO_WITHIN_BOUND otherwise.  The state is shared per (grammar, bound)
     through `_regular_state`.
     """
@@ -651,17 +669,18 @@ class GeneralMembership:
         if not g.is_normal_form():
             raise ValueError("grammar must be in normal form")
         self.grammar = g
+        self.order = g.alphabet
         self.run_cap = run_cap
         self.cycle_cap = cycle_cap
         self.state_cap = state_cap
-        alphabet = g.alphabet
+        self.note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
         search = enumerate_runs(g, g.start, run_cap, state_cap)
         self.runs_complete = search.complete
         self.runs_capped = search.capped
         # per support: dense base vector -> its first (smallest) run
         by_support: dict[frozenset, dict[IntTuple, TransitionMultiset]] = {}
         for run in search.runs:
-            by_support.setdefault(run.supp(), {}).setdefault(run.parikh().to_tuple(alphabet), run)
+            by_support.setdefault(run.supp(), {}).setdefault(run.parikh().to_tuple(self.order), run)
         self._bases = {supp: by_support[supp] for supp in sorted(by_support, key=_support_order)}
         anchors = sorted({q for supp in by_support for q in supp})
         # an anchor whose cycle search outgrows the state cap pumps nothing:
@@ -677,7 +696,7 @@ class GeneralMembership:
                 self.cycles_capped = True
             reps = self._reps[q] = {}
             for cyc in self._cycles.get(q, ()):
-                z = cyc.parikh().to_tuple(alphabet)
+                z = cyc.parikh().to_tuple(self.order)
                 if any(z):
                     reps.setdefault(z, cyc)
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
@@ -687,16 +706,15 @@ class GeneralMembership:
     def _queries(self) -> list[Query]:
         # built on the first query; `two_letter_bundles` reads only bases and pools
         groups = [(supp, bases, sorted(supp)) for supp, bases in self._bases.items()]
-        return _prepare_queries(groups, self._pools, len(self.grammar.alphabet))
+        return _prepare_queries(groups, self._pools, len(self.order))
 
-    @cached_property
-    def _miss(self) -> MembershipResult:
-        """The answer for a vector no base and cycle subset reaches.  An
-        exhaustive run enumeration (`RunSearch.complete`: no run left
-        that the run cap cut off, which holds at once when the start has
-        no run) lists the whole language.  At full caps the no rests on
-        the base-run bound and on the split that
-        `cycle_enumeration_complete` states, not on a size bound for
+    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
+        """The answer for a vector no base and cycle subset reaches, the
+        same in every box.  An exhaustive run enumeration
+        (`RunSearch.complete`: no run left that the run cap cut off, which
+        holds at once when the start has no run) lists the whole language.
+        At full caps the no rests on the base-run bound and on the split
+        that `cycle_enumeration_complete` states, not on a size bound for
         simple cycles (they have none)."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
@@ -705,18 +723,18 @@ class GeneralMembership:
             return MembershipResult(
                 UNKNOWN, note=f"{search} search stopped at the state cap of {self.state_cap}"
             )
-        if self.run_cap >= base_run_bound(self.grammar).value and self.cycles_complete:
-            return MembershipResult(NON_MEMBER)
-        return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
+        if self.cycles_complete and self.run_cap >= base_run_bound(self.grammar).value:
+            return _NO
+        return _CAPS_BELOW
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        """MEMBER with a witness, else `_miss`."""
-        alphabet = self.grammar.alphabet
-        if any(sym not in alphabet for sym in v.support()):
+        """MEMBER with a witness, else `miss`."""
+        if any(sym not in self.order for sym in v.support()):
             return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        hit = _first_hit(self._queries, v.to_tuple(alphabet))
+        tv = v.to_tuple(self.order)
+        hit = _first_hit(self._queries, tv)
         if hit is None:
-            return self._miss
+            return self.miss(tv, tv)
         if not want_witness:
             return MembershipResult(MEMBER)
         supp, w, zs, coeffs, anchors = hit
@@ -745,3 +763,83 @@ def member_general(
 @lru_cache(maxsize=32)
 def _general_state(g: Grammar, run_cap: int, cycle_cap: int, state_cap: int) -> GeneralMembership:
     return GeneralMembership(g, run_cap, cycle_cap, state_cap)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force oracle as an engine, and the one engine switch
+
+
+class OracleMembership:
+    """`oracle_language` to `depth` on the window [-window..window]^alphabet
+    as an engine state.  The vectors found are members (with no
+    decomposition); a miss is a definite no only inside the window and
+    when the search was exhausted."""
+
+    def __init__(self, g: Grammar, depth: int, window: int):
+        self.order = g.alphabet
+        self.depth = depth
+        self.window = window
+        self.found = oracle_language(g, depth, window)
+        cut = "" if self.found.exhausted else " (search cut at the depth)"
+        self.note = f"oracle with depth {depth}, window {window}{cut}"
+
+    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
+        if min(lo, default=0) < -self.window or max(hi, default=0) > self.window:
+            return MembershipResult(
+                UNKNOWN, note=f"note: the vector lies outside the oracle window {self.window}"
+            )
+        if not self.found.exhausted:
+            return MembershipResult(
+                UNKNOWN, note=f"note: the oracle search was cut at depth {self.depth}"
+            )
+        return _NO
+
+    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        """MEMBER when the search found v, else `miss` at v."""
+        if v in self.found:
+            return MembershipResult(MEMBER)
+        if any(sym not in self.order for sym in v.support()):
+            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
+        tv = v.to_tuple(self.order)
+        return self.miss(tv, tv)
+
+    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
+        """Dense tuples (alphabet order) of the vectors found in [lo..hi]^alphabet."""
+        found = (v.to_tuple(self.order) for v in self.found)
+        return frozenset(t for t in found if all(lo <= x <= hi for x in t))
+
+
+ENGINES = ("regular-dp", "general-caps", "oracle")
+
+DESK_BOUND_CAP = 200
+
+
+def desk_run_bound(g: Grammar) -> int:
+    """regular-dp's default run bound: the base-run bound, at most DESK_BOUND_CAP."""
+    return min(base_run_bound(g).value, DESK_BOUND_CAP)
+
+
+def engine(
+    g: Grammar,
+    name: str,
+    window: int = 0,
+    bound: Optional[int] = None,
+    run_cap: int = 10,
+    cycle_cap: int = 8,
+    depth: Optional[int] = None,
+) -> RegularMembership | GeneralMembership | OracleMembership:
+    """The state of the engine `name` (one of `ENGINES`) for g.
+
+    regular-dp reads the normalized grammar (`normalize`) at the run
+    bound (default `desk_run_bound`), shared through `_regular_state`;
+    general-caps reads it under the run and cycle caps, shared through
+    `_general_state`.  The oracle searches g to `depth` (default
+    4 * window + 4) on the window [-window..window]^alphabet."""
+    if name == "oracle":
+        return OracleMembership(g, 4 * window + 4 if depth is None else depth, window)
+    g = normalize(g)
+    if name == "regular-dp":
+        return _regular_state(g, desk_run_bound(g) if bound is None else bound)
+    if name == "general-caps":
+        return _general_state(g, run_cap, cycle_cap, DEFAULT_STATE_CAP)
+    raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")

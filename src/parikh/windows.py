@@ -8,11 +8,11 @@ factor.  The sweeps here therefore take the window as a user parameter
 and report the verdict *for that window*; `window_bound_report` surfaces
 the computable bound ingredients so a caller can justify a choice.
 
-An engine answers a box as data: the set of box points it accepts plus
-one answer for every other point.  Each question is a three-valued
-function of those answers at a point, so one sweep decides all four by
-visiting the members and only the least box point outside every member
-set.
+An engine state (`membership.engine`) answers a box as data: the box
+points it accepts (`box_members`) plus one answer for every other point
+(`miss`).  Each question is a three-valued function of those answers at
+a point, so one sweep decides all four by visiting the members and only
+the least box point outside every member set.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 from .decomposition import base_run_bound
 from .grammar import Grammar, normalize
 from .intlinalg import hadamard_bound
-from .membership import NON_MEMBER, IntTuple, _general_state, _regular_state, oracle_language
-from .runs import DEFAULT_STATE_CAP, tree_size_bound
+from .membership import NON_MEMBER, IntTuple, engine
+from .runs import tree_size_bound
 from .vector import Vec
 
 WINDOW_NOTE = (
@@ -34,16 +34,6 @@ WINDOW_NOTE = (
     "constant factor is not computable from these quantities; pick the "
     "window explicitly and read every verdict as window-relative"
 )
-
-ENGINES = ("regular-dp", "general-caps", "oracle")
-
-DESK_BOUND_CAP = 200
-
-
-def desk_run_bound(g: Grammar) -> int:
-    """regular-dp's default run bound: the base-run bound, at most DESK_BOUND_CAP."""
-    return min(base_run_bound(g).value, DESK_BOUND_CAP)
-
 
 @dataclass(frozen=True)
 class GrammarBounds:
@@ -74,73 +64,6 @@ def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
     if g1.alphabet != g2.alphabet:
         raise ValueError("grammars must share one alphabet")
     return WindowBoundReport(_grammar_bounds(normalize(g1)), _grammar_bounds(normalize(g2)))
-
-
-Answer = tuple[frozenset[IntTuple], Optional[bool]]  # (members, rest); None = unknown
-
-
-def membership_engine(
-    g: Grammar,
-    engine: str,
-    window: int,
-    bound: Optional[int] = None,
-    run_cap: int = 10,
-    cycle_cap: int = 8,
-    depth: Optional[int] = None,
-    nonneg: bool = False,
-) -> tuple[Answer, str]:
-    """An engine's answer on the box [-window..window]^alphabet (or
-    [0..window]^alphabet) and a provenance note.  The answer is
-    `members`, the dense tuples (alphabet order) the engine accepts, and
-    `rest`, its one answer for every other box point (None = unknown).
-
-    Every engine but the oracle reads the normalized grammar (`normalize`).
-    regular-dp: exact up to its run bound (default min of the theoretical
-    bound and a desk cap).  The members come from the `RegularMembership`
-    shared through `_regular_state`, which reads only the runs that can
-    still be pumped into the box and keeps its last box; rest is False
-    only when the box is `certified` (the bound reaches the completeness
-    threshold, or no run vector of the table's last frontier can still be
-    pumped into the box), else None.  general-caps: sound yes; the
-    members of the box asked come from the `GeneralMembership` shared
-    through `_general_state`, enumerated query by query like
-    regular-dp's; rest is False only when a miss is a definite no (not
-    when a run or cycle search stopped at its state cap).  oracle:
-    brute-force enumeration; rest is False only when the search was
-    `exhausted` (no derivation cut at `depth`), else None.
-    """
-    lo = 0 if nonneg else -window
-    if engine == "regular-dp":
-        g = normalize(g)
-        if bound is None:
-            bound = desk_run_bound(g)
-        state = _regular_state(g, bound)
-        note = f"regular-dp with run bound {bound}" + (
-            "" if bound >= state.complete_bound else " (below the completeness threshold)"
-        )
-        # the sweeps of one window share one enumeration of the symmetric box
-        members = state.box_members(-window, window)
-        dim = len(g.alphabet)
-        rest = False if state.certified((lo,) * dim, (window,) * dim) else None
-    elif engine == "general-caps":
-        state = _general_state(normalize(g), run_cap, cycle_cap, DEFAULT_STATE_CAP)
-        members = state.box_members(lo, window)
-        rest = False if state._miss.status == NON_MEMBER else None
-        note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
-    elif engine == "oracle":
-        if depth is None:
-            depth = 4 * window + 4
-        found = oracle_language(g, depth, window)
-        members = frozenset(v.to_tuple(g.alphabet) for v in found)
-        rest = False if found.exhausted else None
-        note = f"oracle with depth {depth}, window {window}" + (
-            "" if found.exhausted else " (search cut at the depth)"
-        )
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if nonneg:
-        members = frozenset(t for t in members if min(t, default=0) >= 0)
-    return (members, rest), note
 
 
 def iter_window(
@@ -182,17 +105,23 @@ class WindowResult:
     notes: tuple[str, ...]
 
 
-def _sweep(question: str, grammars: tuple[Grammar, ...], window: int, engine: str,
+def _sweep(question: str, grammars: tuple[Grammar, ...], window: int, name: str,
            engine_params: dict, nonneg: bool = False) -> WindowResult:
     """Decide `question` on the box [-window..window]^alphabet (or
-    [0..window]^alphabet) from each grammar's answer.  Every point outside
-    all member sets gets the same answers, so only the members and the
-    least box point outside them are decided, in lexicographic order; the
-    witness is the first point decided no, else the first unknown."""
-    answers, notes = zip(
-        *(membership_engine(g, engine, window, **engine_params, nonneg=nonneg) for g in grammars)
-    )
+    [0..window]^alphabet) from each grammar's engine state
+    (`membership.engine`): its members of the box, and its `miss`, one
+    answer for every other box point (None = unknown).  Every point
+    outside all member sets gets the same answers, so only the members
+    and the least box point outside them are decided, in lexicographic
+    order; the witness is the first point decided no, else the first
+    unknown."""
     alphabet = grammars[0].alphabet
+    lo = 0 if nonneg else -window
+    box = ((lo,) * len(alphabet), (window,) * len(alphabet))
+    states = [engine(g, name, window, **engine_params) for g in grammars]
+    answers = [(state.box_members(lo, window),
+                False if state.miss(*box).status == NON_MEMBER else None) for state in states]
+    notes = tuple(state.note for state in states)
     union = frozenset().union(*(members for members, _rest in answers))
     points = sorted(union)
     outside = next((t for t in iter_window(alphabet, window, nonneg) if t not in union), None)

@@ -24,6 +24,7 @@ from parikh import (
 )
 from parikh.decomposition import base_run_bound
 from parikh.membership import (
+    DESK_BOUND_CAP,
     MEMBER,
     NO_WITHIN_BOUND,
     NON_MEMBER,
@@ -36,7 +37,6 @@ from parikh.membership import (
     oracle_language,
 )
 from parikh.runs import cycle_enumeration_complete, enumerate_runs
-from parikh.windows import DESK_BOUND_CAP
 
 GA_TEXT = "alphabet: a\nstart: S\nS -> a : S\nS -> :\n"
 GB_TEXT = "alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nS -> :\n"
@@ -630,12 +630,13 @@ def ref_path_cells(g: Grammar, bound: int) -> dict:
 # engine answers one Vec at a time, on a freshly built decision state.
 
 
-def ref_box_members(state, lo: int, hi: int) -> frozenset:
-    """Dense tuples in [lo..hi]^alphabet that `state.result` accepts."""
+def ref_box_members(state, lo: int, hi: int, status: str = MEMBER) -> frozenset:
+    """Dense tuples in [lo..hi]^alphabet that `state.result` answers with
+    `status` (by default, accepts)."""
     return frozenset(
         t
         for t in product(range(lo, hi + 1), repeat=len(state.order))
-        if state.result(Vec.from_tuple(t, state.order), want_witness=False).status == MEMBER
+        if state.result(Vec.from_tuple(t, state.order), want_witness=False).status == status
     )
 
 

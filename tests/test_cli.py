@@ -60,6 +60,20 @@ class TestDecisionCommands:
         assert code == 0
         assert out == "VERDICT true WITNESS a^4\n"
 
+    def test_member_reconstructs_no_witness(self, capsys, monkeypatch, gb_file):
+        # the verdict line prints v itself, so neither engine walks back to
+        # a decomposition
+        from parikh import membership
+
+        def refuse(*args):
+            raise AssertionError("a witness was reconstructed")
+
+        monkeypatch.setattr(membership.RegularMembership, "_witness", refuse)
+        monkeypatch.setattr(membership, "_cycle_terms", refuse)
+        for flags in ((), ("--caps", "6,4")):
+            code, out, _ = run_cli(capsys, "member", gb_file, "a^4", *flags)
+            assert (code, out) == (0, "VERDICT true WITNESS a^4\n")
+
     def test_member_false(self, capsys, gb_file):
         code, out, _ = run_cli(capsys, "member", gb_file, "a^3")
         assert code == 1
@@ -400,12 +414,7 @@ class TestInputValidation:
         # with a note naming the cap
         grammar = tmp_path / "split.cg"
         grammar.write_text("alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :\n")
-        member_general = membership.member_general
-
-        def small_state_cap(g, v, run_cap, cycle_cap):
-            return member_general(g, v, run_cap, cycle_cap, state_cap=40)
-
-        monkeypatch.setattr(membership, "member_general", small_state_cap)
+        monkeypatch.setattr(membership, "DEFAULT_STATE_CAP", 40)
         membership._general_state.cache_clear()  # an equal grammar may be cached
         code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
         assert code == 2

@@ -470,32 +470,30 @@ def test_definite_answers_agree_with_an_exhausted_oracle(g, bound):
     # exhausted, it finds every member in the window.  A yes must carry a
     # witness that expands to a run onto v, a no must miss the oracle, and
     # against an exhausted oracle every definite answer must match it.
-    # The same holds for the general engine's box members and for the
-    # regular bundles, which are exact when not truncated
+    # The same holds for each engine's box members, asked through
+    # `membership.engine`, and for the regular bundles, which are exact
+    # when not truncated
     window = 2
     found = oracle_language(g, 30, window)
     event(f"oracle exhausted: {found.exhausted}")
-    general = GeneralMembership(g, 6, 4)
-    engines = [general]
-    box = general.box_members(-window, window)
+    names = ("general-caps", "regular-dp") if g.is_regular() else ("general-caps",)
+    engines = [membership.engine(g, name, bound=bound, run_cap=6, cycle_cap=4) for name in names]
+    boxes = [state.box_members(-window, window) for state in engines]
     bundles = None
     if g.is_regular():
-        engines.append(RegularMembership(g, bound))
         bundles = regular_bundles(g, bound)
         event(f"bundles truncated: {bundles.truncated}")
     for t in product(range(-window, window + 1), repeat=len(g.alphabet)):
         v = Vec.from_tuple(t, g.alphabet)
-        for state in engines:
+        for state, box in zip(engines, boxes):
             res = state.result(v)
+            assert (t in box) == (res.status == MEMBER)
             if res.status == MEMBER:
                 total = res.witness.expand()
                 assert is_run(total, g.start) and total.parikh() == v
                 assert v in found or not found.exhausted
             elif res.status == NON_MEMBER:
                 assert v not in found
-        assert (t in box) == (general.result(v, want_witness=False).status == MEMBER)
-        if found.exhausted:
-            assert t not in box or v in found
         if bundles is not None and found.exhausted:
             if bundles.member(v):
                 assert v in found

@@ -42,3 +42,26 @@ def test_no_unused_module_level_imports():
                 continue
             unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_only_membership_compares_engine_names():
+    # `membership.engine` is the one place that picks an engine by name;
+    # every other module passes the name through.  `cli._dispatch` compares
+    # the subcommand `cmd`, and the `oracle` command shares a name with
+    # the engine, so a comparison with `cmd` does not count
+    from parikh.membership import ENGINES
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "membership.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = (node.left, *node.comparators)
+            if any(isinstance(side, ast.Name) and side.id == "cmd" for side in sides):
+                continue
+            if any(isinstance(leaf, ast.Constant) and leaf.value in ENGINES
+                   for side in sides for leaf in ast.walk(side)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

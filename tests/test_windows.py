@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -158,24 +159,46 @@ def _regular_cases(seed: int, count: int):
 
 
 class TestBoxEnumeration:
-    def test_box_members_equal_point_queries(self):
+    @pytest.mark.parametrize("name", membership.ENGINES)
+    def test_box_members_equal_point_queries(self, name):
+        # through `membership.engine`: a box's members are the points
+        # `result` accepts, and where `miss` is a definite no on the box,
+        # every other box point is answered NON_MEMBER
         rng = random.Random(83)
-        seen_det, seen_complete = False, False
+        seen = set()
         for g, bound in _regular_cases(83, 80):
-            state = RegularMembership(g, bound)
             window = rng.randint(0, 6 if len(g.alphabet) < 3 else 4)
-            for lo, hi in ((-window, window), (0, window)):
-                assert state.box_members(lo, hi) == ref_box_members(state, lo, hi)
+            depth = rng.choice((3, 4 * window + 8))  # read by the oracle only
+            state = membership.engine(g, name, window, bound=bound, run_cap=6, cycle_cap=4,
+                                      depth=depth)
+            dim = len(g.alphabet)
             # back to the symmetric box after the last box moved
-            assert state.box_members(-window, window) == ref_box_members(state, -window, window)
-            seen_det |= any(
+            for lo, hi in ((-window, window), (0, window), (-window, window)):
+                members = state.box_members(lo, hi)
+                assert members == ref_box_members(state, lo, hi)
+                if state.miss((lo,) * dim, (hi,) * dim).status == membership.NON_MEMBER:
+                    seen.add("definite miss")
+                    assert ref_box_members(state, lo, hi, membership.NON_MEMBER) == {
+                        t for t in product(range(lo, hi + 1), repeat=dim) if t not in members
+                    }
+            if name == "oracle":
+                found = oracle_language(g, depth, window)
+                assert members == {v.to_tuple(g.alphabet) for v in found}
+                box = ((-window,) * dim, (window,) * dim)
+                assert (state.miss(*box).status == membership.NON_MEMBER) is found.exhausted
+                seen.add(f"exhausted: {found.exhausted}")
+            if name == "regular-dp" and any(
                 index.det > 1 and len(zs) > 1 for _key, zs, index, _anchors in state._queries
-            )
-            seen_complete |= bound == state.complete_bound and bool(
-                state.box_members(-window, window)
-            )
-        # the residue filter and the threshold bound were both exercised
-        assert seen_det and seen_complete
+            ):
+                seen.add("residue filter")
+            if name == "regular-dp" and bound == state.complete_bound and members:
+                seen.add("threshold bound")
+        expected = {
+            "regular-dp": {"definite miss", "residue filter", "threshold bound"},
+            "general-caps": {"definite miss"},
+            "oracle": {"definite miss", "exhausted: True", "exhausted: False"},
+        }
+        assert seen == expected[name]
 
     def test_negative_periods_reach_back_into_the_box(self):
         # the base a^9 b lies outside the box; the cycle a^-2 b^-1 pumps
