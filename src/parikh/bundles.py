@@ -8,11 +8,11 @@ serve as periods (the outermost boundaries are the classic extreme
 cycles), with bounded fold-in corrections absorbing interior lattice
 offsets.  A bundle's bases are the minimal entries of an
 `intlinalg.CosetIndex` over its periods (for `regular_bundles`, the one
-the membership engine already built), and `SimpleBundle`'s own index
-over its bases answers membership and subsumption.  Both constructions
-take explicit enumeration caps and report truncation instead of chasing
-the theoretical bounds, which are astronomically large outside toy
-sizes.
+the membership engine already built), which also answers the bundle's
+membership.  Both constructions read the shared `membership.engine`
+state under explicit caps, not the astronomical theoretical bounds;
+results below the theoretical caps are marked truncated, unless the
+state's box-less `miss()` is a definite no.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomposition import base_run_bound
-from .grammar import Grammar
+from .grammar import Grammar, normalize
 from .intlinalg import CosetIndex, hadamard_bound
-from .membership import RegularMembership, _general_state
-from .runs import DEFAULT_STATE_CAP, SearchCapExceeded, tree_size_bound
+from .membership import engine
+from .runs import SearchCapExceeded, tree_size_bound
 from .semilinear import SimpleBundle
 from .vector import Vec
 
@@ -43,11 +42,14 @@ class BundlesResult:
 
 def _bundle(index: CosetIndex, alphabet: tuple[str, ...]) -> SimpleBundle:
     """The bundle of a `CosetIndex`: the minimal bases it keeps, in
-    `Vec.sort_key` order, plus N-combinations of its periods."""
+    `Vec.sort_key` order, plus N-combinations of its periods; the index
+    also answers for the bundle, which so builds none of its own."""
     bases = (w for entries in index.groups.values() for _coords, w in entries)
     base_vecs = sorted((Vec.from_tuple(w, alphabet) for w in bases), key=Vec.sort_key)
     periods = tuple(Vec.from_tuple(z, alphabet) for z in index.lattice.zs)
-    return SimpleBundle(tuple(base_vecs), periods)
+    bundle = SimpleBundle(tuple(base_vecs), periods)
+    bundle.__dict__["_index"] = (alphabet, index)  # fills the cached `SimpleBundle._index`
+    return bundle
 
 
 def _subsumes(a: SimpleBundle, b: SimpleBundle) -> bool:
@@ -77,22 +79,20 @@ def _drop_subsumed(raw: Sequence[SimpleBundle]) -> tuple[SimpleBundle, ...]:
 
 
 def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
-    """Bundle decomposition of a regular grammar's language.
+    """Bundle decomposition of a grammar that is regular once normalized.
 
     One bundle per (required support, maximal independent cycle-vector
     set): bases are the table run vectors, periods the cycle vectors.
-    The union equals the language once run_cap reaches the base-run
-    bound; below that the result is marked truncated.  Each bundle is one
-    query of a `RegularMembership`, its bases the minimal entries of the
-    query's coset index; subsumed bundles are removed.
+    Each bundle is one query of the regular-dp state at bound run_cap,
+    its bases the minimal entries of the query's coset index; subsumed
+    bundles are removed.  The union is the language unless truncated.
     """
+    g = normalize(g)
     if not g.is_regular():
         raise ValueError("regular_bundles needs a regular grammar")
-    state = RegularMembership(g, run_cap)
-    raw = [_bundle(index, g.alphabet) for _key, _zs, index, _anchors in state._queries]
-    bundles = _drop_subsumed(raw)
-    truncated = run_cap < base_run_bound(g).value and not state.runs_exhausted
-    return BundlesResult(bundles, truncated, run_cap)
+    state = engine(g, "regular-dp", bound=run_cap)
+    raw = [_bundle(index, state.order) for _key, _zs, index, _anchors in state._queries]
+    return BundlesResult(_drop_subsumed(raw), state.miss().verdict is not False, run_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -167,32 +167,27 @@ def two_letter_bundles(
     cycle_cap: Optional[int] = None,
     fold_cap: Optional[int] = None,
     fold_product_cap: int = 200_000,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> BundlesResult:
     """Bundle decomposition over a two-letter alphabet.
 
     The base runs up to run_cap, grouped by support, and the simple
-    cycles anchored in each support come from the `GeneralMembership`
-    shared through `_general_state` (cycle_cap defaults to
-    min(gamma - 1, 8)); the cycle vectors supply the period sets via
-    angular sectors.  Interior lattice offsets (cycle directions that are
-    not period boundaries) are folded into the base set with coefficients
-    up to fold_cap, as one set of dense tuples; each sector's bases are
-    the minimal entries of a coset index over its periods.  Results below
-    the theoretical caps are marked truncated.
+    cycles anchored in each support come from the general-caps state of
+    the normalized grammar (cycle_cap defaults to min(gamma - 1, 8));
+    the cycle vectors supply the period sets via angular sectors.
+    Interior lattice offsets (cycle directions that are not period
+    boundaries) are folded into the base set with coefficients up to
+    fold_cap, as one set of dense tuples; each sector's bases are the
+    minimal entries of a coset index over its periods.  The result is
+    marked truncated unless the state's `miss()` is a definite no.
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
+    g = normalize(g)
     if cycle_cap is None:
         cycle_cap = min(tree_size_bound(len(g.nonterminals), g.is_regular()) - 1, 8)
-    state = _general_state(g, run_cap, cycle_cap, state_cap)
+    state = engine(g, "general-caps", run_cap=run_cap, cycle_cap=cycle_cap)
     if state.cycles_capped:
-        raise SearchCapExceeded(f"cycle search exceeded {state_cap} states; raise the cap")
-    truncated = (
-        state.runs_capped
-        or (not state.runs_complete and run_cap < base_run_bound(g).value)
-        or not state.cycles_complete
-    )
+        raise SearchCapExceeded(f"cycle search exceeded {state.state_cap} states; raise the cap")
 
     raw: list[SimpleBundle] = []
     for supp in sorted(state._bases, key=sorted):
@@ -211,4 +206,4 @@ def two_letter_bundles(
             folded = {(x + c * zx, y + c * zy) for x, y in folded for c in range(cap + 1)}
         for zs in _sector_period_sets(pool_vecs):
             raw.append(_bundle(CosetIndex(zs, folded, 2), g.alphabet))
-    return BundlesResult(_drop_subsumed(raw), truncated, run_cap)
+    return BundlesResult(_drop_subsumed(raw), state.miss().verdict is not False, run_cap)

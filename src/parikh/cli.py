@@ -245,13 +245,9 @@ def _cmd_member(args) -> int:
     name = "oracle" if args.oracle else (
         "general-caps" if args.caps or not g.is_regular() else "regular-dp")
     res = membership.engine(g, name, **_engine_params(args, name)).result(v, want_witness=False)
-    if res.status == membership.MEMBER:
-        return _verdict(True, v, g.alphabet)
-    if res.status == membership.NON_MEMBER:
-        return _verdict(False, None)
-    if res.note:
+    if res.verdict is None and res.note:
         print(res.note, file=sys.stderr)
-    return _verdict(None, None)
+    return _verdict(res.verdict, v if res.verdict else None, g.alphabet)
 
 
 def _cmd_compare(args) -> int:
@@ -359,10 +355,10 @@ def _dispatch(args) -> int:
         g = _load_grammar(args.grammar)
         if args.two_letter:
             result = bundles_mod.two_letter_bundles(
-                normalize(g), args.run_cap, cycle_cap=args.cycle_cap, fold_cap=args.fold_cap
+                g, args.run_cap, cycle_cap=args.cycle_cap, fold_cap=args.fold_cap
             )
         else:
-            result = bundles_mod.regular_bundles(normalize(g), args.run_cap)
+            result = bundles_mod.regular_bundles(g, args.run_cap)
         blocks = []
         for b in result.bundles:
             lines = [f"W: {format_monomial(w, g.alphabet)}" for w in b.bases]

@@ -34,7 +34,9 @@ names the engine and its sizes.  `miss` is where a no becomes definite:
 at the completeness threshold or past the last frontier (regular-dp),
 after an exhaustive run enumeration or at full caps (general-caps), and
 inside the window of an exhausted search (oracle); a search cut by its
-state cap or depth answers unknown.
+state cap or depth answers unknown.  A box-less `miss()` answers for
+every vector (the oracle: unknown): bundles read truncation off it.
+Other modules read a result's `verdict` (None: unknown), not its status.
 
 The regular and general states share one query structure.
 `_prepare_queries` pairs each group of base vectors with one support
@@ -355,6 +357,11 @@ class MembershipResult:
     witness: Optional[Witness] = None
     note: str = ""
 
+    @property
+    def verdict(self) -> Optional[bool]:
+        """True for MEMBER, False for NON_MEMBER, None (unknown) otherwise."""
+        return True if self.status == MEMBER else (False if self.status == NON_MEMBER else None)
+
 
 _NO = MembershipResult(NON_MEMBER)
 _CAPS_BELOW = MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
@@ -507,10 +514,6 @@ class RegularMembership:
     def _queries(self) -> list[Query]:
         return self._run_table.queries
 
-    @property
-    def runs_exhausted(self) -> bool:
-        return not self._run_table.last
-
     def _runs(self, lo: IntTuple, hi: IntTuple) -> _Runs:
         """A run table holding every run vector that can still be pumped
         into the box [lo..hi] (per letter), at its least size."""
@@ -536,20 +539,23 @@ class RegularMembership:
         self._cut = self._build((lo, hi))
         return self._cut
 
-    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
-        """The answer for every vector of the box [lo..hi] (per letter)
-        that no query reaches: NON_MEMBER, else NO_WITHIN_BOUND.
+    def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
+        """The answer for every vector of the box [lo..hi] (per letter),
+        or with no box of any vector, that no query reaches: NON_MEMBER,
+        else NO_WITHIN_BOUND.
 
         It is a definite no when the bound reaches the completeness
         threshold, or when no vector of the last frontier lies in the box
-        on its one-way letters: a longer path only extends a frontier
-        vector, which moves such a letter further out, so no level past
-        the bound adds a run vector that can be pumped into the box.  The
-        answer depends on the grammar, the bound and the box alone, not on
-        the box the table was cut to."""
-        last = self._runs(lo, hi).last if self.bound < self.complete_bound else ()
+        on its one-way letters (with no box: the full table's last
+        frontier is empty): a longer path only extends a frontier vector,
+        which moves such a letter further out, so no level past the bound
+        adds a run vector that can be pumped into the box.  The answer
+        depends on the grammar, the bound and the box alone."""
+        if self.bound >= self.complete_bound:
+            return _NO
+        last = self._run_table.last if lo is None else self._runs(lo, hi).last
         if last:
-            guards = _box_guards(self._sign, lo, hi)
+            guards = [] if lo is None else _box_guards(self._sign, lo, hi)
             if any(all(s * v[j] <= limit for j, s, limit in guards) for v in last):
                 return self._no_within_bound
         return _NO
@@ -708,9 +714,9 @@ class GeneralMembership:
         groups = [(supp, bases, sorted(supp)) for supp, bases in self._bases.items()]
         return _prepare_queries(groups, self._pools, len(self.order))
 
-    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
+    def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
         """The answer for a vector no base and cycle subset reaches, the
-        same in every box.  An exhaustive run enumeration
+        same in every box and with no box.  An exhaustive run enumeration
         (`RunSearch.complete`: no run left that the run cap cut off, which
         holds at once when the start has no run) lists the whole language.
         At full caps the no rests on the base-run bound and on the split
@@ -783,8 +789,9 @@ class OracleMembership:
         cut = "" if self.found.exhausted else " (search cut at the depth)"
         self.note = f"oracle with depth {depth}, window {window}{cut}"
 
-    def miss(self, lo: IntTuple, hi: IntTuple) -> MembershipResult:
-        if min(lo, default=0) < -self.window or max(hi, default=0) > self.window:
+    def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
+        """A definite no only inside the window of an exhausted search."""
+        if lo is None or min(lo, default=0) < -self.window or max(hi, default=0) > self.window:
             return MembershipResult(
                 UNKNOWN, note=f"note: the vector lies outside the oracle window {self.window}"
             )

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from .decomposition import base_run_bound
 from .grammar import Grammar, normalize
 from .intlinalg import hadamard_bound
-from .membership import NON_MEMBER, IntTuple, engine
+from .membership import IntTuple, engine
 from .runs import tree_size_bound
 from .vector import Vec
 
@@ -119,8 +119,7 @@ def _sweep(question: str, grammars: tuple[Grammar, ...], window: int, name: str,
     lo = 0 if nonneg else -window
     box = ((lo,) * len(alphabet), (window,) * len(alphabet))
     states = [engine(g, name, window, **engine_params) for g in grammars]
-    answers = [(state.box_members(lo, window),
-                False if state.miss(*box).status == NON_MEMBER else None) for state in states]
+    answers = [(state.box_members(lo, window), state.miss(*box).verdict) for state in states]
     notes = tuple(state.note for state in states)
     union = frozenset().union(*(members for members, _rest in answers))
     points = sorted(union)

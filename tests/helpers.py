@@ -684,7 +684,8 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
             w, coeffs = hit
             witness = state._witness(state._run_table.cells, key, w, zs, coeffs, anchors)
             return MembershipResult(MEMBER, witness)
-    if state.bound >= state.complete_bound or state.runs_exhausted:
+    _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
+    if state.bound >= state.complete_bound or exhausted:
         return MembershipResult(NON_MEMBER)
     return MembershipResult(
         NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {state.bound}"

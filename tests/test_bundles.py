@@ -13,7 +13,7 @@ from parikh import (
     regular_bundles,
     two_letter_bundles,
 )
-from parikh import bundles, membership, runs
+from parikh import bundles, intlinalg, membership, runs
 from parikh.bundles import _direction_reps, _sector_period_sets
 from helpers import (
     enumerate_combinations,
@@ -65,6 +65,27 @@ class TestRegularBundles:
         g = parse_grammar("alphabet: a\nstart: S\nS -> : S S\nS -> :")
         with pytest.raises(ValueError):
             regular_bundles(g, run_cap=5)
+
+    def test_bundles_answer_from_the_query_indexes(self, monkeypatch):
+        # every bundle answers membership from the coset index of its
+        # query: no index is built past the state's own
+        g = parse_grammar(
+            "alphabet: a b c\nstart: Q0\n"
+            "Q0 -> a : Q1\nQ0 -> c : Q0\nQ1 -> a : Q0\nQ1 -> c : Q0\nQ1 -> :"
+        )
+        membership._regular_state.cache_clear()
+        built = []
+        original = intlinalg.CosetIndex.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(intlinalg.CosetIndex, "__init__", counting)
+        result = regular_bundles(g, 40)
+        assert all(b.member(w) for b in result.bundles for w in b.bases)
+        state = membership.engine(g, "regular-dp", bound=40)
+        assert len(built) == len(state._queries) == 10
 
     def test_count_bound_at_full_cap(self):
         # run_cap at the theoretical bound: at most N**(A*A) bundles
@@ -172,6 +193,16 @@ class TestTwoLetterBundles:
         info = membership._general_state.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert "_queries" in state.__dict__
+
+    def test_exhaustive_run_enumeration_is_not_truncated(self):
+        # the cycle search is not complete at the default cycle cap, but
+        # every run fits the run cap: the general state's miss is a no,
+        # and the bundles list the whole language
+        g = parse_grammar("alphabet: x y\nstart: S\nS -> : A B\nA -> x :\nB -> y :")
+        result = two_letter_bundles(g, run_cap=4)
+        assert [(b.bases, b.periods) for b in result.bundles] == [((Vec({"x": 1, "y": 1}),), ())]
+        assert not result.truncated
+        assert member_general(g, Vec.unit("x", 2), 4, 8).status == membership.NON_MEMBER
 
     def test_needs_two_letters(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,19 @@ class TestArtifactCommands:
         assert code == 2  # below the theoretical bound, flagged truncated
         assert out == "W: 1\nP: a^2\n"
 
+    def test_two_letter_bundles_of_an_exhaustive_enumeration_are_complete(
+        self, capsys, tmp_path
+    ):
+        # every run fits the run cap, so the two bases are the whole
+        # language: `member` answers a definite no from the same
+        # enumeration, and `bundles` reports no truncation
+        grammar = tmp_path / "pair.cg"
+        grammar.write_text("alphabet: x y\nstart: S\nS -> : A B\nA -> x :\nB -> y :\n")
+        code, out, err = run_cli(capsys, "bundles", str(grammar), "--run-cap", "4", "--two-letter")
+        assert (code, out, err) == (0, "W: x y\n", "")
+        code, out, _ = run_cli(capsys, "member", str(grammar), "x^2", "--caps", "4,8")
+        assert (code, out) == (1, "VERDICT false WITNESS -\n")
+
     def test_bound_report(self, capsys, ga_file, gb_file):
         code, out, _ = run_cli(capsys, "bound-report", ga_file, gb_file)
         assert code == 0

@@ -272,6 +272,33 @@ class TestMemberRegular:
             member_regular(gc(), Vec.zero())
 
 
+def test_verdict_reads_the_status():
+    statuses = (MEMBER, NON_MEMBER, NO_WITHIN_BOUND, UNKNOWN)
+    assert [MembershipResult(s).verdict for s in statuses] == [True, False, None, None]
+
+
+def test_boxless_miss_answers_for_every_vector():
+    # regular-dp: a definite no exactly at the completeness threshold or
+    # when the forward reference build ran dry, and then a no in every
+    # box; general-caps: its answer in any box; the oracle: unknown
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(30):
+        g = random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3)
+        box = ((-1,) * len(g.alphabet), (1,) * len(g.alphabet))
+        for bound in (2, 6, 30):
+            state = RegularMembership(g, bound)
+            _cells, exhausted = ref_run_cells(g, bound, state._support_limit)
+            definite = bound >= state.complete_bound or exhausted
+            assert state.miss().verdict is (False if definite else None)
+            assert not definite or state.miss(*box).verdict is False
+            seen.add(definite)
+        general = GeneralMembership(g, 5, 3)
+        assert general.miss() == general.miss(*box)
+        assert membership.engine(g, "oracle", 1).miss().verdict is None
+    assert seen == {True, False}
+
+
 class TestMemberGeneral:
     def test_gc_three(self):
         res = member_general(gc(), Vec.unit("a", 3), run_cap=9, cycle_cap=6)

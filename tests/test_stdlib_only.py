@@ -65,3 +65,37 @@ def test_only_membership_compares_engine_names():
                    for side in sides for leaf in ast.walk(side)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_membership_reads_engine_answers_and_builds_states():
+    # `membership` alone decides what an engine answer means and builds
+    # engine states: every other module reads `MembershipResult.verdict`
+    # and gets its state from `membership.engine`.  The `member` command
+    # shares MEMBER's string, so a comparison with `cmd` does not count
+    from parikh import membership
+
+    statuses = {membership.MEMBER, membership.NON_MEMBER, membership.NO_WITHIN_BOUND,
+                membership.UNKNOWN}
+    names = {"MEMBER", "NON_MEMBER", "NO_WITHIN_BOUND", "UNKNOWN"}
+    constructors = {"RegularMembership", "GeneralMembership", "OracleMembership",
+                "_regular_state", "_general_state"}
+
+    def name_of(node):
+        return node.id if isinstance(node, ast.Name) else (
+            node.attr if isinstance(node, ast.Attribute) else None)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "membership.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Compare):
+                leaves = [leaf for side in (node.left, *node.comparators) for leaf in ast.walk(side)]
+                if any(name_of(leaf) == "cmd" for leaf in leaves):
+                    continue
+                if any(name_of(leaf) in names or (isinstance(leaf, ast.Constant)
+                                                  and leaf.value in statuses) for leaf in leaves):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and name_of(node.func) in constructors:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
