@@ -177,8 +177,10 @@ def two_letter_bundles(
     Interior lattice offsets (cycle directions that are not period
     boundaries) are folded into the base set with coefficients up to
     fold_cap, as one set of dense tuples; each sector's bases are the
-    minimal entries of a coset index over its periods.  The result is
-    marked truncated unless the state's `miss()` is a definite no.
+    minimal entries of a coset index over its periods.  An anchor whose
+    cycle search outgrew the state cap adds no periods, which only loses
+    members.  The result is marked truncated unless the state's `miss()`
+    is a definite no.
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
@@ -186,8 +188,6 @@ def two_letter_bundles(
     if cycle_cap is None:
         cycle_cap = min(tree_size_bound(len(g.nonterminals), g.is_regular()) - 1, 8)
     state = engine(g, "general-caps", run_cap=run_cap, cycle_cap=cycle_cap)
-    if state.cycles_capped:
-        raise SearchCapExceeded(f"cycle search exceeded {state.state_cap} states; raise the cap")
 
     raw: list[SimpleBundle] = []
     for supp in sorted(state._bases, key=sorted):

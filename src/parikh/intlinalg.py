@@ -1,24 +1,26 @@
 """Exact integer linear algebra.
 
 Everything runs on arbitrary-precision integers, with no floating point;
-`Fraction` appears only in the values `cramer_solve` returns.  One
-fraction-free Gauss–Jordan elimination (Bareiss 1968, `_gauss_jordan`)
-gives the pivot columns, the determinant, the adjugate and the kernel of
-a matrix in a single pass.  `determinant` and `cramer_solve` read their
-answers off it, and `PeriodLattice` keeps them to solve nonnegative
-integer combinations of independent periods on dense integer tuples.
-`CosetIndex` answers every simple bundle's question, is v a base plus
-such a combination, from one lattice; both membership engines, both
-bundle constructions and `SimpleBundle` read it.
-`find_integer_dependency` takes its prefix coefficients and its basis
-determinants from two lattices.
+`Fraction` appears only in the values `cramer_solve` returns.  The
+module has one elimination: a fraction-free Gauss–Jordan elimination
+(Bareiss 1968, `_gauss_jordan`) that gives the pivot columns, the
+determinant, the adjugate and the kernel of a matrix in a single pass.
+`determinant` and `cramer_solve` read their answers off it, and
+`PeriodLattice` keeps them to solve nonnegative integer combinations of
+independent periods on dense integer tuples.  `CosetIndex` answers every
+simple bundle's question, is v a base plus such a combination, from one
+lattice; both membership engines, both bundle constructions and
+`SimpleBundle` read it.
 
-Rank and independence extend an incremental fraction-free echelon form
-one vector at a time (`_reduced`); `rank`, `is_linearly_independent`,
-the dependency search and the depth-first search of
-`maximal_independent_subsets` share it.  The module also holds the
-factorial determinant bound and the coefficient-reduction loop that caps
-all multiplicities outside an independent core.
+With the vectors as rows, the pivot count is their rank
+(`is_linearly_independent`, and the size of the subsets
+`maximal_independent_subsets` lists).  With the vectors as columns,
+another column lies in the span of the pivot columns iff it vanishes
+past the pivot rows, and then its pivot-row entries are d times its
+coefficients; `find_integer_dependency` and the subset search read
+their dependencies off that.  The module also holds the factorial
+determinant bound and the coefficient-reduction loop that caps all
+multiplicities outside an independent core.
 """
 
 from __future__ import annotations
@@ -109,59 +111,10 @@ def _union_symbols(vectors: Sequence[Vec]) -> list[str]:
     return sorted({s for v in vectors for s in v.support()})
 
 
-def _reduced(echelon: Sequence[tuple[int, Sequence[int]]], v: Sequence[int]) -> list[int]:
-    """Fraction-free reduction of v against echelon rows (pivot, row).
-
-    The result is a nonzero multiple of v minus a rational combination of
-    the rows, zero at every pivot; it is the zero vector iff v lies in
-    their span.  Each step divides out the content, so entries stay small.
-    """
-    out = list(v)
-    for p, row in echelon:
-        x = out[p]
-        if x:
-            a = row[p]
-            out = [a * y - x * r for y, r in zip(out, row)]
-            g = math.gcd(*out)
-            if g > 1:
-                out = [y // g for y in out]
-    return out
-
-
-def _echelon_row(
-    echelon: Sequence[tuple[int, Sequence[int]]], v: Sequence[int]
-) -> Optional[tuple[int, list[int]]]:
-    """The (pivot, row) that extends the echelon form by v, or None when v
-    lies in the span of its rows."""
-    row = _reduced(echelon, v)
-    for p, x in enumerate(row):
-        if x:
-            return p, row
-    return None
-
-
-def _extend_echelon(echelon: list[tuple[int, list[int]]], v: Sequence[int]) -> bool:
-    """Append v to the echelon form unless it is dependent; report which."""
-    entry = _echelon_row(echelon, v)
-    if entry is not None:
-        echelon.append(entry)
-    return entry is not None
-
-
-def rank(vectors: Sequence[Vec], symbols: Optional[Sequence[str]] = None) -> int:
-    """Rank over the rationals."""
-    if not vectors:
-        return 0
-    if symbols is None:
-        symbols = _union_symbols(vectors)
-    echelon: list[tuple[int, list[int]]] = []
-    for v in vectors:
-        _extend_echelon(echelon, [v.get(s) for s in symbols])
-    return len(echelon)
-
-
 def is_linearly_independent(vectors: Sequence[Vec]) -> bool:
-    return rank(vectors) == len(vectors)
+    symbols = _union_symbols(vectors)
+    _a, pivots, _d = _gauss_jordan([[v.get(s) for s in symbols] for v in vectors], len(symbols))
+    return len(pivots) == len(vectors)
 
 
 def find_integer_dependency(
@@ -179,18 +132,18 @@ def find_integer_dependency(
         symbols = _union_symbols(vectors)
     dim = len(symbols)
     tuples = [v.to_tuple(symbols) for v in vectors]
-    # the first vector dependent on the (independent) vectors before it
-    echelon: list[tuple[int, list[int]]] = []
-    for dep, t in enumerate(tuples):
-        if not _extend_echelon(echelon, t):
-            break
-    else:
+    # one elimination with the vectors as columns: the first column that
+    # is not a pivot is the first vector dependent on those before it, and
+    # its entries are d times its coefficients over that (independent)
+    # prefix.  The minimal dependent subset is the dependent vector plus
+    # the prefix vectors with a nonzero coefficient; c holds their
+    # coefficients in the dependency, up to the common scale d
+    a, pivots, d = _gauss_jordan([[t[i] for t in tuples] for i in range(dim)], len(tuples))
+    dep = next((j for j, p in enumerate(pivots) if p != j), len(pivots))
+    if dep == len(tuples):
         raise ValueError("vectors are linearly independent")
-    # it is sum (c_j / det) * tuples[j]; the minimal dependent subset is
-    # the dependent vector plus the prefix vectors with c_j != 0
-    prefix = PeriodLattice(tuples[:dep], dim)
-    c = {j: x for j, x in enumerate(prefix.scaled(tuples[dep])) if x}
-    c[dep] = -prefix.det
+    c = {j: a[j][dep] for j in range(dep) if a[j][dep]}
+    c[dep] = -d
     alpha = [0] * len(tuples)
     if len(c) == 1:
         # a zero vector by itself
@@ -198,26 +151,24 @@ def find_integer_dependency(
         return alpha
     u_idx = max(c, key=lambda j: abs(c[j]))
     rest_idx = [j for j in c if j != u_idx]
-    # extend the rest to a basis B of the coordinate space with unit
-    # vectors; by Cramer, B's determinant and B's with u in column j are
-    # det(B) and (adj(B) u)_j, both up to the common sign normalized below
-    basis = [tuples[j] for j in rest_idx]
-    echelon = []
-    for t in basis:
-        _extend_echelon(echelon, t)
-    for i in range(dim):
-        unit = tuple(int(i == j) for j in range(dim))
-        if len(basis) < dim and _extend_echelon(echelon, unit):
-            basis.append(unit)
-    lattice = PeriodLattice(basis, dim)
-    alpha[u_idx] = lattice.det
-    for j, x in zip(rest_idx, lattice.scaled(tuples[u_idx])):
-        alpha[j] = -x
+    # extend the rest to a basis B of the coordinate space with the first
+    # unit vectors independent of it: the pivots of [rest | I].  Every row
+    # is a pivot row, so d = det(B), and the column u gives d * B^-1 u,
+    # whose entries are B's determinants with u in column j (Cramer)
+    rest = [tuples[j] for j in rest_idx]
+    u = tuples[u_idx]
+    a, _pivots, d = _gauss_jordan(
+        [[*(t[i] for t in rest), *(int(i == j) for j in range(dim)), u[i]] for i in range(dim)],
+        len(rest) + dim,
+    )
+    alpha[u_idx] = d
+    for j, row in zip(rest_idx, a):
+        alpha[j] = -row[-1]
     # sanity: the combination really vanishes
-    if any(sum(a * t[i] for a, t in zip(alpha, tuples)) for i in range(dim)):
+    if any(sum(x * t[i] for x, t in zip(alpha, tuples)) for i in range(dim)):
         raise AssertionError("integer dependency construction failed")  # pragma: no cover
-    if next(a for a in alpha if a) < 0:
-        alpha = [-a for a in alpha]
+    if next(x for x in alpha if x) < 0:
+        alpha = [-x for x in alpha]
     return alpha
 
 
@@ -272,30 +223,43 @@ def maximal_independent_subsets(vectors: Sequence[Sequence[int]]) -> list[tuple[
     A nonnegative combination over an independent subset is one over any
     maximal superset, so membership only needs to solve these.
 
-    Depth-first over increasing index tuples, carrying the fraction-free
-    echelon form of the chosen vectors, so each candidate costs one
-    reduction instead of a fresh rank.  Over a sorted list of distinct
+    They are the bases of the vectors' linear matroid: every maximal
+    independent subset has as many vectors as the rank r, and every
+    independent subset of r vectors is maximal.  So a depth-first search
+    over increasing index tuples keeps each independent tuple that
+    reaches length r, and extends a tuple only by the later vectors
+    outside its span, because every superset of a dependent set is
+    dependent; one elimination per tuple finds them.  It visits the
+    tuples in lexicographic order.  Over a sorted list of distinct
     vectors, index tuples sort the same way as the vector tuples they
     pick.
     """
+    n = len(vectors)
+    dim = len(vectors[0]) if vectors else 0
+    r = len(_gauss_jordan(vectors, dim)[1])
+    if r == n:  # an independent set is its own only basis
+        return [tuple(range(n))]
     results: list[tuple[int, ...]] = []
 
-    def extend(chosen: tuple[int, ...], echelon: list, start: int) -> None:
-        extended = False
-        for i in range(start, len(vectors)):
-            entry = _echelon_row(echelon, vectors[i])
-            if entry is not None:
-                extended = True
-                extend(chosen + (i,), echelon + [entry], i + 1)
-        # maximal unless a vector skipped before `start` still fits
-        if not extended and not any(
-            i not in chosen and _echelon_row(echelon, vectors[i]) is not None
-            for i in range(start)
-        ):
+    def extend(chosen: tuple[int, ...], start: int) -> None:
+        k = len(chosen)
+        if k == r:
             results.append(chosen)
+            return
+        # leave room for the r - k - 1 vectors still to come
+        later = range(start, n - r + k + 1)
+        # one elimination of the chosen vectors as columns, with the later
+        # ones alongside: a later vector is independent of the chosen iff
+        # its column does not vanish on the rows past the k pivot rows
+        a, _pivots, _d = _gauss_jordan(
+            [[vectors[j][c] for j in (*chosen, *later)] for c in range(dim)], k
+        )
+        for col, i in enumerate(later, k):
+            if any(row[col] for row in a[k:]):
+                extend(chosen + (i,), i + 1)
 
-    extend((), [], 0)
-    return sorted(results)
+    extend((), 0)
+    return results
 
 
 class PeriodLattice:

@@ -204,6 +204,22 @@ class TestTwoLetterBundles:
         assert not result.truncated
         assert member_general(g, Vec.unit("x", 2), 4, 8).status == membership.NON_MEMBER
 
+    def test_capped_cycle_search_is_truncation(self, monkeypatch):
+        # the cycle search at S outgrows the state cap, so S pumps nothing:
+        # the bundles list only what the listed runs reach, every member
+        # of them is in the language, and the result is truncated
+        monkeypatch.setattr(membership, "DEFAULT_STATE_CAP", 15)
+        g = parse_grammar(
+            "alphabet: a b\nstart: S\n"
+            "S -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :\nS -> b : S"
+        )
+        result = two_letter_bundles(g, 8)
+        assert result.truncated
+        assert [(b.bases, b.periods) for b in result.bundles] == [((Vec.unit("a"),), ())]
+        lang = oracle_language(g, 24, 4)
+        box = [Vec({"a": i, "b": j}) for i in range(5) for j in range(5)]
+        assert all(v in lang for v in box if result.member(v))
+
     def test_needs_two_letters(self):
         with pytest.raises(ValueError):
             two_letter_bundles(ga(), run_cap=5)

@@ -32,6 +32,22 @@ def vec2(x, y):
     return Vec({"a": x, "b": y})
 
 
+def random_pool(rng, dim, size, c=2):
+    """size dense vectors in Z^dim with entries in [-c..c], some of them
+    zero and some k * z for an earlier z and k in 2..4."""
+    pool = []
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.15:
+            pool.append((0,) * dim)
+        elif roll < 0.4 and pool:
+            k = rng.randint(2, 4)
+            pool.append(tuple(k * x for x in rng.choice(pool)))
+        else:
+            pool.append(tuple(rng.randint(-c, c) for _ in range(dim)))
+    return pool
+
+
 class TestDeterminant:
     def test_examples(self):
         assert determinant([[1, 0], [0, 1]]) == 1
@@ -133,8 +149,10 @@ class TestIndependence:
 
     def test_matches_naive_rank(self):
         rng = random.Random(13)
-        for _ in range(80):
-            vs = [vec2(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            vs = [Vec.from_tuple(z, "abcd"[:dim])
+                  for z in random_pool(rng, dim, rng.randint(0, 5), 3)]
             assert is_linearly_independent(vs) == (naive_rank(vs) == len(vs))
 
 
@@ -181,9 +199,9 @@ class TestIntegerDependency:
         rng = random.Random(89)
         checked = 0
         while checked < 300:
-            dim = rng.randint(1, 3)
-            vs = [Vec.from_tuple([rng.randint(-3, 3) for _ in range(dim)], "abc"[:dim])
-                  for _ in range(rng.randint(1, 4))]
+            dim = rng.randint(1, 4)
+            vs = [Vec.from_tuple(z, "abcd"[:dim])
+                  for z in random_pool(rng, dim, rng.randint(1, 5), 3)]
             if naive_rank(vs) == len(vs):
                 continue
             assert find_integer_dependency(vs) == ref_integer_dependency(vs)
@@ -456,10 +474,10 @@ class TestMaximalIndependentSubsets:
     def test_matches_fresh_rank_enumeration(self):
         rng = random.Random(73)
         for _ in range(300):
-            dim = rng.randint(1, 3)
-            pool = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+            dim = rng.randint(1, 4)
+            pool = random_pool(rng, dim, rng.randint(0, 6))
             pool += rng.sample(pool, min(len(pool), rng.randint(0, 2)))  # duplicates
-            vecs = [Vec.from_tuple(z, "abc"[:dim]) for z in pool]
+            vecs = [Vec.from_tuple(z, "abcd"[:dim]) for z in pool]
             assert maximal_independent_subsets(pool) == ref_maximal_independent_subsets(vecs)
 
     def test_sorted_distinct_pool_keeps_vector_order(self):

@@ -44,6 +44,26 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def test_no_unused_private_functions():
+    # every private module-level function and private method is read
+    # somewhere in the package, so a helper goes with its last caller
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            scope = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(path.name, f.name) for f in scope
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and f.name.startswith("_") and not f.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
 def test_only_membership_compares_engine_names():
     # `membership.engine` is the one place that picks an engine by name;
     # every other module passes the name through.  `cli._dispatch` compares
@@ -69,9 +89,11 @@ def test_only_membership_compares_engine_names():
 
 def test_only_membership_reads_engine_answers_and_builds_states():
     # `membership` alone decides what an engine answer means and builds
-    # engine states: every other module reads `MembershipResult.verdict`
-    # and gets its state from `membership.engine`.  The `member` command
-    # shares MEMBER's string, so a comparison with `cmd` does not count
+    # engine states: every other module reads `MembershipResult.verdict`,
+    # takes completeness from `miss()` rather than from the enumeration
+    # flags behind it, and gets its state from `membership.engine`.  The
+    # `member` command shares MEMBER's string, so a comparison with `cmd`
+    # does not count
     from parikh import membership
 
     statuses = {membership.MEMBER, membership.NON_MEMBER, membership.NO_WITHIN_BOUND,
@@ -79,6 +101,7 @@ def test_only_membership_reads_engine_answers_and_builds_states():
     names = {"MEMBER", "NON_MEMBER", "NO_WITHIN_BOUND", "UNKNOWN"}
     constructors = {"RegularMembership", "GeneralMembership", "OracleMembership",
                 "_regular_state", "_general_state"}
+    flags = {"runs_complete", "runs_capped", "cycles_complete", "cycles_capped"}
 
     def name_of(node):
         return node.id if isinstance(node, ast.Name) else (
@@ -97,5 +120,7 @@ def test_only_membership_reads_engine_answers_and_builds_states():
                                                   and leaf.value in statuses) for leaf in leaves):
                     found.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Call) and name_of(node.func) in constructors:
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr in flags:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
