@@ -16,9 +16,9 @@ from .intlinalg import hadamard_bound, is_linearly_independent, reduce_multiplic
 from .runs import (
     DEFAULT_STATE_CAP,
     TransitionMultiset,
-    find_removable_cycle,
     is_run,
     is_simple_cycle,
+    strip_cycles,
     tree_size_bound,
 )
 from .vector import Vec
@@ -90,30 +90,31 @@ def decompose_run(
 
     Repeatedly strips the smallest removable cycle (one whose removal
     leaves a run still supporting every anchor recorded so far:
-    `runs.find_removable_cycle` with those anchors to keep), merges
-    stripped cycles with equal letter vectors, then reduces
-    multiplicities so the surviving cycle vectors are linearly
-    independent; leftovers that stay dependent on the kept cycles are
-    folded back into the base run.
+    `runs.strip_cycles`), merges stripped cycles with equal letter
+    vectors, then reduces multiplicities so the surviving cycle vectors
+    are linearly independent; leftovers that stay dependent on the kept
+    cycles are folded back into the base run.
+
+    Stripping searches once per distinct cycle, not once per copy:
+    before searching the smaller run again it re-tests, in order and in
+    full, the cycles the last search listed up to the one it accepted.
+    A fresh search would list just those that still fit, in that order,
+    first, so the first that passes is the one it would accept.
+    Raises ValueError for a grammar outside normal form, an unknown
+    nonterminal `p`, or a multiset that is not a run from `p`.
     """
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
-    if not is_run(ms, p):
-        raise ValueError("not a run from the given nonterminal")
-
-    rest = ms
-    stripped: list[tuple[TransitionMultiset, str]] = []
-    held: set[str] = set()
-    while (hit := find_removable_cycle(rest, p, state_cap, keep=held)) is not None:
-        stripped.append(hit)
-        held.add(hit[1])
-        rest = rest - hit[0]
+    stripped, rest = strip_cycles(ms, p, state_cap)
 
     # merge cycles with the same letter vector; first-stripped wins as
     # the representative
     merged: dict[Vec, tuple[TransitionMultiset, str, int]] = {}
+    letters: dict[Vec, Vec] = {}  # the letter vector of each distinct cycle
     for cycle, anchor in stripped:
-        key = cycle.parikh()
+        key = letters.get(cycle.counts)
+        if key is None:
+            key = letters[cycle.counts] = cycle.parikh()
         if key in merged:
             rep, rep_anchor, count = merged[key]
             merged[key] = (rep, rep_anchor, count + 1)

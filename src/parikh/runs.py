@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import add, le, mul, sub
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .grammar import CompiledGrammar, Grammar
 from .vector import Vec
@@ -365,11 +365,15 @@ def tree_size_bound(depth: int, regular: bool) -> int:
     return depth + 1 if regular else 2 ** (depth + 1)
 
 
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(n))
+
+
 def _dense_unit(cg: CompiledGrammar, q: str) -> tuple[int, ...]:
     i = cg.nt_index.get(q)
     if i is None:
         raise ValueError(f"unknown nonterminal {q!r}")
-    return tuple(int(j == i) for j in range(len(cg.nonterminals)))
+    return _unit(len(cg.nonterminals), i)
 
 
 def _fire(
@@ -405,11 +409,11 @@ def _fire(
     cycle search an empty marking or two such nonterminals pending.
 
     Yields `(found, capped, exhausted)` per size 1..max_size: `found`
-    lists (multiset Vec, start index) for the new states at their
-    start's end marking, in `Vec.sort_key` order (the first start wins a
-    tie).  A capped level is partial.  `exhausted` says the frontier ran
-    dry with nothing capped or cut, so no larger size finds more (a cycle
-    search counts its drops as cuts).  A capped level, or one that leaves
+    lists (dense use counts, start index) for the new states at their
+    start's end marking, in the `Vec.sort_key` order of their multisets
+    (the first start wins a tie).  A capped level is partial.
+    `exhausted` says the frontier ran dry with nothing capped or cut, so
+    no larger size finds more (a cycle search counts its drops as cuts).  A capped level, or one that leaves
     the frontier empty, is the last.
     """
     cycles = any(map(any, ends))
@@ -427,6 +431,7 @@ def _fire(
         # out of one: each of its rules has such a target
         and (cycles or all(least[r] is not None for r in cg.targets[i]))
     ]
+    by_name = sorted(range(len(cg.tids)), key=cg.tids.__getitem__)
     no_use = (0,) * len(cg.tids)
     frontiers = [[(m, no_use, sum(map(mul, m, weight)))] for m in starts]
     visited: list[set[tuple[int, ...]]] = [{no_use} for _ in starts]
@@ -467,8 +472,9 @@ def _fire(
             if capped:
                 break
         frontiers = new
-        found = [(cg.multiset(used), k) for used, k in level.items()]
-        found.sort(key=lambda f: f[0].sort_key())
+        found = sorted(
+            level.items(), key=lambda f: [(cg.tids[i], f[0][i]) for i in by_name if f[0][i]]
+        )
         dry = not any(frontiers)
         yield found, capped, dry and not (capped or cut)
         if capped or dry:
@@ -495,11 +501,22 @@ def iter_cycles(
     anchors = sorted(set(anchors))
     units = [_dense_unit(cg, q) for q in anchors]
     limit = None if within is None else cg.counts(within.counts)
+    for used, k in _cycles(cg, units, max_size, limit, state_cap):
+        yield TransitionMultiset(g, cg.multiset(used)), anchors[k]
+
+
+def _cycles(
+    cg: CompiledGrammar,
+    units: Sequence[tuple[int, ...]],
+    max_size: int,
+    limit: Optional[tuple[int, ...]],
+    state_cap: int,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """`iter_cycles` on dense tuples: (use counts, start index) pairs."""
     for found, capped, _exhausted in _fire(cg, units, units, max_size, limit, state_cap):
         if capped:
             raise SearchCapExceeded(f"cycle search exceeded {state_cap} states; raise the cap")
-        for vec, k in found:
-            yield TransitionMultiset(g, vec), anchors[k]
+        yield from found
 
 
 @dataclass(frozen=True)
@@ -535,7 +552,7 @@ def enumerate_runs(
     for found, capped, exhausted in _fire(
         cg, [start], [(0,) * len(start)], max_size, None, state_cap
     ):
-        runs.extend(TransitionMultiset(g, vec) for vec, _k in found)
+        runs.extend(TransitionMultiset(g, cg.multiset(used)) for used, _k in found)
     return RunSearch(tuple(runs), exhausted, capped)
 
 
@@ -553,6 +570,53 @@ def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STA
     return True
 
 
+def _removable_cycle(
+    cg: CompiledGrammar,
+    run: tuple[int, ...],
+    start: tuple[int, ...],
+    keep: AbstractSet[Optional[int]],
+    listed: list[tuple[int, ...]],
+    state_cap: int,
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """`find_removable_cycle` on dense tuples: `run` holds use counts that
+    balance from the unit marking `start` to the empty one, `keep` holds
+    nonterminal ids, and the answer is (cycle counts, anchor id).
+
+    `listed` holds the cycles that a cycle search over some run
+    containing `run` listed, in its order, up to the one it accepted
+    (empty for a first step).  They are tested again first, in that
+    order, and only when none passes does a fresh search over `run`
+    start; its listing, up to the cycle it accepts, then replaces
+    `listed`.  `find_removable_cycle` says why that is exact.
+    """
+    n = len(cg.nonterminals)
+
+    def anchor_of(cycle: tuple[int, ...]) -> Optional[int]:
+        if not all(map(le, cycle, run)):
+            return None
+        rest = tuple(map(sub, run, cycle))
+        held = set(compress(cg.source, rest))
+        # a cycle is balanced, so the rest is too; only reachability is left
+        if not keep <= held or not _reaches_used(cg, rest, start):
+            return None
+        return next(
+            (q for q in sorted(set(compress(cg.source, cycle)))
+             if q in held and _reaches_used(cg, cycle, _unit(n, q))),
+            None,
+        )
+
+    for cycle in listed:
+        if (anchor := anchor_of(cycle)) is not None:
+            return cycle, anchor
+    units = [_unit(n, q) for q in sorted(set(compress(cg.source, run)))]
+    listed.clear()
+    for cycle, _k in _cycles(cg, units, sum(run), run, state_cap):
+        listed.append(cycle)
+        if (anchor := anchor_of(cycle)) is not None:
+            return cycle, anchor
+    return None
+
+
 def find_removable_cycle(
     ms: TransitionMultiset,
     p: str,
@@ -563,31 +627,82 @@ def find_removable_cycle(
     `p` whose support holds `keep` (default: all of `ms`'s), with its
     anchor: the first nonterminal of the cycle's support that the rest
     holds and the cycle returns to.  None when there is no such cycle;
-    by default, when `ms` is a skeleton run.
+    by default, when `ms` is a skeleton run.  Raises ValueError when `p`
+    is not a nonterminal.
 
-    Candidates are generated smallest-first with a deterministic
-    tie-break, so repeated stripping is reproducible.
+    Candidates come from one cycle search over `ms` from every
+    nonterminal of its support, smallest first with the `Vec.sort_key`
+    tie-break, so repeated stripping is reproducible.  `strip_cycles`
+    asks again after each removal, and first re-tests, in order, the
+    cycles the last search listed up to the one it accepted; it
+    searches afresh only when none passes.  That is exact.  A search
+    over the smaller run lists exactly the cycles that fit in it, in the
+    same order, and keeps a subset of the larger run's search states
+    (no more anchors, a smaller limit and size cap), so it hits no state
+    cap the larger search did not.  So up to the last accepted cycle it
+    lists just the listed cycles that fit, and the first of those that
+    passes is the one it would accept.  Each is tested in full again,
+    because a cycle that failed in a larger run can pass in a smaller.
     """
-    supp = ms.supp()
-    keep = supp if keep is None else frozenset(keep)
-    for cand, _least in iter_cycles(ms.grammar, sorted(supp), ms.size(), within=ms, state_cap=state_cap):
-        rest = ms - cand
-        rest_supp = rest.supp()
-        if not keep <= rest_supp or not is_run(rest, p):
-            continue
-        anchor = next(
-            (q for q in sorted(cand.supp()) if q in rest_supp and is_cycle(cand, q)), None
-        )
-        if anchor is not None:
-            return cand, anchor
-    return None
+    cg = ms.grammar.compiled
+    start = _dense_unit(cg, p)
+    check = is_run(ms, p)
+    if not check and check.reason == "euler":
+        return None  # a cycle is balanced, so no rest balances either
+    run = cg.counts(ms.counts)
+    # a name that is not a nonterminal (id None) is never held
+    held = set(compress(cg.source, run)) if keep is None else {cg.nt_index.get(q) for q in keep}
+    hit = _removable_cycle(cg, run, start, held, [], state_cap)
+    if hit is None:
+        return None
+    return TransitionMultiset(ms.grammar, cg.multiset(hit[0])), cg.nonterminals[hit[1]]
+
+
+def strip_cycles(
+    ms: TransitionMultiset, p: str, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[list[tuple[TransitionMultiset, str]], TransitionMultiset]:
+    """Strip removable cycles off the run `ms` from `p` until none is
+    left: each step removes `find_removable_cycle`'s cycle with every
+    anchor recorded so far to keep.  Returns the (cycle, anchor) pairs
+    in stripping order and the rest, a run from `p`.  Raises ValueError
+    unless `ms` is a run from the nonterminal `p`.
+
+    Each step first re-tests the cycles the last search listed, up to
+    the one it accepted, so stripping many copies of one cycle takes
+    one search, not one per copy.
+    """
+    start = _check_run(ms, p)
+    g = ms.grammar
+    cg = g.compiled
+    run = cg.counts(ms.counts)
+    held: set[int] = set()
+    listed: list[tuple[int, ...]] = []
+    stripped = []
+    made: dict[tuple[int, ...], TransitionMultiset] = {}  # one multiset per distinct cycle
+    while (hit := _removable_cycle(cg, run, start, held, listed, state_cap)) is not None:
+        cycle, anchor = hit
+        if cycle not in made:
+            made[cycle] = TransitionMultiset(g, cg.multiset(cycle))
+        stripped.append((made[cycle], cg.nonterminals[anchor]))
+        held.add(anchor)
+        run = tuple(map(sub, run, cycle))
+    return stripped, TransitionMultiset(g, cg.multiset(run))
+
+
+def _check_run(ms: TransitionMultiset, p: str) -> tuple[int, ...]:
+    """The unit marking of `p`; ValueError unless `ms` is a run from that
+    nonterminal."""
+    start = _dense_unit(ms.grammar.compiled, p)
+    if not is_run(ms, p):
+        raise ValueError("not a run from the given nonterminal")
+    return start
 
 
 def is_skeleton_run(ms: TransitionMultiset, p: str, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff no cycle can be removed from the run without shrinking
-    its support."""
-    if not is_run(ms, p):
-        raise ValueError("not a run from the given nonterminal")
+    its support.  Raises ValueError unless `ms` is a run from the
+    nonterminal `p`."""
+    _check_run(ms, p)
     return find_removable_cycle(ms, p, state_cap=state_cap) is None
 
 
@@ -613,10 +728,9 @@ def enumerate_simple_cycles(
     cg = g.compiled
     listed: set[tuple[int, ...]] = set()
     out = []
-    for cand, _anchor in iter_cycles(g, [q], limit, state_cap=state_cap):
-        used = cg.counts(cand.counts)
+    for used, _k in _cycles(cg, [_dense_unit(cg, q)], limit, None, state_cap):
         if not any(tuple(map(sub, used, c)) in listed for c in listed):
-            out.append(cand)
+            out.append(TransitionMultiset(g, cg.multiset(used)))
         listed.add(used)
     return out
 

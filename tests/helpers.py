@@ -169,6 +169,49 @@ def random_run(
     return None
 
 
+def random_ring_grammar(rng: random.Random, n: int, letters: Sequence[str], neg: float = 0.25) -> Grammar:
+    """Normal-form grammar on Q0..Q{n-1} built around the ring Q0 -> Q1
+    -> ... -> Q0, each ring rule emitting one letter, plus up to n + 1
+    unary or binary rules whose letter may be negative, and final rules
+    on a random nonempty set of nonterminals."""
+    nts = [f"Q{i}" for i in range(n)]
+    rules = [(q, Vec.unit(rng.choice(letters)), Vec.unit(nts[(i + 1) % n])) for i, q in enumerate(nts)]
+    for _ in range(rng.randint(1, n + 1)):
+        out = Vec.zero()
+        if rng.random() >= 0.3:
+            out = Vec.unit(rng.choice(letters), -1 if rng.random() < neg else 1)
+        targets = Vec.unit(rng.choice(nts))
+        if rng.random() < 0.25:
+            targets = targets + Vec.unit(rng.choice(nts))
+        rules.append((rng.choice(nts), out, targets))
+    rules.extend((q, Vec.zero(), Vec.zero()) for q in rng.sample(nts, rng.randint(1, n)))
+    return grammar_from_rules(list(letters), "Q0", rules)
+
+
+def random_long_run(rng: random.Random, g: Grammar, grow: int) -> Optional[TransitionMultiset]:
+    """Run from the start symbol of at least `grow` transitions: fire
+    random rules with targets for `grow` steps (only one-target rules
+    while more than three nonterminals are pending), then wind down on
+    final rules where one is enabled; None past 3 * grow + 50 steps."""
+    marking = Vec.unit(g.start)
+    counts: dict[str, int] = {}
+    for step in range(3 * grow + 50):
+        if marking.is_zero():
+            return TransitionMultiset.from_counts(g, counts)
+        enabled = [t for t in g.transitions if marking.get(t.source) >= 1]
+        if step < grow:
+            pool = [t for t in enabled if not t.targets.is_zero()] or enabled
+            if marking.total() > 3:
+                pool = [t for t in pool if t.targets.total() <= 1] or pool
+        else:
+            pool = ([t for t in enabled if t.targets.is_zero()]
+                    or [t for t in enabled if t.targets.total() <= 1] or enabled)
+        t = rng.choice(pool)
+        counts[t.tid] = counts.get(t.tid, 0) + 1
+        marking = marking - Vec.unit(t.source) + t.targets
+    return None
+
+
 def with_unreachable_cycle(g: Grammar) -> tuple[Grammar, dict[str, int]]:
     """Extend a grammar with a detached two-state cycle; returns the new
     grammar and the cycle's counts (a connectivity-violating addition)."""
@@ -500,6 +543,36 @@ def ref_is_subrun(g: Grammar, counts: Vec, src: Vec, dst: Vec) -> Optional[str]:
                 seen.add(r)
                 stack.append(r)
     return None if ms.supp() <= seen else "connectivity"
+
+
+def ref_removable_cycle(g: Grammar, run: Vec, p: str, keep) -> Optional[tuple[Vec, str]]:
+    """The first cycle a fresh `ref_iter_cycles` search over `run` lists
+    whose removal leaves a run from p using every nonterminal in `keep`,
+    with the least nonterminal of its support that the rest uses and it
+    returns to; None when there is none."""
+    def sources(counts: Vec) -> set:
+        return {g.transition(tid).source for tid, _c in counts}
+
+    for cycle, _q in ref_iter_cycles(g, sorted(sources(run)), run.total(), within=run):
+        rest = run - cycle
+        held = sources(rest)
+        if not set(keep) <= held or ref_is_subrun(g, rest, Vec.unit(p), Vec.zero()) is not None:
+            continue
+        for q in sorted(sources(cycle)):
+            if q in held and ref_is_subrun(g, cycle, Vec.unit(q), Vec.unit(q)) is None:
+                return cycle, q
+    return None
+
+
+def ref_strip_cycles(g: Grammar, run: Vec, p: str) -> tuple[list, Vec]:
+    """Strip `ref_removable_cycle`s, each with the anchors stripped so
+    far to keep, until none is left: one fresh search per stripped copy.
+    Returns the (cycle, anchor) pairs in order and the rest."""
+    stripped: list = []
+    while (hit := ref_removable_cycle(g, run, p, {q for _c, q in stripped})) is not None:
+        stripped.append(hit)
+        run = run - hit[0]
+    return stripped, run
 
 
 def ref_order_subrun(g: Grammar, counts: Vec, src: Vec, dst: Vec) -> list:

@@ -420,6 +420,11 @@ class TestInputValidation:
         assert code == 65 and out == ""
         assert "unknown nonterminal 'Nope'" in err
 
+    def test_decompose_from_unknown_root(self, capsys, ga_file):
+        code, out, err = run_cli(capsys, "decompose", ga_file, "t1*2 t2*1", "--root", "X")
+        assert code == 65 and out == ""
+        assert "unknown nonterminal 'X'" in err
+
     def test_search_cap_exceeded_is_truncation(self, capsys, monkeypatch, tmp_path):
         from parikh import membership
 
