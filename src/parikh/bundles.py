@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .grammar import Grammar, normalize
-from .intlinalg import CosetIndex, hadamard_bound
+from .intlinalg import CosetIndex, PeriodLattice, hadamard_bound
 from .membership import engine
 from .runs import SearchCapExceeded, tree_size_bound
 from .semilinear import SimpleBundle
@@ -205,5 +205,5 @@ def two_letter_bundles(
         for zx, zy in pool_vecs:
             folded = {(x + c * zx, y + c * zy) for x, y in folded for c in range(cap + 1)}
         for zs in _sector_period_sets(pool_vecs):
-            raw.append(_bundle(CosetIndex(zs, folded, 2), g.alphabet))
+            raw.append(_bundle(CosetIndex(PeriodLattice(zs, 2), folded), g.alphabet))
     return BundlesResult(_drop_subsumed(raw), state.miss().verdict is not False, run_cap)

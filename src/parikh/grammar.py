@@ -108,6 +108,22 @@ class Grammar:
                 if count < 0:
                     raise GrammarError(f"transition {t.tid}: negative target multiplicity")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, worked out once: the engine
+        state caches key on the grammar, and hashing walks every rule."""
+        return hash((self.alphabet, self.nonterminals, self.start, self.transitions))
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a pickle never
+        # carries the cached hash
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @cached_property
     def compiled(self) -> CompiledGrammar:
         """Integer view for the search loops, built on first use and kept

@@ -8,9 +8,11 @@ determinant, the adjugate and the kernel of a matrix in a single pass.
 `determinant` and `cramer_solve` read their answers off it, and
 `PeriodLattice` keeps them to solve nonnegative integer combinations of
 independent periods on dense integer tuples.  `CosetIndex` answers every
-simple bundle's question, is v a base plus such a combination, from one
-lattice; both membership engines, both bundle constructions and
-`SimpleBundle` read it.
+simple bundle's question, is v a base plus such a combination, over a
+lattice its caller builds, so indexes over equal periods share one; the
+lattice also keeps the pivot images of the last box enumerated, which
+every index over it reads.  Both membership engines, both bundle
+constructions and `SimpleBundle` read it.
 
 With the vectors as rows, the pivot count is their rank
 (`is_linearly_independent`, and the size of the subsets
@@ -299,6 +301,10 @@ class PeriodLattice:
                 u[r] = -sign * row[free]
             g = math.gcd(*u)
             self.kernel.append(tuple(x // g for x in u))
+        # columns[i][j] = z_j[i], one (possibly empty) column per coordinate
+        self.columns = [tuple(z[i] for z in self.zs) for i in range(dim)]
+        # the last (lo, hi) asked of box_images, with its images
+        self._box: Optional[tuple[int, int, dict[IntTuple, list[IntTuple]]]] = None
 
     def scaled(self, t: Sequence[int]) -> IntTuple:
         """adj * t[rows]: det times t's coefficients when t is in the span."""
@@ -326,22 +332,37 @@ class PeriodLattice:
             out.append(c // det)
         return tuple(out)
 
+    def box_images(self, lo: int, hi: int) -> dict[IntTuple, list[IntTuple]]:
+        """adj * u for every pivot tuple u in [lo..hi]^k, bucketed by its
+        residues mod det.  The images of the last box asked are kept, so
+        every index over this lattice reads one enumeration per box."""
+        box = self._box
+        if box is not None and box[0] == lo and box[1] == hi:
+            return box[2]
+        det = self.det
+        images: dict[IntTuple, list[IntTuple]] = {}
+        for u in product(range(lo, hi + 1), repeat=len(self.zs)):
+            image = tuple(sum(map(mul, row, u)) for row in self.adj)
+            images.setdefault(tuple(c % det for c in image), []).append(image)
+        self._box = (lo, hi, images)
+        return images
+
 
 class CosetIndex:
     """Point lookups for the simple bundle {w + N-combinations of zs : w
-    in bases} on dense integer tuples.
+    in bases} on dense integer tuples, over the `PeriodLattice` of zs.
 
     Bases are grouped by their class modulo the lattice of zs (rational
     coset functionals plus residues of the scaled coordinates); inside a
     class only the Pareto-minimal coordinate tuples are kept, because a
     query succeeds iff some base sits coordinatewise below it.  So the
     kept bases are the minimal ones, which no other base reaches by
-    adding periods.  With no periods every base is its own class.
+    adding periods.  With no periods every base is its own class.  The
+    lattice is the caller's: indexes over equal periods share one.
     """
 
-    def __init__(self, zs: Sequence[IntTuple], bases: Iterable[IntTuple], dim: int):
-        self.lattice = PeriodLattice(zs, dim)
-        self.dim = dim
+    def __init__(self, lattice: PeriodLattice, bases: Iterable[IntTuple]):
+        self.lattice = lattice
         groups: dict[tuple, list[tuple[IntTuple, IntTuple]]] = {}
         for w in bases:
             key, coords = self._key_coords(w)
@@ -366,17 +387,14 @@ class CosetIndex:
         Pareto-minimal base w tries every u in [lo..hi]^k once and keeps
         it when every det * c_i is a nonnegative multiple of det and v
         lies in the box: at most (hi - lo + 1)^k candidates per base.
+        The images adj * u, bucketed by residues, come from the lattice
+        (`PeriodLattice.box_images`); a class's residue key selects the
+        ones whose c is integral.
         """
         lattice = self.lattice
         det = lattice.det
-        # columns[i][j] = z_j[i], one (possibly empty) column per letter
-        columns = [tuple(z[i] for z in lattice.zs) for i in range(self.dim)]
-        # adj * u for every pivot tuple, bucketed by its residues mod det;
-        # a class's residue key selects the tuples whose c is integral
-        images: dict[IntTuple, list[IntTuple]] = {}
-        for u in product(range(lo, hi + 1), repeat=len(lattice.zs)):
-            image = tuple(sum(map(mul, row, u)) for row in lattice.adj)
-            images.setdefault(tuple(c % det for c in image), []).append(image)
+        columns = lattice.columns
+        images = lattice.box_images(lo, hi)
         found: set[IntTuple] = set()
         for (_kern, residues), entries in self.groups.items():
             candidates = images.get(residues, ())

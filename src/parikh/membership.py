@@ -42,12 +42,15 @@ The regular and general states share one query structure.
 `_prepare_queries` pairs each group of base vectors with one support
 (ordered by support size, then names) with every maximal independent
 subset of the cycle vectors anchored in that support, as an
-`intlinalg.CosetIndex` of the group's bases over the subset.  A point is
-answered by the first query that reaches it (`_first_hit`), a box by the
-union of every query's box points (`_box_union`).  So a witness follows
-one rule in both: the first group, then the first subset in dense-tuple
-order, then the base with the lexicographically largest coefficient
-tuple.
+`intlinalg.CosetIndex` of the group's bases over the subset.  The pool
+is taken without k-fold multiples (k >= 2) of its other vectors, which
+reach no point their root does not, and there is one
+`intlinalg.PeriodLattice` per distinct period set, shared by its
+indexes.  A point is answered by the first query that reaches it
+(`_first_hit`), a box by the union of every query's box points
+(`_box_union`).  So a witness follows one rule in both: the first
+group, then the first subset in dense-tuple order, then the base with
+the lexicographically largest coefficient tuple.
 
 `oracle_language` is the independent cross-check: plain breadth-first
 expansion of sentential forms, pruned only where a letter has left the
@@ -57,6 +60,7 @@ then is a miss inside the window a definite no.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, sub
@@ -64,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar, normalize
-from .intlinalg import CosetIndex, IntTuple, maximal_independent_subsets
+from .intlinalg import CosetIndex, IntTuple, PeriodLattice, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
     SearchCapExceeded,
@@ -310,12 +314,12 @@ def _path_cells(
         for (p2, r), vecs in frontier.items():
             grown = p2 if r == FINAL else p2 | {r}
             for q, out, moved in steps.get(r, ()):
-                if moved:
-                    vecs_in = [v for v in vecs if all(s * v[j] <= limit for j, s, limit in moved)]
-                    if not vecs_in:
-                        continue
-                else:
-                    vecs_in = vecs
+                vecs_in = vecs
+                for j, s, limit in moved:
+                    vecs_in = [v for v in vecs_in if s * v[j] <= limit]
+                if not vecs_in:
+                    continue
+                new_vecs = vecs_in if out == zero else [tuple(map(add, v, out)) for v in vecs_in]
                 # keep a support object q is not in: fewer sets built and kept
                 narrow = p2 - {q} if q in p2 else p2
                 wide = grown - {q} if q in grown else grown
@@ -324,8 +328,7 @@ def _path_cells(
                     key = (support, q)
                     cell = cells.setdefault(key, {})
                     bucket = None
-                    for vec in vecs_in:
-                        new_vec = tuple(map(add, vec, out)) if out != zero else vec
+                    for new_vec in new_vecs:
                         if new_vec not in cell:
                             cell[new_vec] = size
                             if bucket is None:
@@ -380,6 +383,28 @@ def _support_order(supp: frozenset) -> tuple[int, list[str]]:
 Query = tuple[object, tuple[IntTuple, ...], CosetIndex, list[str]]
 
 
+def _without_multiples(pool: list[IntTuple]) -> list[IntTuple]:
+    """The vectors of the nonzero `pool`, in order, that are no k-fold
+    multiple, k >= 2, of another one.  A maximal independent subset
+    holding k * u maps to one holding u instead, which spans the same
+    space and reaches a superset of points: the dropped vectors reach
+    nothing new."""
+    # v = g * prim with prim primitive (coprime entries) and g > 0; per
+    # primitive direction, the multipliers g of the pool's vectors
+    split = []
+    scales: dict[IntTuple, list[int]] = {}
+    for v in pool:
+        g = math.gcd(*v)
+        prim = tuple(x // g for x in v)
+        split.append((prim, g))
+        scales.setdefault(prim, []).append(g)
+    return [
+        v
+        for v, (prim, g) in zip(pool, split)
+        if not any(g % m == 0 for m in scales[prim] if m < g)
+    ]
+
+
 def _prepare_queries(
     groups: Sequence[tuple[object, dict[IntTuple, object], list[str]]],
     pools: dict[str, list[IntTuple]],
@@ -387,14 +412,20 @@ def _prepare_queries(
 ) -> list[Query]:
     """One query per group (key, bases, anchors), in order, and per
     maximal independent subset of the nonzero cycle vectors anchored in
-    `anchors` (`pools` holds each anchor's, sorted); the subsets of one
-    group come in the order of their dense vector tuples."""
+    `anchors` (`pools` holds each anchor's, sorted), taken without their
+    k-fold multiples (`_without_multiples`); the subsets of one group
+    come in the order of their dense vector tuples.  Queries over equal
+    periods share one `PeriodLattice`."""
+    lattices: dict[tuple[IntTuple, ...], PeriodLattice] = {}
     queries = []
     for key, bases, anchors in groups:
-        pool = sorted({v for q in anchors for v in pools[q]})
+        pool = _without_multiples(sorted({v for q in anchors for v in pools[q]}))
         for subset in maximal_independent_subsets(pool):
             zs = tuple(pool[i] for i in subset)
-            queries.append((key, zs, CosetIndex(zs, bases, dim), anchors))
+            lattice = lattices.get(zs)
+            if lattice is None:
+                lattice = lattices[zs] = PeriodLattice(zs, dim)
+            queries.append((key, zs, CosetIndex(lattice, bases), anchors))
     return queries
 
 
@@ -821,8 +852,11 @@ ENGINES = ("regular-dp", "general-caps", "oracle")
 DESK_BOUND_CAP = 200
 
 
+@lru_cache(maxsize=32)
 def desk_run_bound(g: Grammar) -> int:
-    """regular-dp's default run bound: the base-run bound, at most DESK_BOUND_CAP."""
+    """regular-dp's default run bound: the base-run bound, at most
+    DESK_BOUND_CAP; worked out once per grammar, as `engine` asks on
+    every call."""
     return min(base_run_bound(g).value, DESK_BOUND_CAP)
 
 

@@ -56,8 +56,8 @@ class SimpleBundle:
     def _index(self) -> tuple[tuple[str, ...], CosetIndex]:
         """The bundle's letters, and its coset index on dense tuples of them."""
         letters = tuple(sorted({s for v in self.bases + self.periods for s in v.support()}))
-        zs = [p.to_tuple(letters) for p in self.periods]
-        return letters, CosetIndex(zs, [w.to_tuple(letters) for w in self.bases], len(letters))
+        lattice = PeriodLattice([p.to_tuple(letters) for p in self.periods], len(letters))
+        return letters, CosetIndex(lattice, [w.to_tuple(letters) for w in self.bases])
 
     def _dense(self, v: Vec) -> Optional[IntTuple]:
         """v on the bundle's letters; None when it uses another letter, so

@@ -23,6 +23,7 @@ from parikh import (
     parse_grammar,
 )
 from parikh.decomposition import base_run_bound
+from parikh.intlinalg import CosetIndex, PeriodLattice
 from parikh.membership import (
     DESK_BOUND_CAP,
     MEMBER,
@@ -984,3 +985,37 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     ):
         return MembershipResult(NON_MEMBER)
     return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
+
+
+# The query structure before k-fold multiples left the cycle pools and
+# equal period sets shared a lattice: the reference the pruned queries of
+# `membership._prepare_queries` must reach the same points as.
+
+
+def regular_query_groups(state: RegularMembership) -> list:
+    """The (key, bases, anchors) groups of the full run table's queries:
+    one per run cell from the start, by support size, then names."""
+    cells = state._run_table.cells
+    start = state.grammar.start
+    keys = sorted((key for key in cells if key[1] == start), key=lambda k: (len(k[0]), sorted(k[0])))
+    return [(key, cells[key], sorted(key[0] | {start})) for key in keys]
+
+
+def general_query_groups(state: GeneralMembership) -> list:
+    """The (key, bases, anchors) groups of a general-caps state's queries."""
+    return [(supp, bases, sorted(supp)) for supp, bases in state._bases.items()]
+
+
+def ref_queries(groups, pools: dict, dim: int) -> list:
+    """One (key, periods, coset index, anchors) query per group and per
+    maximal independent subset of the group's whole pool, k-fold
+    multiples included (`ref_maximal_independent_subsets`), each index
+    over a lattice of its own."""
+    letters = "abcdefgh"[:dim]
+    queries = []
+    for key, bases, anchors in groups:
+        pool = sorted({v for q in anchors for v in pools[q]})
+        for subset in ref_maximal_independent_subsets([Vec.from_tuple(z, letters) for z in pool]):
+            zs = tuple(pool[i] for i in subset)
+            queries.append((key, zs, CosetIndex(PeriodLattice(zs, dim), bases), anchors))
+    return queries

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -57,6 +58,21 @@ class TestParse:
     def test_comments_and_blanks(self):
         g = parse_grammar("# header\nalphabet: a\n\nstart: S # trailing\nS -> a : S\nS -> :")
         assert len(g.transitions) == 2
+
+
+class TestHash:
+    def test_cached_hash_is_the_field_hash(self):
+        g, h = ga(), ga()
+        assert g is not h and g == h
+        assert hash(g) == hash(h) == hash((g.alphabet, g.nonterminals, g.start, g.transitions))
+
+    def test_pickle_carries_no_cached_hash(self):
+        # string hashes differ between processes
+        g = ga()
+        hash(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert "_hash" not in copy.__dict__
+        assert copy == g and hash(copy) == hash(g)
 
 
 class TestSerialize:

@@ -447,7 +447,7 @@ class TestCosetIndex:
             checked += 1
             # bases reach past the box [-2..2]^dim on both sides
             bases = {tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(rng.randint(1, 6))}
-            index = CosetIndex(zs, bases, dim)
+            index = CosetIndex(PeriodLattice(zs, dim), bases)
             expected = set()
             for v in product(range(-2, 3), repeat=dim):
                 want = reference_lookup(zs, bases, v)
@@ -458,12 +458,14 @@ class TestCosetIndex:
                     if any(abs(x) > 2 for x in want[0]):
                         seen.add("base outside the box")
             assert index.box_points(-2, 2) == expected
+            # the lattice keeps the last box's images: a new box redoes them
+            assert index.box_points(-1, 1) == {v for v in expected if min(v) >= -1 and max(v) <= 1}
             if index.det > 1:
                 seen.add("det>1")
         assert seen == {"no periods", "periods", "base outside the box", "det>1"}
 
     def test_without_periods_every_base_is_its_own_class(self):
-        index = CosetIndex([], [(1, 2), (0, 0), (3, -1)], 2)
+        index = CosetIndex(PeriodLattice([], 2), [(1, 2), (0, 0), (3, -1)])
         assert index.det == 1 and len(index.groups) == 3
         assert index.lookup((1, 2)) == ((1, 2), ())
         assert index.lookup((1, 1)) is None

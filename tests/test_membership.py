@@ -21,22 +21,35 @@ from parikh import (
     parse_grammar,
     regular_bundles,
 )
-from parikh import membership, normalize
+from parikh import intlinalg, membership, normalize
 from parikh.hardness import hard_grammar
-from parikh.membership import FINAL, MEMBER, NO_WITHIN_BOUND, NON_MEMBER, UNKNOWN, _path_cells
+from parikh.membership import (
+    FINAL,
+    MEMBER,
+    NO_WITHIN_BOUND,
+    NON_MEMBER,
+    UNKNOWN,
+    _box_union,
+    _first_hit,
+    _path_cells,
+    _without_multiples,
+)
 from helpers import (
     CHAIN_TEXT,
     ga,
     gb,
     gc,
+    general_query_groups,
     random_grammar,
     random_grammar_with_dead_ends,
     ref_full_table_result,
     ref_general_result,
     ref_path_cells,
+    ref_queries,
     ref_reaches_box,
     ref_regular_reachable,
     ref_run_cells,
+    regular_query_groups,
 )
 
 
@@ -297,6 +310,77 @@ def test_boxless_miss_answers_for_every_vector():
         assert general.miss() == general.miss(*box)
         assert membership.engine(g, "oracle", 1).miss().verdict is None
     assert seen == {True, False}
+
+
+class TestQueryStructure:
+    """The queries drop k-fold multiples from each pool and share one
+    lattice per period set; they must reach the points that one query
+    per maximal independent subset of the whole pool reaches."""
+
+    @pytest.mark.parametrize("regular", [True, False])
+    def test_pruned_queries_reach_what_every_subset_reaches(self, regular):
+        rng = random.Random(2111 if regular else 2112)
+        seen = set()
+        for _ in range(60):
+            g = random_grammar(rng, max_nonterminals=4, max_letters=3, regular=regular,
+                               neg_prob=0.3, extra_rules=5)
+            if regular:
+                state = RegularMembership(g, 8)
+                groups = regular_query_groups(state)
+            else:
+                state = GeneralMembership(g, 6, 4)
+                groups = general_query_groups(state)
+            dim = len(g.alphabet)
+            queries = state._queries
+            ref = ref_queries(groups, state._pools, dim)
+            for t in product(range(-2, 3), repeat=dim):
+                assert (_first_hit(queries, t) is None) == (_first_hit(ref, t) is None), (g, t)
+            assert _box_union(queries, -2, 2) == _box_union(ref, -2, 2), g
+            lattices = {}
+            for _key, zs, index, _anchors in queries:
+                assert lattices.setdefault(zs, index.lattice) is index.lattice
+            if len(ref) > len(queries):
+                seen.add("multiples dropped")
+            if len(lattices) < len(queries):
+                seen.add("lattice shared")
+            if any(x < 0 for t in g.compiled.output for x in t):
+                seen.add("negative letters")
+            if dim == 3:
+                seen.add("three letters")
+        assert seen == {"multiples dropped", "lattice shared", "negative letters", "three letters"}
+
+    def test_only_k_fold_multiples_leave_the_pool(self):
+        pool = sorted([(2, 0), (3, 0), (4, 0), (6, 0), (-1, 0), (-2, 0), (1, 1), (3, 3),
+                       (2, -2), (0, 5)])
+        assert _without_multiples(pool) == sorted([(2, 0), (3, 0), (-1, 0), (1, 1), (2, -2),
+                                                   (0, 5)])
+
+    def test_cycles_of_coprime_lengths_both_pump(self):
+        # cycles a^2 and a^3 (and a^4) at S, and at bound 1 only the empty
+        # base run: a^3 needs the 3-cycle, which is no multiple of a^2
+        g = parse_grammar(
+            "alphabet: a\nstart: S\nS -> :\nS -> a : T\nT -> a : S\n"
+            "S -> a : U\nU -> a : V\nV -> a : S"
+        )
+        for n in (2, 3, 4, 5, 6, 9):
+            status = member_regular(g, Vec.unit("a", n), 1).status
+            assert status == (NO_WITHIN_BOUND if n == 5 else MEMBER), n
+
+    def test_chain_builds_one_index_per_cell_and_root(self, monkeypatch):
+        # the chain's pool at S is b, b^2, ..., b^31: only b is kept
+        g = parse_grammar(CHAIN_TEXT)
+        membership._regular_state.cache_clear()
+        built = []
+        original = intlinalg.CosetIndex.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(intlinalg.CosetIndex, "__init__", counting)
+        assert member_regular(g, Vec.unit("a"), 31).status == MEMBER
+        assert 0 < len(built) <= 466
+        membership._regular_state.cache_clear()
 
 
 class TestMemberGeneral:
