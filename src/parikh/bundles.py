@@ -161,12 +161,16 @@ def _sector_period_sets(vecs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int
     return [(dirs[i], dirs[(i + 1) % n]) for i in range(n)]
 
 
+# the most base-fold combinations, (fold cap + 1) ** pool size, that
+# `two_letter_bundles` enumerates for one support
+FOLD_PRODUCT_CAP = 200_000
+
+
 def two_letter_bundles(
     g: Grammar,
     run_cap: int,
     cycle_cap: Optional[int] = None,
     fold_cap: Optional[int] = None,
-    fold_product_cap: int = 200_000,
 ) -> BundlesResult:
     """Bundle decomposition over a two-letter alphabet.
 
@@ -176,7 +180,8 @@ def two_letter_bundles(
     the cycle vectors supply the period sets via angular sectors.
     Interior lattice offsets (cycle directions that are not period
     boundaries) are folded into the base set with coefficients up to
-    fold_cap, as one set of dense tuples; each sector's bases are the
+    fold_cap, as one set of dense tuples (SearchCapExceeded when that
+    enumeration would pass FOLD_PRODUCT_CAP); each sector's bases are the
     minimal entries of a coset index over its periods.  An anchor whose
     cycle search outgrew the state cap adds no periods, which only loses
     members.  The result is marked truncated unless the state's `miss()`
@@ -197,7 +202,7 @@ def two_letter_bundles(
             cap = hadamard_bound(2, bound)
         else:
             cap = fold_cap
-        if pool_vecs and (cap + 1) ** len(pool_vecs) > fold_product_cap:
+        if pool_vecs and (cap + 1) ** len(pool_vecs) > FOLD_PRODUCT_CAP:
             raise SearchCapExceeded(
                 "fold-in enumeration too large; lower fold_cap or simplify the grammar"
             )

@@ -12,16 +12,17 @@ the bound at its theoretical value the procedure is exact; with a
 smaller desk-scale bound a yes is still sound (the witness is checkable)
 and a no is definite only when the build certifies it (below).
 
-The cycle tables are built with the decision state.  A point query and
-a window sweep (`box_members`) read a run table cut to their box: a run
-vector past the box on a one-way letter (`CompiledGrammar.letter_sign`)
-stays out of it whatever cycles are added, so it is never tabulated.
-For a point v the box is everything below v on the letters no rule
-lowers and above v on those no rule raises.  The build also certifies a
-no: once no vector of its last frontier lies in the box, no longer run
-can be pumped into it, so a miss there is a non-member even below the
-theoretical bound.  Grammars without one-way letters read the full run
-table.
+The cycle tables are built with the decision state, its one run table
+on first use.  A point query and a window sweep (`box_members`) read
+that table cut to their box: a run vector past the box on a one-way
+letter (`CompiledGrammar.letter_sign`) stays out of it whatever cycles
+are added, so it is never tabulated.  For a point v the box is
+everything below v on the letters no rule lowers and above v on those
+no rule raises.  The build also certifies a no: once no vector of its
+last frontier lies in the box, no longer run can be pumped into it, so
+a miss there is a non-member even below the theoretical bound.  Grammars
+without one-way letters, and box-less reads (the bundles' queries,
+`miss()`), read the full run table, which then serves every box.
 
 For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps.
@@ -150,20 +151,18 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
     dim = len(cg.letters)
     sign = cg.letter_sign
     # per source nonterminal: (targets, target count, output or None,
-    # guards) per transition, where a guard (j, s) prunes when
-    # s * value[j] > window; only the one-way letters a transition moves
-    # can newly leave the window
+    # guards) per transition, where a guard (j, s, limit) prunes when
+    # s * value[j] > limit: the one-way sides of the window box
+    # (`_box_guards`) on the letters the transition moves, the only ones
+    # it can newly push out
+    window_guards = _box_guards(sign, (-window,) * dim, (window,) * dim)
     moves = [
         [
             (
                 cg.targets[i],
                 cg.target_count[i],
                 cg.output[i] if any(cg.output[i]) else None,
-                tuple(
-                    (j, sign[j])
-                    for j, x in enumerate(cg.output[i])
-                    if sign[j] is not None and x * sign[j] > 0
-                ),
+                tuple((j, s, limit) for j, s, limit in window_guards if cg.output[i][j]),
             )
             for i in ids
         ]
@@ -180,8 +179,8 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
         for q in set(marking):
             up |= reach[q][0]
             down |= reach[q][1]
-        return tuple((j, 1) for j in two_way if not down >> j & 1) + tuple(
-            (j, -1) for j in two_way if not up >> j & 1
+        return tuple((j, 1, window) for j in two_way if not down >> j & 1) + tuple(
+            (j, -1, window) for j in two_way if not up >> j & 1
         )
 
     start = ((cg.nt_index[g.start],), (0,) * dim)
@@ -204,7 +203,7 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
                 if over and cut:
                     continue
                 new_value = value if out is None else tuple(map(add, value, out))
-                if any(s * new_value[j] > window for j, s in guards):
+                if any(s * new_value[j] > limit for j, s, limit in guards):
                     continue
                 if targets:
                     new_marking = tuple(sorted(rest + targets))
@@ -217,7 +216,7 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
                     mg = marking_guards.get(new_marking)
                     if mg is None:
                         mg = marking_guards[new_marking] = guards_of(new_marking)
-                    if any(s * new_value[j] > window for j, s in mg):
+                    if any(s * new_value[j] > limit for j, s, limit in mg):
                         continue
                 if over:
                     cut = True
@@ -407,19 +406,19 @@ def _without_multiples(pool: list[IntTuple]) -> list[IntTuple]:
 
 def _prepare_queries(
     groups: Sequence[tuple[object, dict[IntTuple, object], list[str]]],
-    pools: dict[str, list[IntTuple]],
+    pools: dict[str, dict[IntTuple, object]],
     dim: int,
 ) -> list[Query]:
     """One query per group (key, bases, anchors), in order, and per
     maximal independent subset of the nonzero cycle vectors anchored in
-    `anchors` (`pools` holds each anchor's, sorted), taken without their
-    k-fold multiples (`_without_multiples`); the subsets of one group
-    come in the order of their dense vector tuples.  Queries over equal
-    periods share one `PeriodLattice`."""
+    `anchors` (the keys of `pools[q]`, a zero key skipped), taken without
+    their k-fold multiples (`_without_multiples`); the subsets of one
+    group come in the order of their dense vector tuples.  Queries over
+    equal periods share one `PeriodLattice`."""
     lattices: dict[tuple[IntTuple, ...], PeriodLattice] = {}
     queries = []
     for key, bases, anchors in groups:
-        pool = _without_multiples(sorted({v for q in anchors for v in pools[q]}))
+        pool = _without_multiples(sorted({v for q in anchors for v in pools[q] if any(v)}))
         for subset in maximal_independent_subsets(pool):
             zs = tuple(pool[i] for i in subset)
             lattice = lattices.get(zs)
@@ -452,7 +451,7 @@ def _cycle_terms(
     zs: tuple[IntTuple, ...],
     coeffs: Sequence[int],
     anchors: list[str],
-    pools: dict[str, list[IntTuple]],
+    pools: dict[str, dict[IntTuple, object]],
     cycle: Callable[[str, IntTuple], TransitionMultiset],
 ) -> tuple[CycleTerm, ...]:
     """A witness's pumped cycles: one term per period with a positive
@@ -472,7 +471,7 @@ def _cycle_terms(
 
 @dataclass(frozen=True)
 class _Runs:
-    """One run table of a `RegularMembership` and what its queries need.
+    """The run table of a `RegularMembership` and what its queries need.
 
     `box` is the per-letter (lo, hi) the table is cut to, or None when
     nothing is cut; `last` holds the vectors the build first reached at
@@ -488,14 +487,15 @@ class _Runs:
 class RegularMembership:
     """Shared decision state for one regular grammar and one run bound.
 
-    The cycle tables are built with the state, run tables on first use.
-    A point query or a window sweep reads a run table cut to its box on
-    one-way letters: a point v needs only the runs below v on the letters
-    no rule lowers and above v on those no rule raises.  The state keeps
-    one cut table and serves every box inside it; a box outside it
-    rebuilds the table at the join of the two boxes.  Without one-way
-    letters nothing is cut and the full run table, built once, serves.
-    Window sweeps should reuse one instance.
+    The cycle tables are built with the state, its one run table on
+    first use.  A point query or a window sweep reads a run table cut to
+    its box on one-way letters: a point v needs only the runs below v on
+    the letters no rule lowers and above v on those no rule raises.  The
+    table serves every box inside it; a box outside it rebuilds the table
+    at the join of the two boxes, and a box-less read (`_queries`,
+    `miss()`) rebuilds a cut table in full.  Without one-way letters
+    nothing is cut and the full run table, built once, serves.  Window
+    sweeps should reuse one instance.
     """
 
     def __init__(self, g: Grammar, bound: Optional[int] = None):
@@ -512,21 +512,40 @@ class RegularMembership:
         )
         self.order = g.alphabet
         self._support_limit = min(len(self.order), len(g.nonterminals))
-        # per anchor q: the cells of paths into q, and its nonzero cycle vectors
+        # per anchor q: the cells of paths into q; its cycle vectors (zero
+        # included, at size 0) are the cell at (empty support, q)
         self._paths = {q: _path_cells(g, q, len(g.nonterminals)) for q in g.nonterminals}
-        zero = (0,) * len(self.order)
-        self._pools = {
-            q: sorted(v for v in self._paths[q][(frozenset(), q)] if v != zero)
-            for q in g.nonterminals
-        }
+        self._pools = {q: self._paths[q][(frozenset(), q)] for q in g.nonterminals}
         self._sign = g.compiled.letter_sign
-        # the run table queries read: cut to a box, or the full table
-        # when no letter is one-way
-        self._cut: Optional[_Runs] = None
+        self._table: Optional[_Runs] = None
         # the last (lo, hi) asked of box_members, with its members
         self._last_box: Optional[tuple[int, int, frozenset[IntTuple]]] = None
 
-    def _build(self, box: Optional[tuple[IntTuple, IntTuple]]) -> _Runs:
+    @property
+    def _queries(self) -> list[Query]:
+        return self._runs().queries
+
+    def _runs(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> _Runs:
+        """The state's run table, holding every run vector that can still
+        be pumped into the box [lo..hi] (per letter), at its least size;
+        with no box, every run up to the bound.  A full table serves every
+        box, a cut one every box inside it on its one-way sides: below its
+        top where it is cut above, above its bottom where it is cut below.
+        Any other request rebuilds it, at the join of the two boxes or in
+        full."""
+        runs = self._table
+        if runs is not None and runs.box is None:
+            return runs
+        if runs is not None and lo is not None:
+            cut_lo, cut_hi = runs.box
+            if all(
+                s is None or ((s < 0 or h <= ch) and (s > 0 or l >= cl))
+                for s, l, h, cl, ch in zip(self._sign, lo, hi, cut_lo, cut_hi)
+            ):
+                return runs
+            lo, hi = tuple(map(min, lo, cut_lo)), tuple(map(max, hi, cut_hi))
+        # a box with no one-way side cuts nothing: build the full table
+        box = None if lo is None or not _box_guards(self._sign, lo, hi) else (lo, hi)
         cells = _path_cells(self.grammar, FINAL, self.bound, self._support_limit, box)
         last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
         # one group per run cell from the start, by support size and names
@@ -534,41 +553,9 @@ class RegularMembership:
         keys = sorted((key for key in cells if key[1] == start),
                       key=lambda key: _support_order(key[0]))
         groups = [(key, cells[key], sorted(key[0] | {start})) for key in keys]
-        return _Runs(box, cells, last, _prepare_queries(groups, self._pools, len(self.order)))
-
-    @cached_property
-    def _run_table(self) -> _Runs:
-        """The full run table: every run up to the bound."""
-        return self._build(None)
-
-    @property
-    def _queries(self) -> list[Query]:
-        return self._run_table.queries
-
-    def _runs(self, lo: IntTuple, hi: IntTuple) -> _Runs:
-        """A run table holding every run vector that can still be pumped
-        into the box [lo..hi] (per letter), at its least size."""
-        cut = self._cut
-        if cut is not None:
-            # the full table, the same box, or inside it on every one-way
-            # side: below its top where it is cut above, above its bottom
-            # where it is cut below
-            if (
-                cut.box is None
-                or cut.box == (lo, hi)
-                or all(
-                    s is None or ((s < 0 or h <= cut_h) and (s > 0 or l >= cut_l))
-                    for s, l, h, cut_l, cut_h in zip(self._sign, lo, hi, *cut.box)
-                )
-            ):
-                return cut
-            lo = tuple(map(min, lo, cut.box[0]))
-            hi = tuple(map(max, hi, cut.box[1]))
-        elif all(s is None for s in self._sign):
-            self._cut = self._run_table  # no one-way letter: nothing to cut
-            return self._cut
-        self._cut = self._build((lo, hi))
-        return self._cut
+        queries = _prepare_queries(groups, self._pools, len(self.order))
+        self._table = _Runs(box, cells, last, queries)
+        return self._table
 
     def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
         """The answer for every vector of the box [lo..hi] (per letter),
@@ -584,7 +571,7 @@ class RegularMembership:
         depends on the grammar, the bound and the box alone."""
         if self.bound >= self.complete_bound:
             return _NO
-        last = self._run_table.last if lo is None else self._runs(lo, hi).last
+        last = self._runs(lo, hi).last
         if last:
             guards = [] if lo is None else _box_guards(self._sign, lo, hi)
             if any(all(s * v[j] <= limit for j, s, limit in guards) for v in last):
@@ -719,25 +706,23 @@ class GeneralMembership:
         for run in search.runs:
             by_support.setdefault(run.supp(), {}).setdefault(run.parikh().to_tuple(self.order), run)
         self._bases = {supp: by_support[supp] for supp in sorted(by_support, key=_support_order)}
-        anchors = sorted({q for supp in by_support for q in supp})
-        # an anchor whose cycle search outgrows the state cap pumps nothing:
+        # per anchor: each nonzero cycle vector -> its first cycle there; an
+        # anchor whose cycle search outgrows the state cap pumps nothing:
         # fewer cycles only lose yes answers, and a miss becomes unknown
-        self._cycles: dict[str, list[TransitionMultiset]] = {}
-        # per anchor: each nonzero cycle vector -> its first cycle there
-        self._reps: dict[str, dict[IntTuple, TransitionMultiset]] = {}
+        self._pools: dict[str, dict[IntTuple, TransitionMultiset]] = {}
         self.cycles_capped = False
-        for q in anchors:
+        for q in sorted({q for supp in by_support for q in supp}):
+            pool = self._pools[q] = {}
             try:
-                self._cycles[q] = enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap)
+                cycles = enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap)
             except SearchCapExceeded:
                 self.cycles_capped = True
-            reps = self._reps[q] = {}
-            for cyc in self._cycles.get(q, ()):
+                continue
+            for cyc in cycles:
                 z = cyc.parikh().to_tuple(self.order)
                 if any(z):
-                    reps.setdefault(z, cyc)
+                    pool.setdefault(z, cyc)
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
-        self._pools = {q: sorted(reps) for q, reps in self._reps.items()}
 
     @cached_property
     def _queries(self) -> list[Query]:
@@ -775,7 +760,7 @@ class GeneralMembership:
         if not want_witness:
             return MembershipResult(MEMBER)
         supp, w, zs, coeffs, anchors = hit
-        terms = _cycle_terms(zs, coeffs, anchors, self._pools, lambda q, z: self._reps[q][z])
+        terms = _cycle_terms(zs, coeffs, anchors, self._pools, lambda q, z: self._pools[q][z])
         return MembershipResult(MEMBER, Witness(self._bases[supp][w], terms))
 
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:

@@ -37,7 +37,12 @@ from parikh.membership import (
     RegularMembership,
     oracle_language,
 )
-from parikh.runs import cycle_enumeration_complete, enumerate_runs
+from parikh.runs import (
+    SearchCapExceeded,
+    cycle_enumeration_complete,
+    enumerate_runs,
+    enumerate_simple_cycles,
+)
 
 GA_TEXT = "alphabet: a\nstart: S\nS -> a : S\nS -> :\n"
 GB_TEXT = "alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nS -> :\n"
@@ -749,14 +754,15 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
     if any(sym not in state.order for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
     tv = v.to_tuple(state.order)
-    for key, zs, index, anchors in state._queries:
+    runs = state._runs()
+    for key, zs, index, anchors in runs.queries:
         if not zs:
-            hit = (tv, ()) if tv in state._run_table.cells[key] else None
+            hit = (tv, ()) if tv in runs.cells[key] else None
         else:
             hit = index.lookup(tv)
         if hit is not None:
             w, coeffs = hit
-            witness = state._witness(state._run_table.cells, key, w, zs, coeffs, anchors)
+            witness = state._witness(runs.cells, key, w, zs, coeffs, anchors)
             return MembershipResult(MEMBER, witness)
     _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
     if state.bound >= state.complete_bound or exhausted:
@@ -937,6 +943,15 @@ def ref_maximal_independent_subsets(periods: Sequence[Vec]) -> list[tuple[int, .
     return sorted(set(results)) or [()]
 
 
+def ref_state_cycles(state: GeneralMembership, q: str) -> list:
+    """The simple cycles at q under the state's cycle and state caps,
+    listed afresh: none when the search outgrows the state cap."""
+    try:
+        return enumerate_simple_cycles(state.grammar, q, state.cycle_cap, state.state_cap)
+    except SearchCapExceeded:
+        return []
+
+
 def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     """`state.result(v)` recomputed from a fresh run enumeration and the
     state's simple cycles, one `ref_nonneg_integer_solve` per candidate.
@@ -955,7 +970,7 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
     for supp in sorted(groups, key=lambda s: (len(s), sorted(s))):
         pool: dict = {}
         for q in sorted(supp):
-            for cyc in state._cycles.get(q, ()):
+            for cyc in ref_state_cycles(state, q):
                 key = cyc.parikh()
                 if not key.is_zero() and key not in pool:
                     pool[key] = (cyc, q)
@@ -995,7 +1010,7 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
 def regular_query_groups(state: RegularMembership) -> list:
     """The (key, bases, anchors) groups of the full run table's queries:
     one per run cell from the start, by support size, then names."""
-    cells = state._run_table.cells
+    cells = state._runs().cells
     start = state.grammar.start
     keys = sorted((key for key in cells if key[1] == start), key=lambda k: (len(k[0]), sorted(k[0])))
     return [(key, cells[key], sorted(key[0] | {start})) for key in keys]

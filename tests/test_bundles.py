@@ -242,7 +242,7 @@ class TestMinimalBases:
             expected = set()
             state = membership.RegularMembership(g, 7)
             for key, zs, _index, _anchors in state._queries:
-                bases = state._run_table.cells[key]
+                bases = state._runs().cells[key]
                 periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
                 base_vecs = [Vec.from_tuple(w, g.alphabet) for w in bases]
                 kept = ref_minimal_bases(base_vecs, periods)
@@ -252,14 +252,15 @@ class TestMinimalBases:
         assert minimized  # the seeds exercise bases that another base reaches
 
     @pytest.mark.parametrize("fold_cap", [2, None])
-    def test_two_letter_bundles_keep_exactly_the_minimal_bases(self, fold_cap):
+    def test_two_letter_bundles_keep_exactly_the_minimal_bases(self, fold_cap, monkeypatch):
+        # a small fold product cap keeps the reference enumeration small
+        monkeypatch.setattr(bundles, "FOLD_PRODUCT_CAP", 300)
         rng = random.Random(311)
         done = minimized = 0
         while done < 15:
             g = random_grammar(rng, max_nonterminals=3, exact_letters=2)
             try:
-                result = two_letter_bundles(g, 6, cycle_cap=4, fold_cap=fold_cap,
-                                            fold_product_cap=300)
+                result = two_letter_bundles(g, 6, cycle_cap=4, fold_cap=fold_cap)
             except SearchCapExceeded:
                 continue
             state = membership._general_state(g, 6, 4, DEFAULT_STATE_CAP)

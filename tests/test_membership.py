@@ -49,6 +49,7 @@ from helpers import (
     ref_reaches_box,
     ref_regular_reachable,
     ref_run_cells,
+    ref_state_cycles,
     regular_query_groups,
 )
 
@@ -505,7 +506,7 @@ def _general_probes(state, rng):
     for w, supp, _run in bases:
         probes.append(w)
         for q in sorted(supp):
-            for cyc in state._cycles.get(q, ())[:3]:
+            for cyc in ref_state_cycles(state, q)[:3]:
                 z = cyc.parikh().to_tuple(alphabet)
                 probes += [tuple(a + k * b for a, b in zip(w, z)) for k in (1, 2)]
     probes = list(dict.fromkeys(probes))[:60]

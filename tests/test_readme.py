@@ -1,0 +1,15 @@
+"""The README's library example runs as printed."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_block_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("True member ")

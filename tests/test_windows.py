@@ -8,8 +8,10 @@ from parikh import (
     RegularMembership,
     Vec,
     compare_within_window,
+    normalize,
     oracle_language,
     parse_grammar,
+    regular_bundles,
     universality_within_window,
     window_bound_report,
 )
@@ -361,8 +363,8 @@ class TestEngineReuse:
             ("S", 2, ((-4,), (4,))), ("S", 1, ((-4,), (4,))),
             ("S", 2, ((-5,), (5,))), ("S", 1, ((-5,), (5,))),
         ]
-        # a state used only for sweeps never builds the full run table
-        assert "_run_table" not in _regular_state(gb(), 40).__dict__
+        # a state used only for sweeps holds one table, cut to its window
+        assert _regular_state(gb(), 40)._table.box is not None
         # with no one-way letter nothing is cut: the full table serves
         builds.clear()
         for window in (2, 3):
@@ -386,6 +388,40 @@ class TestEngineReuse:
                             membership.NON_MEMBER]
         assert state.box_members(-5, 5) == {(0,), (2,), (4,)}
         assert builds == [((4,), (4,)), ((4,), (6,))]
+
+    def test_one_run_table_serves_points_bundles_and_boxes(self, monkeypatch):
+        # a and b are only raised; after the bundles read the full table,
+        # later points and boxes need no build of their own
+        g = parse_grammar(
+            "alphabet: a b\nstart: S\nS -> a : S\nS -> b : T\nT -> a^2 : T\nT -> :\nS -> :"
+        )
+        points = [Vec.from_tuple(t, ("a", "b")) for t in ((2, 1), (9, 1), (3, 0))]
+
+        def fresh():
+            return RegularMembership(normalize(g), 12)
+
+        expected_points = [fresh().result(v) for v in points]
+        expected_box = fresh().box_members(0, 4)
+        _regular_state.cache_clear()
+        expected_bundles = regular_bundles(g, 12)
+        _regular_state.cache_clear()
+
+        builds = []
+        path_cells = membership._path_cells
+
+        def counting(g, end, bound, support_limit=0, box=None):
+            if end == membership.FINAL:
+                builds.append(box)
+            return path_cells(g, end, bound, support_limit, box)
+
+        monkeypatch.setattr(membership, "_path_cells", counting)
+        state = membership.engine(g, "regular-dp", bound=12)
+        assert state.result(points[0]) == expected_points[0]
+        assert regular_bundles(g, 12) == expected_bundles
+        assert state.result(points[1]) == expected_points[1]
+        assert state.box_members(0, 4) == expected_box
+        assert state.result(points[2]) == expected_points[2]
+        assert builds == [((2, 1), (2, 1)), None]
 
     def test_cache_stays_bounded(self):
         assert _regular_state.cache_info().maxsize == 32
