@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .vector import Vec, format_monomial, is_name, parse_monomial
@@ -189,13 +190,15 @@ class CompiledGrammar:
     side (either side, for sign 0).  `Vec` stays the API type; this view
     is internal to the loops that would otherwise build a `Vec` per
     search state.  The least run sizes are worked out on first use, by
-    the run and cycle searches.
+    the run and cycle searches, and the letter columns on the first
+    `output_sum(counts)`, the letter vector of dense per-transition
+    counts.
     """
 
     __slots__ = (
         "letters", "nonterminals", "tids", "nt_index", "tid_index",
         "source", "output", "delta", "targets", "target_count", "from_source",
-        "letter_sign", "_run_sizes",
+        "letter_sign", "_columns", "_run_sizes",
     )
 
     def __init__(self, g: Grammar):
@@ -220,6 +223,7 @@ class CompiledGrammar:
             _sign_of({out[j] for out in self.output if out[j]})
             for j in range(len(self.letters))
         )
+        self._columns: Optional[tuple] = None
         self._run_sizes: Optional[tuple] = None
 
     @property
@@ -277,6 +281,14 @@ class CompiledGrammar:
         for tid, c in v:
             dense[self.tid_index[tid]] = c
         return tuple(dense)
+
+    def output_sum(self, counts: Sequence[int]) -> tuple[int, ...]:
+        """The letter counts, in alphabet order, of dense per-transition
+        counts: the sum of counts[i] * output[i]."""
+        if self._columns is None:
+            # per letter, its count in each transition's output (no rules: empty)
+            self._columns = tuple(zip(*self.output)) or ((),) * len(self.letters)
+        return tuple(sum(map(mul, counts, col)) for col in self._columns)
 
     def multiset(self, counts: Sequence[int]) -> Vec:
         """The `Vec` of transition ids for dense per-transition counts."""

@@ -28,6 +28,7 @@ multiplicities outside an independent core.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from operator import mul, sub
@@ -424,7 +425,11 @@ class CosetIndex:
 
 
 def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
-    """Antichain of coordinatewise-minimal entries (coords, payload)."""
+    """Antichain of coordinatewise-minimal entries (coords, payload), in
+    sorted order: an entry is kept unless an earlier one in that order
+    sits coordinatewise below it (equal coords keep the least payload).
+    Every entry below another comes earlier, so with 2 or 3 coordinates
+    one sweep against the staircase of what it kept decides each entry."""
     if not entries:
         return []
     k = len(entries[0][0])
@@ -440,6 +445,23 @@ def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple
                 best = coords[1]
         return out
     out = []
+    if k == 3:
+        # the kept (y, z) pairs that no other kept pair sits below: y
+        # ascending, z descending; every earlier x is at most this one's
+        ys: list[int] = []
+        zs: list[int] = []
+        for coords, w in entries:
+            _x, y, z = coords
+            i = bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                continue
+            out.append((coords, w))
+            lo = hi = bisect_left(ys, y)
+            while hi < len(ys) and zs[hi] >= z:
+                hi += 1
+            ys[lo:hi] = [y]
+            zs[lo:hi] = [z]
+        return out
     for coords, w in entries:
         if not any(all(b <= c for b, c in zip(kept[0], coords)) for kept in out):
             out.append((coords, w))

@@ -25,7 +25,12 @@ without one-way letters, and box-less reads (the bundles' queries,
 `miss()`), read the full run table, which then serves every box.
 
 For general normal-form grammars the same scheme runs on explicitly
-enumerated base runs and simple cycles under user caps.
+enumerated base runs and simple cycles under user caps.  The state is
+read off the firing search's dense per-transition counts
+(`runs.dense_runs`, `runs.dense_simple_cycles`) and their letter
+vectors (`CompiledGrammar.output_sum`): it keeps the first run per
+support and vector and the first cycle per anchor and vector, and only
+those become `TransitionMultiset`s.
 
 Three engine states, one per name in `ENGINES`, answer through one
 interface; `engine` is the one place that picks a state by name.
@@ -64,6 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import add, sub
 from typing import Callable, Optional, Sequence
 
@@ -75,8 +81,8 @@ from .runs import (
     SearchCapExceeded,
     TransitionMultiset,
     cycle_enumeration_complete,
-    enumerate_runs,
-    enumerate_simple_cycles,
+    dense_runs,
+    dense_simple_cycles,
 )
 from .vector import Vec
 
@@ -679,9 +685,13 @@ class GeneralMembership:
 
     The base runs are grouped by support, in the order of the regular
     engine's run cells (support size, then names), each dense vector
-    standing for its first, smallest run; the periods are the simple
-    cycle vectors anchored in the support.  Points and boxes are answered
-    by the same queries as `RegularMembership`."""
+    standing for its first, smallest run in the search's listing order;
+    the periods are the simple cycle vectors anchored in the support,
+    each standing for its first cycle.  Runs and cycles are grouped and
+    keyed on the search's dense counts, and a `TransitionMultiset` is
+    built only for each run and cycle kept, so the witnesses cost a hit
+    nothing new.  Points and boxes are answered by the same queries as
+    `RegularMembership`."""
 
     def __init__(
         self,
@@ -698,13 +708,17 @@ class GeneralMembership:
         self.cycle_cap = cycle_cap
         self.state_cap = state_cap
         self.note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
-        search = enumerate_runs(g, g.start, run_cap, state_cap)
-        self.runs_complete = search.complete
-        self.runs_capped = search.capped
-        # per support: dense base vector -> its first (smallest) run
+        cg = g.compiled
+        runs, self.runs_complete, self.runs_capped = dense_runs(g, g.start, run_cap, state_cap)
+        # per support: dense base vector -> its first (smallest) run, the
+        # one run there that becomes a multiset
+        sources = [cg.nonterminals[q] for q in cg.source]
         by_support: dict[frozenset, dict[IntTuple, TransitionMultiset]] = {}
-        for run in search.runs:
-            by_support.setdefault(run.supp(), {}).setdefault(run.parikh().to_tuple(self.order), run)
+        for used in runs:
+            bases = by_support.setdefault(frozenset(compress(sources, used)), {})
+            w = cg.output_sum(used)
+            if w not in bases:
+                bases[w] = TransitionMultiset(g, cg.multiset(used))
         self._bases = {supp: by_support[supp] for supp in sorted(by_support, key=_support_order)}
         # per anchor: each nonzero cycle vector -> its first cycle there; an
         # anchor whose cycle search outgrows the state cap pumps nothing:
@@ -714,14 +728,14 @@ class GeneralMembership:
         for q in sorted({q for supp in by_support for q in supp}):
             pool = self._pools[q] = {}
             try:
-                cycles = enumerate_simple_cycles(g, q, cycle_cap, state_cap=state_cap)
+                cycles = dense_simple_cycles(g, q, cycle_cap, state_cap)
             except SearchCapExceeded:
                 self.cycles_capped = True
                 continue
-            for cyc in cycles:
-                z = cyc.parikh().to_tuple(self.order)
-                if any(z):
-                    pool.setdefault(z, cyc)
+            for used in cycles:
+                z = cg.output_sum(used)
+                if any(z) and z not in pool:
+                    pool[z] = TransitionMultiset(g, cg.multiset(used))
         self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
 
     @cached_property

@@ -11,6 +11,8 @@ derivation tree whose per-vertex free-symbol accounting stays
 nonnegative.  So one breadth-first firing search, `_fire`, lists every
 run (`enumerate_runs`) and every cycle (`iter_cycles`), and a cycle's
 splits into two smaller cycles are looked up among those it listed.
+The run and simple-cycle listings come as dense per-transition counts
+(`dense_runs`, `dense_simple_cycles`), which the multiset listings wrap.
 The search keeps only the states that can still finish within its size
 cap: each pending nonterminal q still costs at least its least run size
 d(q), the least fixpoint of d(q) = min over rules of 1 + sum of
@@ -72,10 +74,8 @@ class TransitionMultiset:
         return acc
 
     def parikh(self) -> Vec:
-        acc = Vec.zero()
-        for tid, c in self.counts:
-            acc = acc + self.grammar.transition(tid).output * c
-        return acc
+        cg = self.grammar.compiled
+        return Vec.from_tuple(cg.output_sum(cg.counts(self.counts)), cg.letters)
 
     def supp(self) -> frozenset[str]:
         return frozenset(self.grammar.transition(tid).source for tid, c in self.counts if c > 0)
@@ -546,14 +546,29 @@ def enumerate_runs(
     level.  Raises ValueError when `p` is not a nonterminal.
     """
     cg = g.compiled
+    found, complete, capped = dense_runs(g, p, max_size, state_cap)
+    runs = tuple(TransitionMultiset(g, cg.multiset(used)) for used in found)
+    return RunSearch(runs, complete, capped)
+
+
+def dense_runs(
+    g: Grammar,
+    p: str,
+    max_size: int,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[list[tuple[int, ...]], bool, bool]:
+    """`enumerate_runs` on dense tuples: the runs' per-transition use
+    counts (`CompiledGrammar` order) in listing order, and the search's
+    complete and capped flags."""
+    cg = g.compiled
     start = _dense_unit(cg, p)
-    runs: list[TransitionMultiset] = []
+    runs: list[tuple[int, ...]] = []
     capped = exhausted = False
     for found, capped, exhausted in _fire(
         cg, [start], [(0,) * len(start)], max_size, None, state_cap
     ):
-        runs.extend(TransitionMultiset(g, cg.multiset(used)) for used, _k in found)
-    return RunSearch(tuple(runs), exhausted, capped)
+        runs.extend(used for used, _k in found)
+    return runs, exhausted, capped
 
 
 def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -722,6 +737,19 @@ def enumerate_simple_cycles(
     rests on `cycle_enumeration_complete`; a smaller cap is an explicit
     truncation chosen by the caller.
     """
+    cg = g.compiled
+    cycles = dense_simple_cycles(g, q, cap, state_cap)
+    return [TransitionMultiset(g, cg.multiset(used)) for used in cycles]
+
+
+def dense_simple_cycles(
+    g: Grammar,
+    q: str,
+    cap: int,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> list[tuple[int, ...]]:
+    """`enumerate_simple_cycles` on dense tuples: the cycles'
+    per-transition use counts (`CompiledGrammar` order), smallest first."""
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
     limit = min(cap, tree_size_bound(len(g.nonterminals), g.is_regular()) - 1)
@@ -730,7 +758,7 @@ def enumerate_simple_cycles(
     out = []
     for used, _k in _cycles(cg, [_dense_unit(cg, q)], limit, None, state_cap):
         if not any(tuple(map(sub, used, c)) in listed for c in listed):
-            out.append(TransitionMultiset(g, cg.multiset(used)))
+            out.append(used)
         listed.add(used)
     return out
 

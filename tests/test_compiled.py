@@ -225,3 +225,28 @@ def test_grammar_is_not_kept_alive_by_lookups():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_output_sum_matches_the_vec_sum_of_outputs():
+    # half the random outputs are negative and most counts are 0 (unused
+    # transitions); the last grammar declares a letter no rule emits
+    rng = random.Random(2026)
+    grammars = [random_grammar(rng, max_letters=3, neg_prob=0.5) for _ in range(40)]
+    grammars.append(parse_grammar(
+        "alphabet: a b c\nstart: S\nS -> a^-1 b^2 : S\nS -> b^-3 : T\nT -> : S S\nS -> :\n"
+    ))
+    negative = unused = 0
+    for g in grammars:
+        cg = g.compiled
+        for _ in range(20):
+            counts = tuple(rng.choice((0, 0, 0, 1, 2, 7)) for _ in g.transitions)
+            want = Vec.zero()
+            for t, c in zip(g.transitions, counts):
+                want = want + t.output * c
+            assert cg.output_sum(counts) == want.to_tuple(g.alphabet)
+            assert TransitionMultiset(g, cg.multiset(counts)).parikh() == want
+            negative += any(c < 0 for _sym, c in want)
+            unused += 0 in counts
+    assert negative and unused
+    assert grammars[-1].compiled.output_sum((0, 0, 0, 0)) == (0, 0, 0)
+    assert parse_grammar("alphabet: a b\nstart: S\n").compiled.output_sum(()) == (0, 0)

@@ -20,6 +20,7 @@ from parikh import (
     nonneg_integer_solve,
     reduce_multiplicities,
 )
+from parikh.intlinalg import _pareto_min
 from helpers import (
     cofactor_determinant,
     naive_rank,
@@ -470,6 +471,47 @@ class TestCosetIndex:
         assert index.lookup((1, 2)) == ((1, 2), ())
         assert index.lookup((1, 1)) is None
         assert index.box_points(0, 2) == {(1, 2), (0, 0)}
+
+
+def ref_pareto_min(entries):
+    """The quadratic filter: in sorted order, keep each entry that no kept
+    entry sits coordinatewise below."""
+    out = []
+    for coords, w in sorted(entries):
+        if not any(all(b <= c for b, c in zip(kept, coords)) for kept, _w in out):
+            out.append((coords, w))
+    return out
+
+
+class TestParetoMin:
+    def test_matches_the_quadratic_filter(self):
+        # exact duplicates, and equal coords carrying other payloads: the
+        # least payload is kept, once
+        rng = random.Random(97)
+        for trial in range(400):
+            k = 3 if trial % 4 else rng.choice((1, 2, 4))
+            r = rng.randint(0, 5)
+            entries = [
+                (tuple(rng.randint(-r, r) for _ in range(k)), (rng.randint(0, 3),))
+                for _ in range(rng.randint(1, 40))
+            ]
+            entries += rng.sample(entries, rng.randint(0, len(entries) // 2))
+            entries += [(coords, (w[0] + rng.randint(1, 3),)) for coords, w in entries[:5]]
+            rng.shuffle(entries)
+            assert _pareto_min(entries) == ref_pareto_min(entries)
+
+    def test_large_three_coordinate_antichains(self):
+        # every point of the plane x + y + z = n is minimal; a few points
+        # above it are not, and a second payload per point loses its tie
+        rng = random.Random(101)
+        for n in (12, 25, 40):
+            plane = [(x, y, n - x - y) for x in range(n + 1) for y in range(n + 1 - x)]
+            entries = [(c, (0,)) for c in plane] + [(c, (1,)) for c in rng.sample(plane, n)]
+            entries += [(tuple(a + rng.randint(0, 2) for a in c), (2,)) for c in rng.sample(plane, n)]
+            rng.shuffle(entries)
+            got = _pareto_min(entries)
+            assert got == ref_pareto_min(entries)
+            assert got == [(c, (0,)) for c in sorted(plane)]
 
 
 class TestMaximalIndependentSubsets:

@@ -23,6 +23,15 @@ from parikh import (
 )
 from parikh import intlinalg, membership, normalize
 from parikh.hardness import hard_grammar
+from parikh.runs import (
+    DEFAULT_STATE_CAP,
+    SearchCapExceeded,
+    TransitionMultiset,
+    dense_runs,
+    dense_simple_cycles,
+    enumerate_runs,
+    enumerate_simple_cycles,
+)
 from parikh.membership import (
     FINAL,
     MEMBER,
@@ -553,6 +562,85 @@ def test_general_cycle_subsets_are_tried_in_dense_tuple_order():
         ({"t2": 1}, 1),
         ({"t1": 1}, 1),
     ]
+
+
+def _vec_letters(ms):
+    """A multiset's letter vector as a dense tuple, summed as Vecs."""
+    acc = Vec.zero()
+    for tid, c in ms.counts:
+        acc = acc + ms.grammar.transition(tid).output * c
+    return acc.to_tuple(ms.grammar.alphabet)
+
+
+def _ref_general_build(g, run_cap, cycle_cap, state_cap):
+    """`GeneralMembership`'s bases, pools and (runs_complete, runs_capped,
+    cycles_capped), rebuilt from the multiset listings: the first run per
+    support and vector, the first nonzero cycle per anchor and vector."""
+    search = enumerate_runs(g, g.start, run_cap, state_cap)
+    by_support = {}
+    for run in search.runs:
+        by_support.setdefault(run.supp(), {}).setdefault(_vec_letters(run), run)
+    bases = [(supp, list(by_support[supp].items()))
+             for supp in sorted(by_support, key=lambda supp: (len(supp), sorted(supp)))]
+    pools, cycles_capped = [], False
+    for q in sorted(set().union(*by_support)):
+        pool = {}
+        try:
+            for cyc in enumerate_simple_cycles(g, q, cycle_cap, state_cap):
+                z = _vec_letters(cyc)
+                if any(z):
+                    pool.setdefault(z, cyc)
+        except SearchCapExceeded:
+            cycles_capped, pool = True, {}
+        pools.append((q, list(pool.items())))
+    return bases, pools, (search.complete, search.capped, cycles_capped)
+
+
+def test_general_build_matches_the_multiset_listings():
+    # small state caps stop the run search, or only some anchors' cycle
+    # searches, partway through a level
+    rng = random.Random(71)
+    seen = set()
+    for index in range(60):
+        g = random_grammar(rng, max_letters=3, neg_prob=0.3)
+        for caps in ((6, 4), (10, 8)):
+            for state_cap in (6, 20, 60, DEFAULT_STATE_CAP):
+                state = GeneralMembership(g, *caps, state_cap=state_cap)
+                got = (
+                    [(supp, list(bases.items())) for supp, bases in state._bases.items()],
+                    [(q, list(pool.items())) for q, pool in state._pools.items()],
+                    (state.runs_complete, state.runs_capped, state.cycles_capped),
+                )
+                assert got == _ref_general_build(g, *caps, state_cap), (index, caps, state_cap)
+                if state.runs_capped and state._bases:
+                    seen.add("runs capped with runs kept")
+                if state.cycles_capped and any(state._pools.values()):
+                    seen.add("some cycle searches capped")
+    assert seen == {"runs capped with runs kept", "some cycle searches capped"}
+
+
+def test_general_build_makes_one_multiset_per_kept_run_and_cycle(monkeypatch):
+    # t1 t3 t5 and t2 t4 t5 are runs with support {S, T} and vector a b,
+    # and t1 t3 and t2 t4 cycles at S and at T with vector a b: only the
+    # first run per support and vector, and the first cycle per anchor
+    # and vector, becomes a TransitionMultiset: 22 of 30 runs and 8 cycles
+    g = parse_grammar(
+        "alphabet: a b\nstart: S\nS -> a : T\nS -> b : T\nT -> b : S\nT -> a : S\nS -> :\n"
+    )
+    made = []
+    post_init = TransitionMultiset.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TransitionMultiset, "__post_init__", counted)
+    state = GeneralMembership(g, 7, 4)
+    kept = [ms for group in (*state._bases.values(), *state._pools.values()) for ms in group.values()]
+    assert len(made) == len(kept) and {id(ms) for ms in made} == {id(ms) for ms in kept}
+    runs, _complete, _capped = dense_runs(g, g.start, 7)
+    cycles = [c for q in state._pools for c in dense_simple_cycles(g, q, 4)]
+    assert len(runs) + len(cycles) > len(kept)
 
 
 @st.composite
