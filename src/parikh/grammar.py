@@ -329,10 +329,14 @@ def grammar_from_rules(
 
 
 def parse_grammar(text: str) -> Grammar:
-    """Parse the grammar file format; see the module docstring."""
+    """Parse the grammar file format; see the module docstring.
+
+    Each distinct output or target text is parsed once per call: rules
+    that repeat a field text share its `Vec`."""
     alphabet: Optional[tuple[str, ...]] = None
     start: Optional[str] = None
     rules: list[tuple[str, Vec, Vec]] = []
+    fields: dict[str, Vec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -364,8 +368,12 @@ def parse_grammar(text: str) -> Grammar:
             raise GrammarParseError("transition is missing the ':' separator", lineno)
         out_text, _, tgt_text = rhs.partition(":")
         try:
-            output = parse_monomial(out_text)
-            targets = parse_monomial(tgt_text)
+            output = fields.get(out_text)
+            if output is None:
+                output = fields[out_text] = parse_monomial(out_text)
+            targets = fields.get(tgt_text)
+            if targets is None:
+                targets = fields[tgt_text] = parse_monomial(tgt_text)
         except ValueError as e:
             raise GrammarParseError(str(e), lineno) from None
         for sym, count in targets:

@@ -58,10 +58,12 @@ indexes.  A point is answered by the first query that reaches it
 group, then the first subset in dense-tuple order, then the base with
 the lexicographically largest coefficient tuple.
 
-`oracle_language` is the independent cross-check: plain breadth-first
-expansion of sentential forms, pruned only where a letter has left the
-window for good.  Its result says whether the search was exhausted; only
-then is a miss inside the window a definite no.
+The brute-force oracle is the independent cross-check: `dense_oracle`
+is its one search, plain breadth-first expansion of sentential forms,
+pruned only where a letter has left the window for good.  It gives the
+dense letter tuples found and whether the search was exhausted; only
+then is a miss inside the window a definite no.  The oracle engine
+answers on those tuples, and `oracle_language` turns them into `Vec`s.
 """
 
 from __future__ import annotations
@@ -134,9 +136,18 @@ def _two_way_reach(cg: CompiledGrammar, two_way: list[int]) -> list[tuple[int, i
     return reach
 
 
-def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
-    """Letter vectors of all derivations of at most `depth` steps, filtered
-    to max-norm <= window.
+def _past(value: IntTuple, guards: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether value is past a guard (j, s, limit): s * value[j] > limit."""
+    for j, s, limit in guards:
+        if s * value[j] > limit:
+            return True
+    return False
+
+
+def dense_oracle(g: Grammar, depth: int, window: int) -> tuple[frozenset[IntTuple], bool]:
+    """Dense letter tuples (alphabet order) of all derivations of at most
+    `depth` steps, filtered to max-norm <= window, and whether the search
+    was exhausted.
 
     Breadth-first over sentential forms (nonterminal multiset plus
     accumulated letter vector).  A state is dropped when it has passed
@@ -146,7 +157,7 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
     back.  A state that stays in reach of the window but has more
     pending nonterminals than steps left is cut by the budget.  The
     result is always an under-approximation of the in-window language;
-    it is `exhausted`, and then exact, when the search ran dry before
+    it is exhausted, and then exact, when the search ran dry before
     `depth` and cut nothing: every derivation of an in-window vector was
     then followed to its end.
 
@@ -208,9 +219,12 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
                 over = len(rest) + count >= budget
                 if over and cut:
                     continue
-                new_value = value if out is None else tuple(map(add, value, out))
-                if any(s * new_value[j] > limit for j, s, limit in guards):
-                    continue
+                if out is None:
+                    new_value = value
+                else:
+                    new_value = tuple(map(add, value, out))
+                    if _past(new_value, guards):
+                        continue
                 if targets:
                     new_marking = tuple(sorted(rest + targets))
                 elif rest:
@@ -222,7 +236,7 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
                     mg = marking_guards.get(new_marking)
                     if mg is None:
                         mg = marking_guards[new_marking] = guards_of(new_marking)
-                    if any(s * new_value[j] > limit for j, s, limit in mg):
+                    if _past(new_value, mg):
                         continue
                 if over:
                     cut = True
@@ -234,10 +248,17 @@ def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
         frontier = new_frontier
         if not frontier:
             break
-    return OracleLanguage(
-        (Vec.from_tuple(v, cg.letters) for v in done if all(abs(x) <= window for x in v)),
-        not frontier and not cut,
-    )
+    found = frozenset(v for v in done if all(-window <= x <= window for x in v))
+    return found, not frontier and not cut
+
+
+def oracle_language(g: Grammar, depth: int, window: int) -> OracleLanguage:
+    """Letter vectors of all derivations of at most `depth` steps, filtered
+    to max-norm <= window: `dense_oracle`'s tuples as `Vec`s, with its
+    `exhausted` flag."""
+    found, exhausted = dense_oracle(g, depth, window)
+    letters = g.compiled.letters
+    return OracleLanguage((Vec.from_tuple(v, letters) for v in found), exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -806,17 +827,17 @@ def _general_state(g: Grammar, run_cap: int, cycle_cap: int, state_cap: int) -> 
 
 
 class OracleMembership:
-    """`oracle_language` to `depth` on the window [-window..window]^alphabet
-    as an engine state.  The vectors found are members (with no
-    decomposition); a miss is a definite no only inside the window and
-    when the search was exhausted."""
+    """`dense_oracle` to `depth` on the window [-window..window]^alphabet
+    as an engine state, answering on its dense tuples.  The vectors found
+    are members (with no decomposition); a miss is a definite no only
+    inside the window and when the search was exhausted."""
 
     def __init__(self, g: Grammar, depth: int, window: int):
         self.order = g.alphabet
         self.depth = depth
         self.window = window
-        self.found = oracle_language(g, depth, window)
-        cut = "" if self.found.exhausted else " (search cut at the depth)"
+        self.found, self.exhausted = dense_oracle(g, depth, window)
+        cut = "" if self.exhausted else " (search cut at the depth)"
         self.note = f"oracle with depth {depth}, window {window}{cut}"
 
     def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
@@ -825,7 +846,7 @@ class OracleMembership:
             return MembershipResult(
                 UNKNOWN, note=f"note: the vector lies outside the oracle window {self.window}"
             )
-        if not self.found.exhausted:
+        if not self.exhausted:
             return MembershipResult(
                 UNKNOWN, note=f"note: the oracle search was cut at depth {self.depth}"
             )
@@ -833,17 +854,16 @@ class OracleMembership:
 
     def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
         """MEMBER when the search found v, else `miss` at v."""
-        if v in self.found:
-            return MembershipResult(MEMBER)
         if any(sym not in self.order for sym in v.support()):
             return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
         tv = v.to_tuple(self.order)
+        if tv in self.found:
+            return MembershipResult(MEMBER)
         return self.miss(tv, tv)
 
     def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
         """Dense tuples (alphabet order) of the vectors found in [lo..hi]^alphabet."""
-        found = (v.to_tuple(self.order) for v in self.found)
-        return frozenset(t for t in found if all(lo <= x <= hi for x in t))
+        return frozenset(t for t in self.found if all(lo <= x <= hi for x in t))
 
 
 ENGINES = ("regular-dp", "general-caps", "oracle")

@@ -12,11 +12,8 @@ space-separated factors `sym` or `sym^k` with integer exponent k
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional, Sequence, Union
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 EntriesLike = Union[Mapping[str, int], Iterable[tuple[str, int]], None]
 
@@ -26,8 +23,9 @@ class MonomialError(ValueError):
 
 
 def is_name(s: str) -> bool:
-    """True if `s` is a legal symbol name (identifier-shaped)."""
-    return bool(_NAME.match(s))
+    """True if `s` is a legal symbol name: an ASCII identifier, a letter
+    or underscore followed by letters, digits and underscores."""
+    return s.isascii() and s.isidentifier()
 
 
 class Vec:

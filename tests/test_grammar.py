@@ -55,6 +55,56 @@ class TestParse:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("alphabet: a 1b\nstart: S\nS -> :", 1, "bad terminal name '1b'"),
+        ("alphabet: a ﬁ\nstart: S\nS -> :", 1, "bad terminal name 'ﬁ'"),
+        ("alphabet: a\nstart: é\nS -> :", 2, "start: expects a single nonterminal name"),
+        ("alphabet: a\nstart: S\nS -> :\né -> a :", 4, "bad source nonterminal 'é'"),
+        ("alphabet: a\nstart: S\nS -> ﬁ : S", 3, "bad symbol name 'ﬁ' in monomial ' ﬁ '"),
+        ("alphabet: a\nstart: S\nS -> a : ٣", 3, "bad symbol name '٣' in monomial ' ٣'"),
+    ])
+    def test_bad_names_keep_their_messages_and_lines(self, text, line, message):
+        with pytest.raises(GrammarParseError) as info:
+            parse_grammar(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("alphabet: a\n\nstart: S\nS -> a : S\nS -> a^x : S\nS -> a^x : S\n",
+         5, "bad exponent 'x' in monomial ' a^x '"),
+        ("alphabet: a\nstart: S\nS -> a : S b-c\nS -> a : S b-c\n",
+         3, "bad symbol name 'b-c' in monomial ' S b-c'"),
+        # the field text parses as an output on line 3; as a target it
+        # still fails its own check, on line 4
+        ("alphabet: a\nstart: S\nS -> a^-1: S\nS -> : a^-1\nS -> : a^-1\n",
+         4, "target 'a' needs a positive exponent"),
+    ])
+    def test_a_repeated_bad_field_reports_its_first_bad_line(self, text, line, message):
+        with pytest.raises(GrammarParseError) as info:
+            parse_grammar(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_rules_sharing_field_texts_equal_the_rules_built_apart(self):
+        g = parse_grammar(
+            "alphabet: a b\nstart: S\n"
+            "S -> a^2 b : S T\nT -> a^2 b : S T\nS -> : T^2\nT -> b^-1 :\n"
+            "S -> b^-1 :\nT -> a^2 b : T^2\nS -> :\nT -> :\n"
+        )
+        two_a_b, s_t, minus_b = Vec({"a": 2, "b": 1}), Vec({"S": 1, "T": 1}), Vec({"b": -1})
+        built = grammar_from_rules(("a", "b"), "S", [
+            ("S", two_a_b, s_t),
+            ("T", two_a_b, s_t),
+            ("S", Vec.zero(), Vec({"T": 2})),
+            ("T", minus_b, Vec.zero()),
+            ("S", minus_b, Vec.zero()),
+            ("T", two_a_b, Vec({"T": 2})),
+            ("S", Vec.zero(), Vec.zero()),
+            ("T", Vec.zero(), Vec.zero()),
+        ])
+        assert g == built and hash(g) == hash(built)
+        assert [t.tid for t in g.transitions] == [t.tid for t in built.transitions]
+
     def test_comments_and_blanks(self):
         g = parse_grammar("# header\nalphabet: a\n\nstart: S # trailing\nS -> a : S\nS -> :")
         assert len(g.transitions) == 2
@@ -92,8 +142,11 @@ class TestSerialize:
 
     def test_round_trip_random(self):
         rng = random.Random(7)
-        for _ in range(40):
-            g = random_grammar(rng)
+        grammars = [random_grammar(rng) for _ in range(40)]
+        # many rules over few letters and nonterminals, so most field texts repeat
+        grammars += [random_grammar(rng, max_nonterminals=3, max_letters=3, regular=k % 2 == 0,
+                                    neg_prob=0.3, extra_rules=12) for k in range(60)]
+        for g in grammars:
             assert parse_grammar(serialize_grammar(g)) == g
 
 

@@ -42,6 +42,7 @@ from parikh.membership import (
     _first_hit,
     _path_cells,
     _without_multiples,
+    dense_oracle,
 )
 from helpers import (
     CHAIN_TEXT,
@@ -99,6 +100,104 @@ class TestOracle:
         assert found == vecs(range(-3, 4)) and found.exhausted
         both = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nS -> a^-1 : S\nS -> :")
         assert not oracle_language(both, 50, 3).exhausted
+
+
+class VecSetOracle:
+    """The oracle engine's answers read off `oracle_language`'s `Vec` set,
+    as the engine gave them before it answered on dense tuples."""
+
+    def __init__(self, g, depth, window):
+        self.order, self.depth, self.window = g.alphabet, depth, window
+        self.found = oracle_language(g, depth, window)
+
+    def miss(self, lo=None, hi=None):
+        if lo is None or min(lo, default=0) < -self.window or max(hi, default=0) > self.window:
+            return (UNKNOWN, f"note: the vector lies outside the oracle window {self.window}")
+        if not self.found.exhausted:
+            return (UNKNOWN, f"note: the oracle search was cut at depth {self.depth}")
+        return (NON_MEMBER, "")
+
+    def result(self, v):
+        if v in self.found:
+            return (MEMBER, "")
+        if any(sym not in self.order for sym in v.support()):
+            return (NON_MEMBER, "letters outside the alphabet")
+        tv = v.to_tuple(self.order)
+        return self.miss(tv, tv)
+
+    def box_members(self, lo, hi):
+        found = (v.to_tuple(self.order) for v in self.found)
+        return frozenset(t for t in found if all(lo <= x <= hi for x in t))
+
+
+_oracle_rng = random.Random(2417)
+ORACLE_GRAMMARS = [
+    random_grammar(_oracle_rng, max_letters=3, regular=k % 2 == 0, neg_prob=0.3, extra_rules=4)
+    for k in range(40)
+]
+
+
+ORACLE_SIZES = ((0, 0), (0, 2), (1, 1), (4, 1), (6, 2), (9, 2))
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_GRAMMARS)))
+def test_dense_oracle_is_the_search_behind_oracle_language(index):
+    g = ORACLE_GRAMMARS[index]
+    for depth, window in ORACLE_SIZES:
+        found, exhausted = dense_oracle(g, depth, window)
+        assert all(len(t) == len(g.alphabet) for t in found)
+        language = oracle_language(g, depth, window)
+        assert language == frozenset(Vec.from_tuple(t, g.alphabet) for t in found)
+        assert language.exhausted is exhausted
+
+
+def _oracle_probes(g, window):
+    """Every point of the window box, points just outside it on each
+    side, and one vector with a letter outside the alphabet."""
+    dim = len(g.alphabet)
+    points = list(product(range(-window, window + 1), repeat=dim))
+    for j in range(dim):
+        for x in (-window - 1, window + 1, 3 * window + 2):
+            points.append(tuple(x if i == j else 0 for i in range(dim)))
+    probes = [Vec.from_tuple(t, g.alphabet) for t in points]
+    return probes + [Vec.unit("z") + Vec.unit(g.alphabet[0])]
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_GRAMMARS)))
+def test_oracle_engine_answers_as_the_vec_set_did(index):
+    g = ORACLE_GRAMMARS[index]
+    dim = len(g.alphabet)
+    for depth, window in ORACLE_SIZES:
+        state = membership.engine(g, "oracle", window, depth=depth)
+        ref = VecSetOracle(g, depth, window)
+        for v in _oracle_probes(g, window):
+            res = state.result(v)
+            assert (res.status, res.note or "") == ref.result(v), (v, depth, window)
+            assert res.witness is None
+        for lo, hi in ((-window, window), (0, window), (-window - 1, window + 1), (1, 1)):
+            assert state.box_members(lo, hi) == ref.box_members(lo, hi)
+            box = ((lo,) * dim, (hi,) * dim)
+            miss = state.miss(*box)
+            assert (miss.status, miss.note or "") == ref.miss(*box)
+        assert (state.miss().status, state.miss().note) == (UNKNOWN, ref.miss()[1])
+
+
+def test_oracle_engine_cases_cover_every_outcome():
+    assert any(not g.is_regular() for g in ORACLE_GRAMMARS)
+    assert any(None in g.compiled.letter_sign for g in ORACLE_GRAMMARS[::2])
+    assert any(None in g.compiled.letter_sign for g in ORACLE_GRAMMARS[1::2])
+    statuses = set()
+    for g in ORACLE_GRAMMARS:
+        for depth, window in ORACLE_SIZES:
+            state = membership.engine(g, "oracle", window, depth=depth)
+            for v in _oracle_probes(g, window):
+                res = state.result(v)
+                statuses.add((res.status, state.exhausted, v.norm_inf() <= window))
+    assert statuses >= {
+        (MEMBER, True, True), (MEMBER, False, True),
+        (NON_MEMBER, True, True), (UNKNOWN, False, True),
+        (UNKNOWN, True, False), (UNKNOWN, False, False),
+    }
 
 
 def entry(cells, support, q, alphabet) -> frozenset:

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from types import MappingProxyType
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parikh import MonomialError, Vec, format_monomial, parse_monomial
+from parikh.vector import is_name
 
 entries = st.dictionaries(st.sampled_from("abcxyz"), st.integers(-9, 9), max_size=4)
 
@@ -77,3 +79,22 @@ def test_mapping_and_pair_inputs_agree():
     assert Vec((pair for pair in (("b", -1), ("a", 2)))) == expected
     assert Vec(expected) == expected  # a Vec iterates as its pairs
     assert Vec() == Vec(None) == Vec({}) == Vec.zero()
+
+
+# the symbol-name pattern `is_name` once matched with
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_CORPUS = [
+    "", "a", "Z", "_", "__", "a1", "A_9", "_0", "if", "None", "t12",
+    "a\n", "\na", "1a", "9", "a b", " a", "a ", "a\t", "a-b", "a^2", "a.b", "$",
+    "é", "aé", "ﬁ", "٣", "a٣", "x²", "µ", "\u212a", "ǅ", "\u0660", "a\u200b", "\x00",
+]
+
+
+def test_is_name_matches_the_identifier_pattern():
+    for s in NAME_CORPUS:
+        assert is_name(s) == bool(IDENTIFIER.match(s)), s
+
+
+@given(st.text(alphabet=st.sampled_from("aZ_09 \n-éﬁ٣²\u212a"), max_size=4) | st.text(max_size=3))
+def test_is_name_matches_the_identifier_pattern_on_random_text(s):
+    assert is_name(s) == bool(IDENTIFIER.match(s))
