@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .grammar import Grammar
 from .intlinalg import hadamard_bound, is_linearly_independent, reduce_multiplicities
-from .runs import (
-    DEFAULT_STATE_CAP,
-    TransitionMultiset,
-    is_run,
-    is_simple_cycle,
-    strip_cycles,
-    tree_size_bound,
-)
+from .runs import TransitionMultiset, is_run, is_simple_cycle, strip_cycles, tree_size_bound
 from .vector import Vec
 
 
@@ -80,12 +73,7 @@ class Decomposition:
         return total
 
 
-def decompose_run(
-    g: Grammar,
-    ms: TransitionMultiset,
-    p: str,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Decomposition:
+def decompose_run(g: Grammar, ms: TransitionMultiset, p: str) -> Decomposition:
     """Decompose a run from `p` per the bounded-base-run guarantee.
 
     Repeatedly strips the smallest removable cycle (one whose removal
@@ -105,7 +93,7 @@ def decompose_run(
     """
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
-    stripped, rest = strip_cycles(ms, p, state_cap)
+    stripped, rest = strip_cycles(ms, p)
 
     # merge cycles with the same letter vector; first-stripped wins as
     # the representative

@@ -268,10 +268,7 @@ def convex_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _product_rule(symbols: Sequence[str]) -> Vec:
-    counts: dict[str, int] = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    return Vec(counts)
+    return Vec((s, 1) for s in symbols)
 
 
 def _qsat_rules(f: CnfFormula) -> list[tuple[str, Vec, Vec]]:

@@ -33,16 +33,17 @@ support and vector and the first cycle per anchor and vector, and only
 those become `TransitionMultiset`s.
 
 Three engine states, one per name in `ENGINES`, answer through one
-interface; `engine` is the one place that picks a state by name.
-`result(v)` answers a point, `box_members(lo, hi)` the members of a
-box, `miss(lo, hi)` every box point that no query reaches, and `note`
-names the engine and its sizes.  `miss` is where a no becomes definite:
-at the completeness threshold or past the last frontier (regular-dp),
-after an exhaustive run enumeration or at full caps (general-caps), and
-inside the window of an exhausted search (oracle); a search cut by its
-state cap or depth answers unknown.  A box-less `miss()` answers for
-every vector (the oracle: unknown): bundles read truncation off it.
-Other modules read a result's `verdict` (None: unknown), not its status.
+interface, picked by name in `engine` alone: `result(v)` answers a
+point, `box_members(lo, hi)` a box's members, `miss(lo, hi)` every box
+point no query reaches, and `note` names the engine and its sizes.
+`result` and `box_members` are written once (`_Engine`); each state's
+`miss` is its one decision, where a no becomes definite: at the
+completeness threshold or past the last frontier (regular-dp), after an
+exhaustive run enumeration or at full caps (general-caps), and inside
+the window of an exhausted search (oracle); a search cut by its state
+cap or depth answers unknown.  A box-less `miss()` answers for every
+vector (the oracle: unknown): bundles read truncation off it.  Other
+modules read a result's `verdict` (None: unknown), not its status.
 
 The regular and general states share one query structure.
 `_prepare_queries` pairs each group of base vectors with one support
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import add, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar, normalize
@@ -393,6 +394,7 @@ class MembershipResult:
 
 
 _NO = MembershipResult(NON_MEMBER)
+_FOREIGN = MembershipResult(NON_MEMBER, note="letters outside the alphabet")
 _CAPS_BELOW = MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
 
 
@@ -474,22 +476,61 @@ def _box_union(queries: list[Query], lo: int, hi: int) -> frozenset[IntTuple]:
     return frozenset(found)
 
 
-def _cycle_terms(
-    zs: tuple[IntTuple, ...],
-    coeffs: Sequence[int],
-    anchors: list[str],
-    pools: dict[str, dict[IntTuple, object]],
-    cycle: Callable[[str, IntTuple], TransitionMultiset],
-) -> tuple[CycleTerm, ...]:
-    """A witness's pumped cycles: one term per period with a positive
-    coefficient, anchored at the first anchor whose pool holds it;
-    cycle(anchor, z) is the cycle behind z there."""
-    terms = []
-    for z, n in zip(zs, coeffs):
-        if n:
-            anchor = next(q for q in anchors if z in pools[q])
-            terms.append(CycleTerm(cycle(anchor, z), anchor, n))
-    return tuple(terms)
+# ---------------------------------------------------------------------------
+# the one answer path of the engine states
+
+
+class _Engine:
+    """A point's answer (`result`) and a box's members (`box_members`),
+    written once for the three engine states.  A state supplies `order`,
+    `_hit(t)` (what reaches the dense tuple t, or None), `_box(lo, hi)`
+    and `miss`, its one decision.  A hit (key, base, periods,
+    coefficients, anchors) has the witness that `_pools`, `_base_run`
+    and `_cycle` give; the oracle's empty hit has none."""
+
+    order: tuple[str, ...]
+    # the last (lo, hi) asked of box_members, with its members
+    _last_box: Optional[tuple[int, int, frozenset[IntTuple]]] = None
+
+    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
+        """NON_MEMBER for a letter outside the alphabet; MEMBER when `_hit`
+        reaches v, with the hit's witness when asked; else `miss` at v."""
+        if any(sym not in self.order for sym in v.support()):
+            return _FOREIGN
+        tv = v.to_tuple(self.order)
+        hit = self._hit(tv)
+        if hit is None:
+            return self.miss(tv, tv)
+        return MembershipResult(MEMBER, self._witness(hit) if want_witness and hit else None)
+
+    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
+        """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
+        that `result` answers MEMBER, enumerated at once (`_box`) instead
+        of asked point by point.  The last box enumerated and its members
+        are kept, and a box inside it with the same top is read off them,
+        so the sweeps of one window (symmetric, or over the naturals)
+        enumerate once."""
+        last = self._last_box
+        if last is not None:
+            if last[:2] == (lo, hi):
+                return last[2]
+            if last[0] <= lo and hi == last[1]:
+                return frozenset(t for t in last[2] if min(t, default=lo) >= lo)
+        members = self._box(lo, hi)
+        self._last_box = (lo, hi, members)
+        return members
+
+    def _witness(self, hit: tuple) -> Witness:
+        """The base run behind a hit's base in its group, and one cycle term
+        per period with a positive coefficient, anchored at the first
+        anchor whose pool holds it."""
+        key, w, zs, coeffs, anchors = hit
+        terms = []
+        for z, n in zip(zs, coeffs):
+            if n:
+                anchor = next(q for q in anchors if z in self._pools[q])
+                terms.append(CycleTerm(self._cycle(anchor, z), anchor, n))
+        return Witness(self._base_run(key, w), tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +552,7 @@ class _Runs:
     queries: list[Query]
 
 
-class RegularMembership:
+class RegularMembership(_Engine):
     """Shared decision state for one regular grammar and one run bound.
 
     The cycle tables are built with the state, its one run table on
@@ -545,8 +586,6 @@ class RegularMembership:
         self._pools = {q: self._paths[q][(frozenset(), q)] for q in g.nonterminals}
         self._sign = g.compiled.letter_sign
         self._table: Optional[_Runs] = None
-        # the last (lo, hi) asked of box_members, with its members
-        self._last_box: Optional[tuple[int, int, frozenset[IntTuple]]] = None
 
     @property
     def _queries(self) -> list[Query]:
@@ -605,55 +644,26 @@ class RegularMembership:
                 return self._no_within_bound
         return _NO
 
-    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        """MEMBER with a witness, else `miss` at the box of v.  The answer
-        and witness are those of the full run table; only the no is
-        sharper."""
-        if any(sym not in self.order for sym in v.support()):
-            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        tv = v.to_tuple(self.order)
-        runs = self._runs(tv, tv)
-        hit = _first_hit(runs.queries, tv)
-        if hit is None:
-            return self.miss(tv, tv)
-        if not want_witness:
-            return MembershipResult(MEMBER)
-        return MembershipResult(MEMBER, self._witness(runs.cells, *hit))
+    result = _Engine.result  # on the class itself, which `bench/tracing.py` wraps
 
-    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
-        """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
-        that `result` answers MEMBER, enumerated group by group instead of
-        asked point by point, from a run table cut to the box (`_runs`).
-        The last box enumerated and its members are kept, and a box inside
-        it with the same top is read off them, so the sweeps of one window
-        (symmetric, or over the naturals) enumerate once."""
-        last = self._last_box
-        if last is not None:
-            if last[:2] == (lo, hi):
-                return last[2]
-            if last[0] <= lo and hi == last[1]:
-                return frozenset(t for t in last[2] if min(t, default=lo) >= lo)
+    def _hit(self, t: IntTuple) -> Optional[tuple]:
+        """The first query of the run table cut to t's box that reaches t.
+        The answer and witness are those of the full run table; only the
+        no (`miss` at t) is sharper."""
+        return _first_hit(self._runs(t, t).queries, t)
+
+    def _box(self, lo: int, hi: int) -> frozenset[IntTuple]:
         dim = len(self.order)
-        members = _box_union(self._runs((lo,) * dim, (hi,) * dim).queries, lo, hi)
-        self._last_box = (lo, hi, members)
-        return members
+        return _box_union(self._runs((lo,) * dim, (hi,) * dim).queries, lo, hi)
 
     # -- witness reconstruction ------------------------------------------
 
-    def _witness(
-        self,
-        cells: dict[Cell, dict[IntTuple, int]],
-        key: Cell,
-        w: IntTuple,
-        zs: tuple[IntTuple, ...],
-        coeffs: Sequence[int],
-        anchors: list[str],
-    ) -> Witness:
-        def cycle(anchor: str, z: IntTuple) -> TransitionMultiset:
-            return self._walk(self._paths[anchor], (frozenset(), anchor), z)
+    def _base_run(self, key: Cell, w: IntTuple) -> TransitionMultiset:
+        # the table the hit came from: nothing rebuilds it between the two
+        return self._walk(self._table.cells, key, w)
 
-        terms = _cycle_terms(zs, coeffs, anchors, self._pools, cycle)
-        return Witness(self._walk(cells, key, w), terms)
+    def _cycle(self, anchor: str, z: IntTuple) -> TransitionMultiset:
+        return self._walk(self._paths[anchor], (frozenset(), anchor), z)
 
     def _walk(self, cells: dict, key: Cell, vec: IntTuple) -> TransitionMultiset:
         """The transitions of the path behind cells[key][vec]: each step takes
@@ -701,7 +711,7 @@ def _regular_state(g: Grammar, bound: Optional[int]) -> RegularMembership:
 # general grammars: bounded guessing
 
 
-class GeneralMembership:
+class GeneralMembership(_Engine):
     """Bounded base-run and cycle enumeration for normal-form grammars.
 
     The base runs are grouped by support, in the order of the regular
@@ -784,24 +794,19 @@ class GeneralMembership:
             return _NO
         return _CAPS_BELOW
 
-    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        """MEMBER with a witness, else `miss`."""
-        if any(sym not in self.order for sym in v.support()):
-            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        tv = v.to_tuple(self.order)
-        hit = _first_hit(self._queries, tv)
-        if hit is None:
-            return self.miss(tv, tv)
-        if not want_witness:
-            return MembershipResult(MEMBER)
-        supp, w, zs, coeffs, anchors = hit
-        terms = _cycle_terms(zs, coeffs, anchors, self._pools, lambda q, z: self._pools[q][z])
-        return MembershipResult(MEMBER, Witness(self._bases[supp][w], terms))
+    result = _Engine.result  # on the class itself, which `bench/tracing.py` wraps
 
-    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
-        """Dense tuples (alphabet order) of every vector in [lo..hi]^alphabet
-        that `result` answers MEMBER, enumerated query by query."""
+    def _hit(self, t: IntTuple) -> Optional[tuple]:
+        return _first_hit(self._queries, t)
+
+    def _box(self, lo: int, hi: int) -> frozenset[IntTuple]:
         return _box_union(self._queries, lo, hi)
+
+    def _base_run(self, supp: frozenset, w: IntTuple) -> TransitionMultiset:
+        return self._bases[supp][w]
+
+    def _cycle(self, anchor: str, z: IntTuple) -> TransitionMultiset:
+        return self._pools[anchor][z]
 
 
 def member_general(
@@ -826,7 +831,7 @@ def _general_state(g: Grammar, run_cap: int, cycle_cap: int, state_cap: int) -> 
 # the brute-force oracle as an engine, and the one engine switch
 
 
-class OracleMembership:
+class OracleMembership(_Engine):
     """`dense_oracle` to `depth` on the window [-window..window]^alphabet
     as an engine state, answering on its dense tuples.  The vectors found
     are members (with no decomposition); a miss is a definite no only
@@ -852,17 +857,11 @@ class OracleMembership:
             )
         return _NO
 
-    def result(self, v: Vec, want_witness: bool = True) -> MembershipResult:
-        """MEMBER when the search found v, else `miss` at v."""
-        if any(sym not in self.order for sym in v.support()):
-            return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
-        tv = v.to_tuple(self.order)
-        if tv in self.found:
-            return MembershipResult(MEMBER)
-        return self.miss(tv, tv)
+    def _hit(self, t: IntTuple) -> Optional[tuple]:
+        # found: a member with no decomposition behind it
+        return () if t in self.found else None
 
-    def box_members(self, lo: int, hi: int) -> frozenset[IntTuple]:
-        """Dense tuples (alphabet order) of the vectors found in [lo..hi]^alphabet."""
+    def _box(self, lo: int, hi: int) -> frozenset[IntTuple]:
         return frozenset(t for t in self.found if all(lo <= x <= hi for x in t))
 
 

@@ -571,7 +571,7 @@ def dense_runs(
     return runs, exhausted, capped
 
 
-def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_simple_cycle(ms: TransitionMultiset, q: str) -> bool:
     """True iff `ms` is a nonzero cycle from q that is not the sum of two
     smaller nonzero cycles from q (those a search bounded by `ms` lists).
     A loop anchored elsewhere does not count (`enumerate_simple_cycles`)."""
@@ -579,7 +579,7 @@ def is_simple_cycle(ms: TransitionMultiset, q: str, state_cap: int = DEFAULT_STA
         return False
     # testing each part's rest stops at a split's smaller part, where a
     # lookup among listed parts would search on to the larger one
-    for part, _anchor in iter_cycles(ms.grammar, [q], ms.size() - 1, within=ms, state_cap=state_cap):
+    for part, _anchor in iter_cycles(ms.grammar, [q], ms.size() - 1, within=ms):
         if is_cycle(ms - part, q):
             return False
     return True
@@ -591,7 +591,6 @@ def _removable_cycle(
     start: tuple[int, ...],
     keep: AbstractSet[Optional[int]],
     listed: list[tuple[int, ...]],
-    state_cap: int,
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """`find_removable_cycle` on dense tuples: `run` holds use counts that
     balance from the unit marking `start` to the empty one, `keep` holds
@@ -625,7 +624,7 @@ def _removable_cycle(
             return cycle, anchor
     units = [_unit(n, q) for q in sorted(set(compress(cg.source, run)))]
     listed.clear()
-    for cycle, _k in _cycles(cg, units, sum(run), run, state_cap):
+    for cycle, _k in _cycles(cg, units, sum(run), run, DEFAULT_STATE_CAP):
         listed.append(cycle)
         if (anchor := anchor_of(cycle)) is not None:
             return cycle, anchor
@@ -633,10 +632,7 @@ def _removable_cycle(
 
 
 def find_removable_cycle(
-    ms: TransitionMultiset,
-    p: str,
-    state_cap: int = DEFAULT_STATE_CAP,
-    keep: Optional[Iterable[str]] = None,
+    ms: TransitionMultiset, p: str, keep: Optional[Iterable[str]] = None
 ) -> Optional[tuple[TransitionMultiset, str]]:
     """Smallest cycle inside the run `ms` whose removal keeps a run from
     `p` whose support holds `keep` (default: all of `ms`'s), with its
@@ -667,14 +663,14 @@ def find_removable_cycle(
     run = cg.counts(ms.counts)
     # a name that is not a nonterminal (id None) is never held
     held = set(compress(cg.source, run)) if keep is None else {cg.nt_index.get(q) for q in keep}
-    hit = _removable_cycle(cg, run, start, held, [], state_cap)
+    hit = _removable_cycle(cg, run, start, held, [])
     if hit is None:
         return None
     return TransitionMultiset(ms.grammar, cg.multiset(hit[0])), cg.nonterminals[hit[1]]
 
 
 def strip_cycles(
-    ms: TransitionMultiset, p: str, state_cap: int = DEFAULT_STATE_CAP
+    ms: TransitionMultiset, p: str
 ) -> tuple[list[tuple[TransitionMultiset, str]], TransitionMultiset]:
     """Strip removable cycles off the run `ms` from `p` until none is
     left: each step removes `find_removable_cycle`'s cycle with every
@@ -694,7 +690,7 @@ def strip_cycles(
     listed: list[tuple[int, ...]] = []
     stripped = []
     made: dict[tuple[int, ...], TransitionMultiset] = {}  # one multiset per distinct cycle
-    while (hit := _removable_cycle(cg, run, start, held, listed, state_cap)) is not None:
+    while (hit := _removable_cycle(cg, run, start, held, listed)) is not None:
         cycle, anchor = hit
         if cycle not in made:
             made[cycle] = TransitionMultiset(g, cg.multiset(cycle))
@@ -713,12 +709,14 @@ def _check_run(ms: TransitionMultiset, p: str) -> tuple[int, ...]:
     return start
 
 
-def is_skeleton_run(ms: TransitionMultiset, p: str, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_skeleton_run(ms: TransitionMultiset, p: str) -> bool:
     """True iff no cycle can be removed from the run without shrinking
     its support.  Raises ValueError unless `ms` is a run from the
     nonterminal `p`."""
-    _check_run(ms, p)
-    return find_removable_cycle(ms, p, state_cap=state_cap) is None
+    start = _check_run(ms, p)
+    cg = ms.grammar.compiled
+    run = cg.counts(ms.counts)
+    return _removable_cycle(cg, run, start, set(compress(cg.source, run)), []) is None
 
 
 def enumerate_simple_cycles(

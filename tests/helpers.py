@@ -762,7 +762,7 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
             hit = index.lookup(tv)
         if hit is not None:
             w, coeffs = hit
-            witness = state._witness(runs.cells, key, w, zs, coeffs, anchors)
+            witness = state._witness((key, w, zs, coeffs, anchors))
             return MembershipResult(MEMBER, witness)
     _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
     if state.bound >= state.complete_bound or exhausted:

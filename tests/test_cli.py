@@ -68,8 +68,7 @@ class TestDecisionCommands:
         def refuse(*args):
             raise AssertionError("a witness was reconstructed")
 
-        monkeypatch.setattr(membership.RegularMembership, "_witness", refuse)
-        monkeypatch.setattr(membership, "_cycle_terms", refuse)
+        monkeypatch.setattr(membership._Engine, "_witness", refuse)
         for flags in ((), ("--caps", "6,4")):
             code, out, _ = run_cli(capsys, "member", gb_file, "a^4", *flags)
             assert (code, out) == (0, "VERDICT true WITNESS a^4\n")

@@ -52,6 +52,7 @@ from helpers import (
     general_query_groups,
     random_grammar,
     random_grammar_with_dead_ends,
+    ref_box_members,
     ref_full_table_result,
     ref_general_result,
     ref_path_cells,
@@ -584,6 +585,61 @@ class TestAgainstOracle:
 def test_general_engine_rejects_letters_outside_the_alphabet():
     for res in (member_general(gb(), Vec.unit("b"), 3, 3), member_regular(gb(), Vec.unit("b"))):
         assert res.status == NON_MEMBER and res.note == "letters outside the alphabet"
+
+
+def _fresh_states(seed: int, count: int):
+    """(grammar, build): seeded random normal-form grammars, half of them
+    regular, with two-way letters, and per grammar a function that builds
+    a fresh state of the engine it is given, bypassing `engine`'s cache."""
+    rng = random.Random(seed)
+    for k in range(count):
+        g = random_grammar(rng, max_letters=2 + k % 3 // 2, regular=k % 2 == 0, neg_prob=0.3,
+                           extra_rules=4)
+        bound, depth = rng.randint(1, 8), rng.randint(2, 10)
+        builds = {
+            "regular-dp": lambda g=g, bound=bound: RegularMembership(g, bound),
+            "general-caps": lambda g=g: GeneralMembership(g, 5, 3),
+            "oracle": lambda g=g, depth=depth: membership.OracleMembership(g, depth, 2),
+        }
+        yield g, builds
+
+
+def test_every_engine_answers_a_foreign_letter_alike():
+    # one shared answer path: the same result from every engine state,
+    # with or without a witness asked for
+    expected = MembershipResult(NON_MEMBER, note="letters outside the alphabet")
+    engines = set()
+    for g, builds in _fresh_states(2501, 24):
+        for v in (Vec.unit("z"), Vec.unit("z") + Vec.unit(g.alphabet[0]), Vec.unit("z", -2)):
+            for name, build in builds.items():
+                if name == "regular-dp" and not g.is_regular():
+                    continue
+                engines.add(name)
+                state = build()
+                assert state.result(v) == expected
+                assert state.result(v, want_witness=False) == expected
+    assert engines == set(membership.ENGINES)
+
+
+@pytest.mark.parametrize("name", membership.ENGINES)
+def test_naturals_box_read_off_the_last_box_equals_a_fresh_enumeration(name):
+    # box_members(0, w) after box_members(-w, w) is read off the kept
+    # members; it must equal a fresh state's enumeration and the point
+    # queries
+    seen = set()
+    for g, builds in _fresh_states(2502, 40):
+        if name == "regular-dp" and not g.is_regular():
+            continue
+        for w in (1, 2):
+            state = builds[name]()
+            symmetric = state.box_members(-w, w)
+            naturals = state.box_members(0, w)
+            assert state._last_box[:2] == (-w, w)  # read off, not enumerated again
+            assert naturals == builds[name]().box_members(0, w)
+            assert naturals == ref_box_members(builds[name](), 0, w)
+            if naturals and symmetric - naturals:
+                seen.add("filtered")
+    assert seen == {"filtered"}
 
 
 def _general_cases():
