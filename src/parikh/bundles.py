@@ -82,10 +82,11 @@ def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
     """Bundle decomposition of a grammar that is regular once normalized.
 
     One bundle per (required support, maximal independent cycle-vector
-    set): bases are the table run vectors, periods the cycle vectors.
-    Each bundle is one query of the regular-dp state at bound run_cap,
-    its bases the minimal entries of the query's coset index; subsumed
-    bundles are removed.  The union is the language unless truncated.
+    set) that no smaller support has: bases are the table run vectors,
+    periods the cycle vectors.  Each bundle is one query of the
+    regular-dp state at bound run_cap, its bases the minimal entries of
+    the query's coset index; subsumed bundles are removed.  The union is
+    the language unless truncated.
     """
     g = normalize(g)
     if not g.is_regular():

@@ -47,17 +47,23 @@ modules read a result's `verdict` (None: unknown), not its status.
 
 The regular and general states share one query structure.
 `_prepare_queries` pairs each group of base vectors with one support
-(ordered by support size, then names) with every maximal independent
-subset of the cycle vectors anchored in that support, as an
-`intlinalg.CosetIndex` of the group's bases over the subset.  The pool
-is taken without k-fold multiples (k >= 2) of its other vectors, which
-reach no point their root does not, and there is one
-`intlinalg.PeriodLattice` per distinct period set, shared by its
-indexes.  A point is answered by the first query that reaches it
-(`_first_hit`), a box by the union of every query's box points
-(`_box_union`).  So a witness follows one rule in both: the first
-group, then the first subset in dense-tuple order, then the base with
-the lexicographically largest coefficient tuple.
+(ordered by support size, then names) with its period sets, as an
+`intlinalg.CosetIndex` of the group's bases over each set.  A period
+set is a maximal independent subset of the cycle vectors anchored in
+the support (`_period_sets`), taken without k-fold multiples (k >= 2)
+of its other vectors, which reach no point their root does not, and
+there is one `intlinalg.PeriodLattice` per distinct period set, shared
+by its indexes.  The general state pairs each group with all of them.
+The regular state leaves out a set that a smaller support also has:
+its run cells are nested, so the smaller support's query, which comes
+first, reaches all that the left-out one does.  It fixes the supports
+that keep a query once (`_tracked_supports`), and its run table keys
+only those and their subsets.  A point is answered by the first query
+that reaches it (`_first_hit`), a box by the union of every query's
+box points (`_box_union`), so neither changes when such queries are
+left out.  A witness follows one rule in both: the first group, then
+the first period set in dense-tuple order, then the base with the
+lexicographically largest coefficient tuple.
 
 The brute-force oracle is the independent cross-check: `dense_oracle`
 is its one search, plain breadth-first expansion of sentential forms,
@@ -74,7 +80,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar, normalize
@@ -299,7 +305,7 @@ def _path_cells(
     g: Grammar,
     end: str,
     bound: int,
-    support_limit: int = 0,
+    supports: Container[frozenset] = (),
     box: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> dict[Cell, dict[IntTuple, int]]:
     """Letter vectors of the paths of size <= bound into `end` (a
@@ -307,9 +313,12 @@ def _path_cells(
     from the empty path at (empty support, end).
 
     cells[(P, q)] maps the vector of each path from q whose support
-    includes P (q removed, every P of size <= support_limit) to the
-    least size that reaches it.  The vectors at size `bound` are the last
-    frontier: none means there are no paths beyond the tabulated ones.
+    includes P (q removed) to the least size that reaches it, for the
+    empty P and every P in `supports`.  The build only ever widens a key
+    to a support in `supports`, so that set must hold every subset of its
+    members; then each cell kept is complete.  The vectors at size
+    `bound` are the last frontier: none means there are no paths beyond
+    the tabulated ones.
 
     With box=(lo, hi), per-letter bounds, a path vector is dropped once
     it has left the box on a one-way letter: above hi[j] on a letter j
@@ -350,7 +359,7 @@ def _path_cells(
                 # keep a support object q is not in: fewer sets built and kept
                 narrow = p2 - {q} if q in p2 else p2
                 wide = grown - {q} if q in grown else grown
-                wider = wide != narrow and len(wide) <= support_limit
+                wider = wide != narrow and wide in supports
                 for support in (narrow, wide) if wider else (narrow,):
                     key = (support, q)
                     cell = cells.setdefault(key, {})
@@ -433,28 +442,81 @@ def _without_multiples(pool: list[IntTuple]) -> list[IntTuple]:
     ]
 
 
+def _period_sets(
+    anchors: Sequence[str], pools: dict[str, dict[IntTuple, object]]
+) -> list[tuple[IntTuple, ...]]:
+    """Every maximal independent subset of the nonzero cycle vectors
+    anchored in `anchors` (the keys of `pools[q]`), taken without their
+    k-fold multiples (`_without_multiples`), in the order of their dense
+    vector tuples."""
+    pool = _without_multiples(sorted({v for q in anchors for v in pools[q] if any(v)}))
+    return [tuple(pool[i] for i in subset) for subset in maximal_independent_subsets(pool)]
+
+
 def _prepare_queries(
-    groups: Sequence[tuple[object, dict[IntTuple, object], list[str]]],
-    pools: dict[str, dict[IntTuple, object]],
+    groups: Sequence[tuple[object, dict[IntTuple, object], list[str], list[tuple[IntTuple, ...]]]],
     dim: int,
 ) -> list[Query]:
-    """One query per group (key, bases, anchors), in order, and per
-    maximal independent subset of the nonzero cycle vectors anchored in
-    `anchors` (the keys of `pools[q]`, a zero key skipped), taken without
-    their k-fold multiples (`_without_multiples`); the subsets of one
-    group come in the order of their dense vector tuples.  Queries over
-    equal periods share one `PeriodLattice`."""
+    """One query per group (key, bases, anchors, period sets), in order,
+    and per period set of the group, in order.  Queries over equal
+    periods share one `PeriodLattice`."""
     lattices: dict[tuple[IntTuple, ...], PeriodLattice] = {}
     queries = []
-    for key, bases, anchors in groups:
-        pool = _without_multiples(sorted({v for q in anchors for v in pools[q] if any(v)}))
-        for subset in maximal_independent_subsets(pool):
-            zs = tuple(pool[i] for i in subset)
+    for key, bases, anchors, period_sets in groups:
+        for zs in period_sets:
             lattice = lattices.get(zs)
             if lattice is None:
                 lattice = lattices[zs] = PeriodLattice(zs, dim)
             queries.append((key, zs, CosetIndex(lattice, bases), anchors))
     return queries
+
+
+def _tracked_supports(
+    pools: dict[str, dict[IntTuple, object]], start: str, dim: int
+) -> dict[frozenset, list[tuple[IntTuple, ...]]]:
+    """The supports that keep a query of a regular run table, each with
+    the period sets (`_period_sets` of the support and the start) of its
+    kept queries.
+
+    A query (P, I) reaches nothing that (P0, I) misses when some P0 ⊊ P
+    has I among its period sets too: run cells are nested, the one at P0
+    holding the one at P, and the P0 query comes first.  That is so iff
+    I lies in the pools of P ∪ {start} less one q of P, so (P, I) is kept
+    iff each q in P is the only anchor in P ∪ {start} of some vector of
+    I, which bounds P by the `dim` vectors of I.  Those supports are
+    closed under subsets, as `_path_cells` needs: P less q keeps a period
+    set holding the rest of I, whose vectors keep their only anchors.  So
+    a search that extends kept supports in name order finds them all."""
+    # per cycle vector, the anchors that have it (the zero vector: all)
+    owners: dict[IntTuple, set[str]] = {}
+    for q, pool in pools.items():
+        for z in pool:
+            owners.setdefault(z, set()).add(q)
+
+    def owned(zs, q: str, anchors: frozenset) -> bool:
+        others = anchors - {q}
+        return any(others.isdisjoint(owners[z]) for z in zs)
+
+    tracked: dict[frozenset, list[tuple[IntTuple, ...]]] = {}
+
+    def visit(support: frozenset, later: list[str]) -> None:
+        anchors = support | {start}
+        sets = [
+            zs
+            for zs in _period_sets(sorted(anchors), pools)
+            if all(owned(zs, q, anchors) for q in support)
+        ]
+        if not sets:
+            return
+        tracked[support] = sets
+        if len(support) < dim:
+            for i, q in enumerate(later):
+                # a new member needs a vector of its own to keep a query
+                if owned(pools[q], q, anchors | {q}):
+                    visit(support | {q}, later[i + 1:])
+
+    visit(frozenset(), sorted(q for q in pools if q != start))
+    return tracked
 
 
 def _first_hit(queries: list[Query], t: IntTuple) -> Optional[tuple]:
@@ -555,8 +617,9 @@ class _Runs:
 class RegularMembership(_Engine):
     """Shared decision state for one regular grammar and one run bound.
 
-    The cycle tables are built with the state, its one run table on
-    first use.  A point query or a window sweep reads a run table cut to
+    The cycle tables, and the supports the run tables track
+    (`_tracked_supports`), are built with the state, its one run table
+    on first use.  A point query or a window sweep reads a run table cut to
     its box on one-way letters: a point v needs only the runs below v on
     the letters no rule lowers and above v on those no rule raises.  The
     table serves every box inside it; a box outside it rebuilds the table
@@ -579,11 +642,13 @@ class RegularMembership(_Engine):
             NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
         )
         self.order = g.alphabet
-        self._support_limit = min(len(self.order), len(g.nonterminals))
         # per anchor q: the cells of paths into q; its cycle vectors (zero
         # included, at size 0) are the cell at (empty support, q)
         self._paths = {q: _path_cells(g, q, len(g.nonterminals)) for q in g.nonterminals}
         self._pools = {q: self._paths[q][(frozenset(), q)] for q in g.nonterminals}
+        # the supports every run table tracks: those that keep a query,
+        # with the period sets they keep
+        self._periods = _tracked_supports(self._pools, g.start, len(self.order))
         self._sign = g.compiled.letter_sign
         self._table: Optional[_Runs] = None
 
@@ -612,14 +677,16 @@ class RegularMembership(_Engine):
             lo, hi = tuple(map(min, lo, cut_lo)), tuple(map(max, hi, cut_hi))
         # a box with no one-way side cuts nothing: build the full table
         box = None if lo is None or not _box_guards(self._sign, lo, hi) else (lo, hi)
-        cells = _path_cells(self.grammar, FINAL, self.bound, self._support_limit, box)
+        cells = _path_cells(self.grammar, FINAL, self.bound, self._periods, box)
         last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
         # one group per run cell from the start, by support size and names
         start = self.grammar.start
         keys = sorted((key for key in cells if key[1] == start),
                       key=lambda key: _support_order(key[0]))
-        groups = [(key, cells[key], sorted(key[0] | {start})) for key in keys]
-        queries = _prepare_queries(groups, self._pools, len(self.order))
+        groups = [
+            (key, cells[key], sorted(key[0] | {start}), self._periods[key[0]]) for key in keys
+        ]
+        queries = _prepare_queries(groups, len(self.order))
         self._table = _Runs(box, cells, last, queries)
         return self._table
 
@@ -633,8 +700,11 @@ class RegularMembership(_Engine):
         on its one-way letters (with no box: the full table's last
         frontier is empty): a longer path only extends a frontier vector,
         which moves such a letter further out, so no level past the bound
-        adds a run vector that can be pumped into the box.  The answer
-        depends on the grammar, the bound and the box alone."""
+        adds a run vector that can be pumped into the box.  The frontier
+        is that of the tracked supports' cells alone, which are all the
+        kept queries read; a query left out reaches nothing a kept one
+        misses at any bound.  The answer depends on the grammar, the
+        bound and the box alone."""
         if self.bound >= self.complete_bound:
             return _NO
         last = self._runs(lo, hi).last
@@ -772,8 +842,11 @@ class GeneralMembership(_Engine):
     @cached_property
     def _queries(self) -> list[Query]:
         # built on the first query; `two_letter_bundles` reads only bases and pools
-        groups = [(supp, bases, sorted(supp)) for supp, bases in self._bases.items()]
-        return _prepare_queries(groups, self._pools, len(self.order))
+        groups = [
+            (supp, bases, sorted(supp), _period_sets(sorted(supp), self._pools))
+            for supp, bases in self._bases.items()
+        ]
+        return _prepare_queries(groups, len(self.order))
 
     def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
         """The answer for a vector no base and cycle subset reaches, the

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import add
 from typing import Optional, Sequence
 
@@ -617,10 +617,16 @@ def ref_simple_cycles(g: Grammar, q: str, limit: int) -> list:
 # reproduce (same cells, least sizes and exhaustion flag).
 
 
-def ref_run_cells(g: Grammar, bound: int, support_limit: int) -> tuple[dict, bool]:
-    """Run cells built forwards from the final rules; level n adds vectors
-    of runs of size n.  Also reports whether the frontier emptied before
-    the bound."""
+def supports_up_to(g: Grammar, limit: int) -> set[frozenset]:
+    """Every set of at most `limit` nonterminals of g."""
+    return {frozenset(c) for k in range(limit + 1) for c in combinations(g.nonterminals, k)}
+
+
+def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
+    """Run cells built forwards from the final rules, keyed by the empty
+    support and each support in `supports`; level n adds vectors of runs
+    of size n.  Also reports whether the frontier emptied before the
+    bound."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
@@ -652,7 +658,7 @@ def ref_run_cells(g: Grammar, bound: int, support_limit: int) -> tuple[dict, boo
             for q, out in unaries.get(r, ()):
                 keys = {(p2 - {q}, q)}
                 grown = (p2 | {r}) - {q}
-                if len(grown) <= support_limit:
+                if grown in supports:
                     keys.add((grown, q))
                 for key in keys:
                     cell = cells.setdefault(key, {})
@@ -732,13 +738,17 @@ def ref_reaches_box(g: Grammar, v: Sequence[int], lo: Sequence[int], hi: Sequenc
     return True
 
 
-def ref_box_certified(state: RegularMembership, lo: Sequence[int], hi: Sequence[int]) -> bool:
+def ref_box_certified(state: RegularMembership, lo: Sequence[int], hi: Sequence[int],
+                      supports=None) -> bool:
     """Whether a regular-dp miss inside the box is a definite no: the bound
     reaches the completeness threshold, or no run vector first reached at
-    the bound (read off the forward reference build) reaches the box."""
+    the bound (read off the forward reference build over `supports`,
+    by default the state's tracked ones) reaches the box."""
     if state.bound >= state.complete_bound:
         return True
-    cells, _exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
+    if supports is None:
+        supports = state._periods
+    cells, _exhausted = ref_run_cells(state.grammar, state.bound, supports)
     return not any(
         n == state.bound and ref_reaches_box(state.grammar, vec, lo, hi)
         for cell in cells.values()
@@ -764,7 +774,7 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
             w, coeffs = hit
             witness = state._witness((key, w, zs, coeffs, anchors))
             return MembershipResult(MEMBER, witness)
-    _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._support_limit)
+    _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._periods)
     if state.bound >= state.complete_bound or exhausted:
         return MembershipResult(NON_MEMBER)
     return MembershipResult(
@@ -1021,16 +1031,34 @@ def general_query_groups(state: GeneralMembership) -> list:
     return [(supp, bases, sorted(supp)) for supp, bases in state._bases.items()]
 
 
-def ref_queries(groups, pools: dict, dim: int) -> list:
+def ref_queries(groups, pools: dict, dim: int, multiples: bool = True) -> list:
     """One (key, periods, coset index, anchors) query per group and per
-    maximal independent subset of the group's whole pool, k-fold
-    multiples included (`ref_maximal_independent_subsets`), each index
-    over a lattice of its own."""
+    maximal independent subset of the group's whole pool
+    (`ref_maximal_independent_subsets`), each index over a lattice of its
+    own.  With multiples=False a pool vector that is k times another one,
+    k >= 2, is left out first."""
     letters = "abcdefgh"[:dim]
     queries = []
     for key, bases, anchors in groups:
         pool = sorted({v for q in anchors for v in pools[q]})
+        if not multiples:
+            pool = [v for v in pool if not any(
+                u != v and any(tuple(k * x for x in u) == v for k in range(2, max(map(abs, v)) + 1))
+                for u in pool
+            )]
         for subset in ref_maximal_independent_subsets([Vec.from_tuple(z, letters) for z in pool]):
             zs = tuple(pool[i] for i in subset)
             queries.append((key, zs, CosetIndex(PeriodLattice(zs, dim), bases), anchors))
     return queries
+
+
+def ref_all_support_groups(state: RegularMembership) -> list:
+    """The (key, bases, anchors) groups of one query per run cell from the
+    start, over the forward reference build that keys every support of
+    at most min(A, N) nonterminals, by support size, then names."""
+    g = state.grammar
+    limit = min(len(g.alphabet), len(g.nonterminals))
+    cells, _exhausted = ref_run_cells(g, state.bound, supports_up_to(g, limit))
+    keys = sorted((key for key in cells if key[1] == g.start),
+                  key=lambda k: (len(k[0]), sorted(k[0])))
+    return [(key, cells[key], sorted(key[0] | {g.start})) for key in keys]

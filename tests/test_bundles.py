@@ -85,7 +85,7 @@ class TestRegularBundles:
         result = regular_bundles(g, 40)
         assert all(b.member(w) for b in result.bundles for w in b.bases)
         state = membership.engine(g, "regular-dp", bound=40)
-        assert len(built) == len(state._queries) == 6
+        assert len(built) == len(state._queries) == 3
 
     def test_count_bound_at_full_cap(self):
         # run_cap at the theoretical bound: at most N**(A*A) bundles

@@ -52,6 +52,7 @@ from helpers import (
     general_query_groups,
     random_grammar,
     random_grammar_with_dead_ends,
+    ref_all_support_groups,
     ref_box_members,
     ref_full_table_result,
     ref_general_result,
@@ -62,6 +63,7 @@ from helpers import (
     ref_run_cells,
     ref_state_cycles,
     regular_query_groups,
+    supports_up_to,
 )
 
 
@@ -210,7 +212,7 @@ def entry(cells, support, q, alphabet) -> frozenset:
 
 def run_cells(g, bound):
     """Run cells for every support of size <= the alphabet's."""
-    return _path_cells(g, FINAL, bound, len(g.alphabet))
+    return _path_cells(g, FINAL, bound, supports_up_to(g, len(g.alphabet)))
 
 
 class TestRunTable:
@@ -270,8 +272,9 @@ def test_one_path_table_matches_the_separate_run_and_path_builders():
         zero = (0,) * len(g.alphabet)
         for bound in range(1, 13):
             for limit in range(min(len(g.alphabet), len(g.nonterminals)) + 1):
-                cells = _path_cells(g, FINAL, bound, limit)
-                ref_cells, ref_exhausted = ref_run_cells(g, bound, limit)
+                supports = supports_up_to(g, limit)
+                cells = _path_cells(g, FINAL, bound, supports)
+                ref_cells, ref_exhausted = ref_run_cells(g, bound, supports)
                 assert cells == {**ref_cells, (frozenset(), FINAL): {zero: 0}}
                 # an empty last frontier: nothing was first reached at the bound
                 exhausted = all(n < bound for cell in cells.values() for n in cell.values())
@@ -293,10 +296,10 @@ def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
     for _ in range(60):
         g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
         signs_seen.update(g.compiled.letter_sign)
-        limit = min(len(g.alphabet), len(g.nonterminals))
+        supports = supports_up_to(g, min(len(g.alphabet), len(g.nonterminals)))
         dim = len(g.alphabet)
         for bound in (3, 12):
-            full = _path_cells(g, FINAL, bound, limit)
+            full = _path_cells(g, FINAL, bound, supports)
             # the box of a point query, then the boxes of window sweeps
             point = tuple(rng.randint(-2, 2) for _ in range(dim))
             boxes = [("point", (point, point))]
@@ -305,7 +308,7 @@ def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
                     label = "lo > 0" if lo > 0 else "hi < 0" if hi < 0 else "around 0"
                     boxes.append((label, ((lo,) * dim, (hi,) * dim)))
             for label, box in boxes:
-                cut = _path_cells(g, FINAL, bound, limit, box)
+                cut = _path_cells(g, FINAL, bound, supports, box)
                 kept = {
                     key: {v: n for v, n in cell.items() if ref_reaches_box(g, v, *box)}
                     for key, cell in full.items()
@@ -402,24 +405,31 @@ def test_verdict_reads_the_status():
 
 def test_boxless_miss_answers_for_every_vector():
     # regular-dp: a definite no exactly at the completeness threshold or
-    # when the forward reference build ran dry, and then a no in every
-    # box; general-caps: its answer in any box; the oracle: unknown
+    # when the forward reference build over the tracked supports ran dry,
+    # and then a no in every box; a build over every support that ran dry
+    # still makes it definite.  general-caps: its answer in any box; the
+    # oracle: unknown
     rng = random.Random(83)
     seen = set()
     for _ in range(30):
         g = random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3)
         box = ((-1,) * len(g.alphabet), (1,) * len(g.alphabet))
+        every = supports_up_to(g, min(len(g.alphabet), len(g.nonterminals)))
         for bound in (2, 6, 30):
             state = RegularMembership(g, bound)
-            _cells, exhausted = ref_run_cells(g, bound, state._support_limit)
+            _cells, exhausted = ref_run_cells(g, bound, state._periods)
+            _cells, every_exhausted = ref_run_cells(g, bound, every)
+            assert exhausted or not every_exhausted
             definite = bound >= state.complete_bound or exhausted
             assert state.miss().verdict is (False if definite else None)
             assert not definite or state.miss(*box).verdict is False
             seen.add(definite)
+            if exhausted and not every_exhausted and bound < state.complete_bound:
+                seen.add("tracked supports ran dry first")
         general = GeneralMembership(g, 5, 3)
         assert general.miss() == general.miss(*box)
         assert membership.engine(g, "oracle", 1).miss().verdict is None
-    assert seen == {True, False}
+    assert seen == {True, False, "tracked supports ran dry first"}
 
 
 class TestQueryStructure:
@@ -431,9 +441,18 @@ class TestQueryStructure:
     def test_pruned_queries_reach_what_every_subset_reaches(self, regular):
         rng = random.Random(2111 if regular else 2112)
         seen = set()
-        for _ in range(60):
-            g = random_grammar(rng, max_nonterminals=4, max_letters=3, regular=regular,
-                               neg_prob=0.3, extra_rules=5)
+        # the supports {A} and {B} are not nested and have equal pools, so
+        # their queries share every lattice
+        twins = parse_grammar(
+            "alphabet: a b\nstart: S\nS -> : A\nS -> : B\n"
+            "A -> a : A\nA -> b : A\nA -> :\nB -> a : B\nB -> b : B\nB -> :"
+        )
+        grammars = [twins] + [
+            random_grammar(rng, max_nonterminals=4, max_letters=3, regular=regular,
+                           neg_prob=0.3, extra_rules=5)
+            for _ in range(60)
+        ]
+        for g in grammars:
             if regular:
                 state = RegularMembership(g, 8)
                 groups = regular_query_groups(state)
@@ -449,7 +468,7 @@ class TestQueryStructure:
             lattices = {}
             for _key, zs, index, _anchors in queries:
                 assert lattices.setdefault(zs, index.lattice) is index.lattice
-            if len(ref) > len(queries):
+            if len(ref) > len(ref_queries(groups, state._pools, dim, multiples=False)):
                 seen.add("multiples dropped")
             if len(lattices) < len(queries):
                 seen.add("lattice shared")
@@ -490,6 +509,131 @@ class TestQueryStructure:
         monkeypatch.setattr(intlinalg.CosetIndex, "__init__", counting)
         assert member_regular(g, Vec.unit("a"), 31).status == MEMBER
         assert 0 < len(built) <= 466
+        membership._regular_state.cache_clear()
+
+
+# the CLI corpus grammar with no one-way letter: at the desk bound its
+# full run table is the one every query reads
+CORPUS_TEXT = (
+    "alphabet: a b\nstart: Q0\n"
+    "Q0 -> a^-1 : Q0\nQ0 -> a^2 b^-1 : Q0\nQ0 -> a : Q0\nQ0 -> b^3 :"
+)
+
+
+class TestTrackedSupports:
+    """A regular run table keys only the supports that keep a query: one
+    whose period set no smaller support also has.  The kept queries
+    answer as one query per support and period set did."""
+
+    def test_tracked_cells_equal_the_reference_cells_over_every_support(self):
+        rng = random.Random(2121)
+        seen = set()
+        for _ in range(40):
+            g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+            dim = len(g.alphabet)
+            every = supports_up_to(g, min(dim, len(g.nonterminals)))
+            tracked = RegularMembership(g, 3)._periods
+            assert set(tracked) <= every
+            assert all(supp - {q} in tracked for supp in tracked for q in supp)
+            if len(tracked) < len(every):
+                seen.add("supports left out")
+            for bound in (3, 12):
+                full, _exhausted = ref_run_cells(g, bound, every)
+                point = tuple(rng.randint(-2, 2) for _ in range(dim))
+                for box in (None, (point, point), ((-2,) * dim, (2,) * dim)):
+                    state = RegularMembership(g, bound)
+                    runs = state._runs() if box is None else state._runs(*box)
+                    kept = {
+                        key: {v: n for v, n in cell.items()
+                              if runs.box is None or ref_reaches_box(g, v, *runs.box)}
+                        for key, cell in full.items()
+                        if key[0] in tracked
+                    }
+                    cells = {key: cell for key, cell in runs.cells.items() if key[1] != FINAL}
+                    assert cells == {key: cell for key, cell in kept.items() if cell}
+                    if runs.box is not None and cells != {k: full[k] for k in cells}:
+                        seen.add("cut")
+        assert seen == {"supports left out", "cut"}
+
+    def test_kept_queries_give_the_hits_of_every_query_over_every_support(self):
+        # the first hit (group, base, periods, coefficients, anchors) and
+        # the box union of the full table's and of the cut tables' queries
+        rng = random.Random(2141)
+        seen = set()
+        for _ in range(40):
+            g = random_grammar(rng, max_nonterminals=4, max_letters=3, regular=True,
+                               neg_prob=0.3, extra_rules=5)
+            dim = len(g.alphabet)
+            points = list(product(range(-2, 3), repeat=dim))
+            for bound in (3, 8):
+                state = RegularMembership(g, bound)
+                ref = ref_queries(ref_all_support_groups(state), state._pools, dim,
+                                  multiples=False)
+                # kept: exactly the queries whose periods no smaller support has
+                assert [(key, zs) for key, zs, _index, _anchors in state._queries] == [
+                    (key, zs) for key, zs, _index, _anchors in ref
+                    if not any(k[0] < key[0] and z == zs for k, z, _i, _a in ref)
+                ]
+                hits = [_first_hit(ref, t) for t in points]
+                assert [_first_hit(state._queries, t) for t in points] == hits
+                assert _box_union(state._queries, -2, 2) == _box_union(ref, -2, 2)
+                cut = RegularMembership(g, bound)
+                assert [cut._hit(t) for t in points] == hits
+                assert cut._box(-2, 2) == _box_union(ref, -2, 2)
+                keys = [key for key, _zs, _index, _anchors in state._queries]
+                if any(keys.count(key) < sum(r[0] == key for r in ref) for key in keys):
+                    seen.add("periods dropped at a kept support")
+                if any(len(key[0]) > 1 for key in keys):
+                    seen.add("two-member support")
+                if cut._table.box is not None:
+                    seen.add("cut")
+                if any(hit and any(hit[3]) and hit[0][0] for hit in hits):
+                    seen.add("pumped hit off the empty support")
+                if any(x < 0 for t in g.compiled.output for x in t):
+                    seen.add("negative letters")
+            seen.add(f"{dim} letters")
+        assert seen == {"periods dropped at a kept support", "two-member support", "cut",
+                        "pumped hit off the empty support", "negative letters", "1 letters",
+                        "2 letters", "3 letters"}
+
+    def test_sharper_nos_agree_with_an_exhausted_oracle(self):
+        # a no that the last frontier of the tracked supports certifies
+        # and the one over every support does not
+        rng = random.Random(4242)
+        sharper = []
+        for draw in range(1, 151):
+            g = random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3)
+            dim = len(g.alphabet)
+            every = supports_up_to(g, min(dim, len(g.nonterminals)))
+            for bound in (2, 6, 30):
+                state = RegularMembership(g, bound)
+                if bound >= state.complete_bound:
+                    continue
+                cells, _exhausted = ref_run_cells(g, bound, every)
+                last = [v for cell in cells.values() for v, n in cell.items() if n == bound]
+                for t in product(range(-2, 3), repeat=dim):
+                    got = state.result(Vec.from_tuple(t, g.alphabet), want_witness=False)
+                    if got.status == NON_MEMBER and any(ref_reaches_box(g, v, t, t) for v in last):
+                        sharper.append((draw, bound, t))
+                        found = oracle_language(g, 24, 2)
+                        assert found.exhausted and Vec.from_tuple(t, g.alphabet) not in found
+        assert {(71, 2, (0, s * k)) for s in (1, -1) for k in (1, 2)} <= set(sharper)
+
+    def test_corpus_grammar_builds_few_indexes(self, monkeypatch):
+        # only the empty support keeps a query: the rest repeat its periods
+        membership._regular_state.cache_clear()
+        built = []
+        original = intlinalg.CosetIndex.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(intlinalg.CosetIndex, "__init__", counting)
+        state = membership.engine(parse_grammar(CORPUS_TEXT), "regular-dp")
+        assert state.result(Vec.unit("a", -3)).status == MEMBER
+        assert 0 < len(built) <= 20
+        assert state.result(Vec.unit("b", 5)).status == NO_WITHIN_BOUND
         membership._regular_state.cache_clear()
 
 

@@ -348,10 +348,10 @@ class TestEngineReuse:
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, support_limit=0, box=None):
+        def counting(g, end, bound, supports=(), box=None):
             if end == membership.FINAL:
                 builds.append((g.start, len(g.nonterminals), box))
-            return path_cells(g, end, bound, support_limit, box)
+            return path_cells(g, end, bound, supports, box)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         _regular_state.cache_clear()
@@ -376,10 +376,10 @@ class TestEngineReuse:
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, support_limit=0, box=None):
+        def counting(g, end, bound, supports=(), box=None):
             if end == membership.FINAL:
                 builds.append(box)
-            return path_cells(g, end, bound, support_limit, box)
+            return path_cells(g, end, bound, supports, box)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         state = RegularMembership(gb(), 40)
@@ -409,10 +409,10 @@ class TestEngineReuse:
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, support_limit=0, box=None):
+        def counting(g, end, bound, supports=(), box=None):
             if end == membership.FINAL:
                 builds.append(box)
-            return path_cells(g, end, bound, support_limit, box)
+            return path_cells(g, end, bound, supports, box)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         state = membership.engine(g, "regular-dp", bound=12)
