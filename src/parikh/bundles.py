@@ -88,8 +88,7 @@ def regular_bundles(g: Grammar, run_cap: int) -> BundlesResult:
     the query's coset index; subsumed bundles are removed.  The union is
     the language unless truncated.
     """
-    g = normalize(g)
-    if not g.is_regular():
+    if not normalize(g).is_regular():
         raise ValueError("regular_bundles needs a regular grammar")
     state = engine(g, "regular-dp", bound=run_cap)
     raw = [_bundle(index, state.order) for _key, _zs, index, _anchors in state._queries]
@@ -190,9 +189,9 @@ def two_letter_bundles(
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
-    g = normalize(g)
     if cycle_cap is None:
-        cycle_cap = min(tree_size_bound(len(g.nonterminals), g.is_regular()) - 1, 8)
+        n = normalize(g)
+        cycle_cap = min(tree_size_bound(len(n.nonterminals), n.is_regular()) - 1, 8)
     state = engine(g, "general-caps", run_cap=run_cap, cycle_cap=cycle_cap)
 
     raw: list[SimpleBundle] = []

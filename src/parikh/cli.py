@@ -109,6 +109,21 @@ def _nonneg_pair(names: str, example: str):
     return parse
 
 
+def _moduli(text: str) -> list[int]:
+    """Argument type for `--primes`: comma separated integers that
+    `hardness.check_moduli` accepts."""
+    try:
+        moduli = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated integers like 2,3,5, got {text!r}") from None
+    try:
+        hardness.check_moduli(moduli)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return moduli
+
+
 _caps_pair = _nonneg_pair("run,cycle", "10,8")
 _oracle_pair = _nonneg_pair("depth,window", "20,8")
 
@@ -203,7 +218,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--universality", action="store_true")
     p = gen.add_parser("sat-unary", help="unary residue encoding of satisfiability")
     p.add_argument("--formula", required=True)
-    p.add_argument("--primes", required=True, help="comma separated, one per variable")
+    p.add_argument("--primes", type=_moduli, required=True,
+                   help="comma separated, one per variable, pairwise coprime")
     p = gen.add_parser("ham", help="Hamiltonian circuit membership encoding")
     p.add_argument("--graph", required=True)
     p.add_argument("--start", required=True)
@@ -230,11 +246,15 @@ def _engine_params(args, engine: str) -> dict:
             params.update(zip(keys, value if isinstance(value, tuple) else (value,)))
             if reader != engine:
                 ignored.append(flag)
-    if ignored:
-        verb = "is" if len(ignored) == 1 else "are"
-        print(f"note: {', '.join(ignored)} {verb} not used by the {engine} engine",
-              file=sys.stderr)
+    _note_unused(ignored, f"by the {engine} engine")
     return params
+
+
+def _note_unused(flags: list[str], when: str) -> None:
+    """Names on stderr the flags given that are not used `when`."""
+    if flags:
+        verb = "is" if len(flags) == 1 else "are"
+        print(f"note: {', '.join(flags)} {verb} not used {when}", file=sys.stderr)
 
 
 def _cmd_member(args) -> int:
@@ -281,8 +301,7 @@ def _cmd_gen(args) -> int:
             g = g2 if args.side == "s2" else g1
     elif args.family == "sat-unary":
         f = hardness.parse_formula(_read(args.formula))
-        primes = [int(x) for x in args.primes.split(",")]
-        g = hardness.unary_sat_universality_instance(f, primes)
+        g = hardness.unary_sat_universality_instance(f, args.primes)
     else:
         graph = hardness.parse_graph(_read(args.graph))
         g, v = hardness.hamiltonian_membership_instance(graph, args.start)
@@ -358,6 +377,9 @@ def _dispatch(args) -> int:
                 g, args.run_cap, cycle_cap=args.cycle_cap, fold_cap=args.fold_cap
             )
         else:
+            caps = (("--cycle-cap", args.cycle_cap), ("--fold-cap", args.fold_cap))
+            _note_unused([flag for flag, value in caps if value is not None],
+                         "without --two-letter")
             result = bundles_mod.regular_bundles(g, args.run_cap)
         blocks = []
         for b in result.bundles:

@@ -109,20 +109,10 @@ class Grammar:
                 if count < 0:
                     raise GrammarError(f"transition {t.tid}: negative target multiplicity")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash of the fields, worked out once: the engine
-        state caches key on the grammar, and hashing walks every rule."""
-        return hash((self.alphabet, self.nonterminals, self.start, self.transitions))
-
     def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a pickle never
-        # carries the cached hash
+        # a pickle carries the grammar, not the engine states kept on it
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        state.pop("engine_states", None)
         return state
 
     @cached_property
@@ -130,6 +120,12 @@ class Grammar:
         """Integer view for the search loops, built on first use and kept
         on this instance (so it lives and dies with the grammar)."""
         return CompiledGrammar(self)
+
+    @cached_property
+    def engine_states(self) -> dict:
+        """Per engine name, the one state `membership` keeps for this
+        grammar: on this instance, like `compiled`, so it dies with it."""
+        return {}
 
     def transition(self, tid: str) -> Transition:
         try:

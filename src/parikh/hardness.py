@@ -12,6 +12,7 @@ with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -417,11 +418,24 @@ def sat_membership_instance(f: CnfFormula) -> tuple[Grammar, Vec]:
     return g2, Vec.unit("a", value) if value else Vec.zero()
 
 
+def check_moduli(moduli: Sequence[int]) -> None:
+    """ValueError unless the moduli are at least 2 and pairwise coprime:
+    then, by the Chinese remainder theorem, every choice of residues 0 or
+    1 is the reading of some number."""
+    for i, m in enumerate(moduli):
+        if m < 2:
+            raise ValueError(f"moduli must be at least 2, got {m}")
+        for k in moduli[:i]:
+            if math.gcd(k, m) != 1:
+                raise ValueError(f"moduli must be pairwise coprime, got {k} and {m}")
+
+
 def unary_sat_universality_instance(f: CnfFormula, primes: Sequence[int]) -> Grammar:
     """Regular unary grammar universal over the naturals iff the formula
     is unsatisfiable.
 
-    Variable i is read off a number as its residue mod primes[i]; for
+    Variable i is read off a number as its residue mod primes[i] (the
+    moduli pass `check_moduli`, else ValueError); for
     each clause a residue ring accepts exactly the numbers whose reading
     falsifies the clause, so some number escapes every ring iff some
     assignment satisfies every clause.
@@ -430,8 +444,7 @@ def unary_sat_universality_instance(f: CnfFormula, primes: Sequence[int]) -> Gra
         raise ValueError("unary encoding expects no universal variables")
     if len(primes) < f.num_existential:
         raise ValueError("need one prime per variable")
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
+    check_moduli(primes)
     zero = Vec.zero()
     a = Vec.unit("a")
     rules: list[tuple[str, Vec, Vec]] = []

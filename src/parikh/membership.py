@@ -44,6 +44,7 @@ the window of an exhausted search (oracle); a search cut by its state
 cap or depth answers unknown.  A box-less `miss()` answers for every
 vector (the oracle: unknown): bundles read truncation off it.  Other
 modules read a result's `verdict` (None: unknown), not its status.
+`_kept` keeps the regular-dp and general-caps states on their grammar.
 
 The regular and general states share one query structure.
 `_prepare_queries` pairs each group of base vectors with one support
@@ -77,10 +78,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from operator import add, sub
-from typing import Container, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar, normalize
@@ -766,15 +767,12 @@ def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> Membershi
     With the default bound the answer is exact.  A smaller bound keeps
     yes answers sound; a no stays NON_MEMBER when the run table cut to
     v's box certifies it (see `RegularMembership.miss`) and is
-    NO_WITHIN_BOUND otherwise.  The state is shared per (grammar, bound)
-    through `_regular_state`.
+    NO_WITHIN_BOUND otherwise.  The state is kept on g (`_kept`).
     """
-    return _regular_state(g, bound).result(v)
+    def fits(s: RegularMembership) -> bool:
+        return s.grammar is g and s.bound == (s.complete_bound if bound is None else bound)
 
-
-@lru_cache(maxsize=32)
-def _regular_state(g: Grammar, bound: Optional[int]) -> RegularMembership:
-    return RegularMembership(g, bound)
+    return _kept(g, "regular-dp", fits, lambda: RegularMembership(g, bound)).result(v)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +806,7 @@ class GeneralMembership(_Engine):
         self.run_cap = run_cap
         self.cycle_cap = cycle_cap
         self.state_cap = state_cap
+        self.caps = (run_cap, cycle_cap, state_cap)
         self.note = f"general-caps with run cap {run_cap}, cycle cap {cycle_cap}"
         cg = g.compiled
         runs, self.runs_complete, self.runs_capped = dense_runs(g, g.start, run_cap, state_cap)
@@ -892,12 +891,9 @@ def member_general(
     """Bounded membership for general normal-form grammars: a yes comes
     with a checkable witness, otherwise unknown (or a definite no when
     the enumerations were provably exhaustive)."""
-    return _general_state(g, run_cap, cycle_cap, state_cap).result(v)
-
-
-@lru_cache(maxsize=32)
-def _general_state(g: Grammar, run_cap: int, cycle_cap: int, state_cap: int) -> GeneralMembership:
-    return GeneralMembership(g, run_cap, cycle_cap, state_cap)
+    caps = (run_cap, cycle_cap, state_cap)
+    return _kept(g, "general-caps", lambda s: s.grammar is g and s.caps == caps,
+                 lambda: GeneralMembership(g, *caps)).result(v)
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +939,13 @@ ENGINES = ("regular-dp", "general-caps", "oracle")
 DESK_BOUND_CAP = 200
 
 
-@lru_cache(maxsize=32)
-def desk_run_bound(g: Grammar) -> int:
-    """regular-dp's default run bound: the base-run bound, at most
-    DESK_BOUND_CAP; worked out once per grammar, as `engine` asks on
-    every call."""
-    return min(base_run_bound(g).value, DESK_BOUND_CAP)
+def _kept(g: Grammar, name: str, fits: Callable[[_Engine], bool], build: Callable[[], _Engine]):
+    """The state of engine `name` kept on g (`Grammar.engine_states`) if
+    it `fits` the request's sizes, else `build()`, kept in its place."""
+    state = g.engine_states.get(name)
+    if state is None or not fits(state):
+        state = g.engine_states[name] = build()
+    return state
 
 
 def engine(
@@ -963,15 +960,23 @@ def engine(
     """The state of the engine `name` (one of `ENGINES`) for g.
 
     regular-dp reads the normalized grammar (`normalize`) at the run
-    bound (default `desk_run_bound`), shared through `_regular_state`;
-    general-caps reads it under the run and cycle caps, shared through
-    `_general_state`.  The oracle searches g to `depth` (default
-    4 * window + 4) on the window [-window..window]^alphabet."""
+    bound (default: the base-run bound, at most DESK_BOUND_CAP), and
+    general-caps under the run and cycle caps; a build alone normalizes,
+    and the state is kept on g (`_kept`).  The oracle searches g afresh
+    to `depth` (default 4 * window + 4) on [-window..window]^alphabet."""
     if name == "oracle":
         return OracleMembership(g, 4 * window + 4 if depth is None else depth, window)
-    g = normalize(g)
     if name == "regular-dp":
-        return _regular_state(g, desk_run_bound(g) if bound is None else bound)
+        def at(complete: int) -> int:  # the run bound asked, given the threshold
+            return min(complete, DESK_BOUND_CAP) if bound is None else bound
+
+        def build() -> RegularMembership:
+            n = normalize(g)
+            return RegularMembership(n, at(base_run_bound(n).value))
+
+        return _kept(g, name, lambda s: s.bound == at(s.complete_bound), build)
     if name == "general-caps":
-        return _general_state(g, run_cap, cycle_cap, DEFAULT_STATE_CAP)
+        caps = (run_cap, cycle_cap, DEFAULT_STATE_CAP)
+        return _kept(g, name, lambda s: s.caps == caps,
+                     lambda: GeneralMembership(normalize(g), *caps))
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")

@@ -24,7 +24,7 @@ from helpers import (
     ref_minimal_bases,
 )
 from parikh.hardness import hard_grammar
-from parikh.runs import DEFAULT_STATE_CAP, SearchCapExceeded
+from parikh.runs import SearchCapExceeded
 
 
 class TestRegularBundles:
@@ -73,7 +73,6 @@ class TestRegularBundles:
             "alphabet: a b c\nstart: Q0\n"
             "Q0 -> a : Q1\nQ0 -> c : Q0\nQ1 -> a : Q0\nQ1 -> c : Q0\nQ1 -> :"
         )
-        membership._regular_state.cache_clear()
         built = []
         original = intlinalg.CosetIndex.__init__
 
@@ -185,13 +184,11 @@ class TestTwoLetterBundles:
         # bundles and member_general read one enumeration; bundles never
         # build the coset indexes that only queries read
         g = normalize(hard_grammar(1, "stripped"))
-        membership._general_state.cache_clear()
         two_letter_bundles(g, run_cap=8, cycle_cap=5)
-        state = membership._general_state(g, 8, 5, DEFAULT_STATE_CAP)
+        state = g.engine_states["general-caps"]
         assert "_queries" not in state.__dict__
         member_general(g, Vec({"x": 1}), 8, 5)
-        info = membership._general_state.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        assert g.engine_states == {"general-caps": state}
         assert "_queries" in state.__dict__
 
     def test_exhaustive_run_enumeration_is_not_truncated(self):
@@ -263,7 +260,7 @@ class TestMinimalBases:
                 result = two_letter_bundles(g, 6, cycle_cap=4, fold_cap=fold_cap)
             except SearchCapExceeded:
                 continue
-            state = membership._general_state(g, 6, 4, DEFAULT_STATE_CAP)
+            state = membership.engine(g, "general-caps", run_cap=6, cycle_cap=4)
             expected = set()
             for supp, bases in state._bases.items():
                 pool = sorted(set().union(*(state._pools[q] for q in supp)))

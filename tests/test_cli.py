@@ -283,6 +283,19 @@ class TestArtifactCommands:
         code, out, _ = run_cli(capsys, "cycles", gb_file, "--at", "S")
         assert code == 0 and out.strip() == "t1*1 t2*1"
 
+    @pytest.mark.parametrize("flags, note", [
+        (("--cycle-cap", "1"), "note: --cycle-cap is not used without --two-letter\n"),
+        (("--cycle-cap", "1", "--fold-cap", "0"),
+         "note: --cycle-cap, --fold-cap are not used without --two-letter\n"),
+    ])
+    def test_bundles_names_ignored_two_letter_flags(self, capsys, gb_file, flags, note):
+        code, out, err = run_cli(capsys, "bundles", gb_file, "--run-cap", "34")
+        assert "not used" not in err
+        extra_code, extra_out, extra_err = run_cli(capsys, "bundles", gb_file, "--run-cap", "34",
+                                                   *flags)
+        assert (extra_code, extra_out) == (code, out)
+        assert extra_err == note + err
+
     def test_cycles_truncated_exit(self, capsys, gb_file):
         code, _, err = run_cli(capsys, "cycles", gb_file, "--at", "S", "--cap", "1")
         assert code == 2 and "truncated" in err
@@ -329,6 +342,21 @@ class TestArtifactCommands:
         f.write_text("y0\n")
         code, out, _ = run_cli(capsys, "gen", "sat-unary", "--formula", str(f), "--primes", "2")
         assert code == 0 and "start: s0" in out
+
+    @pytest.mark.parametrize("primes, message", [
+        ("2,4", "moduli must be pairwise coprime, got 2 and 4"),
+        ("1,3", "moduli must be at least 2, got 1"),
+        ("0,3", "moduli must be at least 2, got 0"),
+        ("2,x", "expected comma separated integers like 2,3,5, got '2,x'"),
+    ])
+    def test_gen_sat_unary_rejects_bad_moduli(self, capsys, tmp_path, primes, message):
+        # each would give a wrong reduction: the formula is satisfiable,
+        # so the grammar must not be universal
+        f = tmp_path / "f.cnf"
+        f.write_text("-y0\ny1\n")
+        code, err = usage_error(capsys, "gen", "sat-unary", "--formula", str(f),
+                                "--primes", primes)
+        assert code == 64 and f"argument --primes: {message}" in err
 
     def test_gen_ham(self, capsys, tmp_path):
         f = tmp_path / "g.graph"
@@ -432,7 +460,6 @@ class TestInputValidation:
         grammar = tmp_path / "split.cg"
         grammar.write_text("alphabet: a\nstart: S\nS -> : S S\nS -> : Q1\nQ1 -> : Q2\nQ2 -> a :\n")
         monkeypatch.setattr(membership, "DEFAULT_STATE_CAP", 40)
-        membership._general_state.cache_clear()  # an equal grammar may be cached
         code, out, err = run_cli(capsys, "member", str(grammar), "a^3", "--caps", "8,15")
         assert code == 2
         assert out == "VERDICT unknown WITNESS -\n"

@@ -16,6 +16,7 @@ from parikh import (
     parse_grammar,
     serialize_grammar,
 )
+from parikh import membership
 from helpers import ga, gb, random_grammar
 
 
@@ -110,19 +111,14 @@ class TestParse:
         assert len(g.transitions) == 2
 
 
-class TestHash:
-    def test_cached_hash_is_the_field_hash(self):
-        g, h = ga(), ga()
-        assert g is not h and g == h
-        assert hash(g) == hash(h) == hash((g.alphabet, g.nonterminals, g.start, g.transitions))
-
-    def test_pickle_carries_no_cached_hash(self):
-        # string hashes differ between processes
+class TestPickle:
+    def test_pickle_carries_no_engine_states(self):
         g = ga()
-        hash(g)
+        membership.engine(g, "regular-dp", bound=5)
+        assert "regular-dp" in g.engine_states
         copy = pickle.loads(pickle.dumps(g))
-        assert "_hash" not in copy.__dict__
-        assert copy == g and hash(copy) == hash(g)
+        assert "engine_states" not in copy.__dict__
+        assert copy == g and copy.engine_states == {}
 
 
 class TestSerialize:

@@ -173,6 +173,15 @@ class TestUnarySat:
         assert lang == expected
 
 
+    @pytest.mark.parametrize("primes", [[2, 4], [1, 3], [0, 3], [3, -2], [6, 10]])
+    def test_moduli_must_be_coprime_and_at_least_two(self, primes):
+        # y0 / -y0 y1 is satisfiable (y0 and y1 true), yet 1,3 would read
+        # y0 false at every number and the grammar would be universal
+        f = CnfFormula(0, 2, (clause(y0), clause(Literal("y", 0, False), Literal("y", 1))))
+        with pytest.raises(ValueError, match="moduli must be"):
+            unary_sat_universality_instance(f, primes)
+
+
 class TestHamiltonian:
     def test_graph_parsing(self):
         g = parse_graph("# sample\nvertices: u v w\nu v\nv w\n")

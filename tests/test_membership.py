@@ -498,7 +498,6 @@ class TestQueryStructure:
     def test_chain_builds_one_index_per_cell_and_root(self, monkeypatch):
         # the chain's pool at S is b, b^2, ..., b^31: only b is kept
         g = parse_grammar(CHAIN_TEXT)
-        membership._regular_state.cache_clear()
         built = []
         original = intlinalg.CosetIndex.__init__
 
@@ -509,7 +508,6 @@ class TestQueryStructure:
         monkeypatch.setattr(intlinalg.CosetIndex, "__init__", counting)
         assert member_regular(g, Vec.unit("a"), 31).status == MEMBER
         assert 0 < len(built) <= 466
-        membership._regular_state.cache_clear()
 
 
 # the CLI corpus grammar with no one-way letter: at the desk bound its
@@ -621,7 +619,6 @@ class TestTrackedSupports:
 
     def test_corpus_grammar_builds_few_indexes(self, monkeypatch):
         # only the empty support keeps a query: the rest repeat its periods
-        membership._regular_state.cache_clear()
         built = []
         original = intlinalg.CosetIndex.__init__
 
@@ -634,7 +631,6 @@ class TestTrackedSupports:
         assert state.result(Vec.unit("a", -3)).status == MEMBER
         assert 0 < len(built) <= 20
         assert state.result(Vec.unit("b", 5)).status == NO_WITHIN_BOUND
-        membership._regular_state.cache_clear()
 
 
 class TestMemberGeneral:

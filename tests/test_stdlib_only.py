@@ -91,17 +91,16 @@ def test_only_membership_reads_engine_answers_and_builds_states():
     # `membership` alone decides what an engine answer means and builds
     # engine states: every other module reads `MembershipResult.verdict`,
     # takes completeness from `miss()` rather than from the enumeration
-    # flags behind it, and gets its state from `membership.engine`.  The
-    # `member` command shares MEMBER's string, so a comparison with `cmd`
-    # does not count
+    # flags behind it, and gets its state from `membership.engine`, which
+    # alone reads the states kept on a grammar.  The `member` command
+    # shares MEMBER's string, so a comparison with `cmd` does not count
     from parikh import membership
 
     statuses = {membership.MEMBER, membership.NON_MEMBER, membership.NO_WITHIN_BOUND,
                 membership.UNKNOWN}
     names = {"MEMBER", "NON_MEMBER", "NO_WITHIN_BOUND", "UNKNOWN"}
-    constructors = {"RegularMembership", "GeneralMembership", "OracleMembership",
-                "_regular_state", "_general_state"}
-    flags = {"runs_complete", "runs_capped", "cycles_complete", "cycles_capped"}
+    constructors = {"RegularMembership", "GeneralMembership", "OracleMembership", "_kept"}
+    flags = {"runs_complete", "runs_capped", "cycles_complete", "cycles_capped", "engine_states"}
 
     def name_of(node):
         return node.id if isinstance(node, ast.Name) else (

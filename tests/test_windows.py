@@ -1,13 +1,20 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
 
 from parikh import (
     GeneralMembership,
+    Grammar,
     RegularMembership,
+    Transition,
+    TransitionMultiset,
     Vec,
     compare_within_window,
+    member_general,
+    member_regular,
     normalize,
     oracle_language,
     parse_grammar,
@@ -17,7 +24,6 @@ from parikh import (
 )
 from parikh import membership, windows
 from parikh.decomposition import base_run_bound
-from parikh.membership import _regular_state
 from helpers import (
     ga,
     gb,
@@ -286,7 +292,7 @@ class TestSweepReadsOnlyMembers:
 
         monkeypatch.setattr(windows, "iter_window", counting)
         members = {
-            g: _regular_state(g, 40).box_members(-window, window) for g in (evens, every)
+            g: RegularMembership(g, 40).box_members(-window, window) for g in (evens, every)
         }
         # bound 40 leaves runs of size 40 inside the box, so neither box is
         # certified: a point outside the members is unknown, not a no
@@ -325,6 +331,9 @@ def test_general_caps_matches_only_the_asked_box(monkeypatch):
     assert members == {(a, 0) for a in range(4)}
 
 
+UNARY = "alphabet: a\nstart: S\nS -> a : S\nS -> :"
+
+
 class TestEngineReuse:
     def test_one_build_per_grammar_and_bound(self, monkeypatch):
         builds = []
@@ -335,11 +344,11 @@ class TestEngineReuse:
             build(self, g, bound)
 
         monkeypatch.setattr(RegularMembership, "__init__", counting)
-        _regular_state.cache_clear()
-        compare_within_window(gb(), gb(), 4, "equivalence", engine="regular-dp", bound=40)
-        universality_within_window(gb(), 4, "naturals", engine="regular-dp", bound=40)
+        g = gb()
+        compare_within_window(g, g, 4, "equivalence", engine="regular-dp", bound=40)
+        universality_within_window(g, 4, "naturals", engine="regular-dp", bound=40)
         assert builds == [40]
-        universality_within_window(gb(), 4, "naturals", engine="regular-dp", bound=41)
+        universality_within_window(g, 4, "naturals", engine="regular-dp", bound=41)
         assert builds == [40, 41]
 
     def test_sweeps_build_one_cut_run_table_per_grammar_and_window(self, monkeypatch):
@@ -354,17 +363,17 @@ class TestEngineReuse:
             return path_cells(g, end, bound, supports, box)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
-        _regular_state.cache_clear()
+        b, a = gb(), ga()
         for window in (4, 4, 5):
             for mode in ("inclusion", "equivalence", "disjointness"):
-                compare_within_window(gb(), ga(), window, mode, engine="regular-dp", bound=40)
-            universality_within_window(ga(), window, "naturals", engine="regular-dp", bound=40)
+                compare_within_window(b, a, window, mode, engine="regular-dp", bound=40)
+            universality_within_window(a, window, "naturals", engine="regular-dp", bound=40)
         assert builds == [
             ("S", 2, ((-4,), (4,))), ("S", 1, ((-4,), (4,))),
             ("S", 2, ((-5,), (5,))), ("S", 1, ((-5,), (5,))),
         ]
         # a state used only for sweeps holds one table, cut to its window
-        assert _regular_state(gb(), 40)._table.box is not None
+        assert membership.engine(b, "regular-dp", bound=40)._table.box is not None
         # with no one-way letter nothing is cut: the full table serves
         builds.clear()
         for window in (2, 3):
@@ -392,9 +401,8 @@ class TestEngineReuse:
     def test_one_run_table_serves_points_bundles_and_boxes(self, monkeypatch):
         # a and b are only raised; after the bundles read the full table,
         # later points and boxes need no build of their own
-        g = parse_grammar(
-            "alphabet: a b\nstart: S\nS -> a : S\nS -> b : T\nT -> a^2 : T\nT -> :\nS -> :"
-        )
+        text = "alphabet: a b\nstart: S\nS -> a : S\nS -> b : T\nT -> a^2 : T\nT -> :\nS -> :"
+        g = parse_grammar(text)
         points = [Vec.from_tuple(t, ("a", "b")) for t in ((2, 1), (9, 1), (3, 0))]
 
         def fresh():
@@ -402,9 +410,8 @@ class TestEngineReuse:
 
         expected_points = [fresh().result(v) for v in points]
         expected_box = fresh().box_members(0, 4)
-        _regular_state.cache_clear()
-        expected_bundles = regular_bundles(g, 12)
-        _regular_state.cache_clear()
+        # from an equal grammar object, which keeps a state of its own
+        expected_bundles = regular_bundles(parse_grammar(text), 12)
 
         builds = []
         path_cells = membership._path_cells
@@ -423,10 +430,66 @@ class TestEngineReuse:
         assert state.result(points[2]) == expected_points[2]
         assert builds == [((2, 1), (2, 1)), None]
 
-    def test_cache_stays_bounded(self):
-        assert _regular_state.cache_info().maxsize == 32
-        _regular_state.cache_clear()
-        for n in range(1, 41):
-            g = parse_grammar(f"alphabet: a\nstart: S{n}\nS{n} -> a : S{n}\nS{n} -> :")
-            universality_within_window(g, 1, "naturals", engine="regular-dp", bound=3)
-        assert _regular_state.cache_info().currsize == 32
+    def test_state_is_freed_with_its_grammar(self):
+        # a state refers back to its grammar (or to its normal form), so
+        # the two are a cycle that the cyclic collector reclaims
+        for text in (UNARY, "alphabet: a\nstart: S\nS -> a^2 : S\nS -> :"):
+            g = parse_grammar(text)
+            states = [weakref.ref(membership.engine(g, name)) for name in ("regular-dp", "general-caps")]
+            del g
+            gc.collect()
+            assert [state() for state in states] == [None, None], text
+
+    def test_one_state_per_engine_per_grammar_object(self):
+        g = parse_grammar(UNARY)
+        regular = membership.engine(g, "regular-dp", bound=5)
+        general = membership.engine(g, "general-caps", run_cap=5, cycle_cap=3)
+        # the same sizes reuse a state, through any entry point
+        assert membership.engine(g, "regular-dp", bound=5) is regular
+        member_regular(g, Vec.unit("a"), 5)
+        member_general(g, Vec.unit("a"), 5, 3)
+        assert g.engine_states == {"regular-dp": regular, "general-caps": general}
+        # other sizes replace it
+        other = membership.engine(g, "regular-dp", bound=6)
+        member_general(g, Vec.unit("a"), 5, 4)
+        assert g.engine_states["regular-dp"] is other is not regular
+        assert g.engine_states["general-caps"].cycle_cap == 4
+        assert len(g.engine_states) == 2
+        # an equal but distinct grammar object builds its own
+        h = parse_grammar(UNARY)
+        assert h == g and membership.engine(h, "regular-dp", bound=6) is not other
+
+    def test_default_bounds_reuse_a_state_at_their_own_value(self):
+        # the completeness threshold, 3893, is past the desk cap of 200
+        g = parse_grammar("alphabet: a b\nstart: S\nS -> a : T\nT -> b : S\nS -> :")
+        desk = membership.engine(g, "regular-dp")
+        assert desk.bound == membership.DESK_BOUND_CAP < desk.complete_bound
+        assert membership.engine(g, "regular-dp", bound=200) is desk
+        member_regular(g, Vec({"a": 2, "b": 2}))
+        complete = g.engine_states["regular-dp"]
+        assert complete.bound == complete.complete_bound
+        member_regular(g, Vec({"a": 1, "b": 1}))
+        assert g.engine_states["regular-dp"] is complete
+        assert membership.engine(g, "regular-dp") is not complete
+
+    def test_witnesses_name_the_callers_transitions(self):
+        # g2 equals g1 up to transition ids: no state built for g1 answers
+        # for g2, whose witnesses are multisets over its own ids
+        v = Vec.unit("a", 3)
+        asks = [
+            lambda g: member_regular(g, v, 5),
+            lambda g: member_general(g, v, 5, 3),
+            lambda g: membership.engine(g, "regular-dp", bound=5).result(v),
+            lambda g: membership.engine(g, "general-caps", run_cap=5, cycle_cap=3).result(v),
+        ]
+        for ask in asks:
+            g1 = parse_grammar(UNARY)
+            g2 = Grammar(g1.alphabet, g1.nonterminals, g1.start, tuple(
+                Transition("r" + t.tid, t.source, t.output, t.targets) for t in g1.transitions))
+            assert g1 == g2
+            ask(g1)
+            witness = ask(g2).witness
+            assert witness.parikh() == v
+            for ms in (witness.base_run, *(term.cycle for term in witness.cycles)):
+                assert ms.grammar is g2 and set(ms.counts.support()) <= {"rt1", "rt2"}
+            TransitionMultiset.from_counts(g2, {"rt1": 1}) + witness.base_run
