@@ -28,6 +28,7 @@ from .grammar import (
     normalize,
     parse_grammar,
     serialize_grammar,
+    trim,
 )
 from .intlinalg import (
     CosetIndex,

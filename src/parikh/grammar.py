@@ -111,8 +111,10 @@ class Grammar:
 
     def __getstate__(self) -> dict:
         # a pickle carries the grammar, not the engine states kept on it
+        # nor the trimmed grammar they read
         state = dict(self.__dict__)
         state.pop("engine_states", None)
+        state.pop("trimmed", None)
         return state
 
     @cached_property
@@ -126,6 +128,13 @@ class Grammar:
         """Per engine name, the one state `membership` keeps for this
         grammar: on this instance, like `compiled`, so it dies with it."""
         return {}
+
+    @cached_property
+    def trimmed(self) -> Grammar:
+        """This grammar without its useless nonterminals (`trim`), worked
+        out once per grammar: an engine reads its threshold before the
+        state that reads its tables is built."""
+        return trim(self)
 
     def transition(self, tid: str) -> Transition:
         try:
@@ -403,6 +412,58 @@ def classify(g: Grammar) -> dict[str, bool]:
         "normal_form": g.is_normal_form(),
         "positive": g.is_positive(),
     }
+
+
+def trim(g: Grammar) -> Grammar:
+    """g without its useless nonterminals, those no run from the start
+    uses (Hopcroft and Ullman 1979, section 4.4), and without the rules
+    that only they need.
+
+    A nonterminal is kept when it is productive (some run starts there)
+    and the start reaches it through rules whose targets are all
+    productive; a rule is kept when its source is kept and its targets
+    are all productive.  Every run from the start uses kept rules alone,
+    so the language is g's.  When the start is unproductive it is kept
+    alone, with no rules.  The kept rules are g's own `Transition`
+    objects, ids included, so a multiset of the trimmed grammar's ids
+    names g's transitions; g itself comes back when nothing is dropped.
+    """
+    rules = g.transitions
+    # per rule, its distinct targets not yet known to be productive; a rule
+    # with none left makes its source productive
+    waiting = [len(t.targets.items()) for t in rules]
+    uses: dict[str, list[int]] = {}
+    for i, t in enumerate(rules):
+        for q, _ in t.targets.items():
+            uses.setdefault(q, []).append(i)
+    productive: set[str] = set()
+    ready = [i for i, n in enumerate(waiting) if not n]
+    while ready:
+        q = rules[ready.pop()].source
+        if q not in productive:
+            productive.add(q)
+            for i in uses.get(q, ()):
+                waiting[i] -= 1
+                if not waiting[i]:
+                    ready.append(i)
+    # the start's search over the rules whose targets are all productive
+    # (none, when the start is unproductive)
+    usable: dict[str, list[Transition]] = {}
+    for t, n in zip(rules, waiting):
+        if not n:
+            usable.setdefault(t.source, []).append(t)
+    kept = {g.start}
+    todo = [g.start]
+    while todo:
+        for t in usable.get(todo.pop(), ()):
+            for q, _ in t.targets.items():
+                if q not in kept:
+                    kept.add(q)
+                    todo.append(q)
+    kept_rules = tuple(t for t, n in zip(rules, waiting) if not n and t.source in kept)
+    if len(kept) == len(g.nonterminals) and len(kept_rules) == len(rules):
+        return g
+    return Grammar(g.alphabet, tuple(q for q in g.nonterminals if q in kept), g.start, kept_rules)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:

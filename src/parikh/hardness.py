@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .grammar import Grammar, grammar_from_rules, normalize
+from .grammar import Grammar, grammar_from_rules, normalize, trim
 from .vector import Vec, is_name
 
 
@@ -327,24 +327,6 @@ def _assignment_rules(f: CnfFormula) -> list[tuple[str, Vec, Vec]]:
     return rules
 
 
-def _trim(g: Grammar) -> Grammar:
-    """Restrict to the rules reachable from the start symbol."""
-    reachable = {g.start}
-    changed = True
-    while changed:
-        changed = False
-        for t in g.transitions:
-            if t.source in reachable:
-                for q in t.targets.support():
-                    if q not in reachable:
-                        reachable.add(q)
-                        changed = True
-    rules = [
-        (t.source, t.output, t.targets) for t in g.transitions if t.source in reachable
-    ]
-    return grammar_from_rules(g.alphabet, g.start, rules)
-
-
 def qsat_inclusion_instance(f: CnfFormula) -> tuple[Grammar, Grammar]:
     """Two unary grammars whose language inclusion encodes the formula.
 
@@ -352,13 +334,14 @@ def qsat_inclusion_instance(f: CnfFormula) -> tuple[Grammar, Grammar]:
     variables (plus all mandatory clause values); the right grammar can
     match a value exactly when the existential variables can cover the
     clauses consistently, so left <= right iff the quantified formula
-    holds.  Both grammars are returned in normal form.
+    holds.  Both grammars are returned in normal form and trimmed
+    (`grammar.trim`).
     """
     k, m = f.num_universal, len(f.clauses)
     shared = _qsat_rules(f)
     s1 = _product_rule([f"A{i}q" for i in range(k)] + [f"C{j}" for j in range(m)])
-    g1 = _trim(normalize(grammar_from_rules(["a"], "S1", shared + [("S1", Vec.zero(), s1)])))
-    g2 = _trim(normalize(grammar_from_rules(["a"], "S2", shared + _assignment_rules(f))))
+    g1 = trim(normalize(grammar_from_rules(["a"], "S1", shared + [("S1", Vec.zero(), s1)])))
+    g2 = trim(normalize(grammar_from_rules(["a"], "S2", shared + _assignment_rules(f))))
     return g1, g2
 
 
@@ -405,7 +388,7 @@ def qsat_universality_instance(f: CnfFormula) -> Grammar:
         rules.append(("S3", zero, _product_rule(branch)))
     rules.append(("S4", zero, Vec.unit("S2")))
     rules.append(("S4", zero, Vec.unit("S3")))
-    return _trim(normalize(grammar_from_rules(["a"], "S4", rules)))
+    return trim(normalize(grammar_from_rules(["a"], "S4", rules)))
 
 
 def sat_membership_instance(f: CnfFormula) -> tuple[Grammar, Vec]:

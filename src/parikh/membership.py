@@ -12,6 +12,13 @@ the bound at its theoretical value the procedure is exact; with a
 smaller desk-scale bound a yes is still sound (the witness is checkable)
 and a no is definite only when the build certifies it (below).
 
+The regular decision state reads the trimmed grammar (`grammar.trim`):
+the nonterminals no run from the start uses, and the rules into them,
+are gone before any table is built, so the completeness threshold counts
+the trimmed N and the letter signs are those of the kept rules.  The kept
+rules are the caller's own transitions, so every witness is a multiset
+of the caller's grammar.
+
 The cycle tables are built with the decision state, its one run table
 on first use.  A point query and a window sweep (`box_members`) read
 that table cut to their box: a run vector past the box on a one-way
@@ -618,6 +625,15 @@ class _Runs:
 class RegularMembership(_Engine):
     """Shared decision state for one regular grammar and one run bound.
 
+    Every table reads `g.trimmed` (`grammar.trim`), g without the
+    nonterminals no run from the start uses; `self.grammar` stays g, and
+    witnesses are multisets of it.  `complete_bound` is the base-run
+    bound of the trimmed grammar, which has g's language, and the
+    one-way letters are those of its rules.  The cycle tables keep g's
+    own N as their size bound: a pool holds every closed walk of that
+    size at its anchor, composite ones too, and below the threshold
+    those decide some yes answers, which so stay g's.
+
     The cycle tables, and the supports the run tables track
     (`_tracked_supports`), are built with the state, its one run table
     on first use.  A point query or a window sweep reads a run table cut to
@@ -633,7 +649,8 @@ class RegularMembership(_Engine):
     def __init__(self, g: Grammar, bound: Optional[int] = None):
         _require_regular_normal(g)
         self.grammar = g
-        self.complete_bound = base_run_bound(g).value
+        t = self._trimmed = g.trimmed
+        self.complete_bound = base_run_bound(t).value
         self.bound = self.complete_bound if bound is None else bound
         if self.bound < 1:
             raise ValueError("bound must be at least 1")
@@ -643,14 +660,15 @@ class RegularMembership(_Engine):
             NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
         )
         self.order = g.alphabet
-        # per anchor q: the cells of paths into q; its cycle vectors (zero
-        # included, at size 0) are the cell at (empty support, q)
-        self._paths = {q: _path_cells(g, q, len(g.nonterminals)) for q in g.nonterminals}
-        self._pools = {q: self._paths[q][(frozenset(), q)] for q in g.nonterminals}
+        # per kept anchor q: the cells of paths into q of size <= g's N; its
+        # cycle vectors (zero included, at size 0) are the cell at (empty
+        # support, q)
+        self._paths = {q: _path_cells(t, q, len(g.nonterminals)) for q in t.nonterminals}
+        self._pools = {q: self._paths[q][(frozenset(), q)] for q in t.nonterminals}
         # the supports every run table tracks: those that keep a query,
         # with the period sets they keep
-        self._periods = _tracked_supports(self._pools, g.start, len(self.order))
-        self._sign = g.compiled.letter_sign
+        self._periods = _tracked_supports(self._pools, t.start, len(self.order))
+        self._sign = t.compiled.letter_sign
         self._table: Optional[_Runs] = None
 
     @property
@@ -678,10 +696,10 @@ class RegularMembership(_Engine):
             lo, hi = tuple(map(min, lo, cut_lo)), tuple(map(max, hi, cut_hi))
         # a box with no one-way side cuts nothing: build the full table
         box = None if lo is None or not _box_guards(self._sign, lo, hi) else (lo, hi)
-        cells = _path_cells(self.grammar, FINAL, self.bound, self._periods, box)
+        cells = _path_cells(self._trimmed, FINAL, self.bound, self._periods, box)
         last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
         # one group per run cell from the start, by support size and names
-        start = self.grammar.start
+        start = self._trimmed.start
         keys = sorted((key for key in cells if key[1] == start),
                       key=lambda key: _support_order(key[0]))
         groups = [
@@ -739,9 +757,10 @@ class RegularMembership(_Engine):
     def _walk(self, cells: dict, key: Cell, vec: IntTuple) -> TransitionMultiset:
         """The transitions of the path behind cells[key][vec]: each step takes
         the first rule out of the current nonterminal, in grammar order, whose
-        next cell holds the rest of the vector at a smaller size, to size 0."""
-        g = self.grammar
-        cg = g.compiled
+        next cell holds the rest of the vector at a smaller size, to size 0.
+        The transitions are the trimmed grammar's, so the multiset is one of
+        the caller's grammar."""
+        cg = self._trimmed.compiled
         names = cg.nonterminals
         counts: dict[str, int] = {}
         size = cells[key][vec]
@@ -758,7 +777,7 @@ class RegularMembership(_Engine):
                 raise AssertionError("path table walk failed")
             key, vec, size = rest_key, rest, rest_size
             counts[cg.tids[i]] = counts.get(cg.tids[i], 0) + 1
-        return TransitionMultiset.from_counts(g, counts)
+        return TransitionMultiset.from_counts(self.grammar, counts)
 
 
 def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> MembershipResult:
@@ -960,9 +979,10 @@ def engine(
     """The state of the engine `name` (one of `ENGINES`) for g.
 
     regular-dp reads the normalized grammar (`normalize`) at the run
-    bound (default: the base-run bound, at most DESK_BOUND_CAP), and
-    general-caps under the run and cycle caps; a build alone normalizes,
-    and the state is kept on g (`_kept`).  The oracle searches g afresh
+    bound (default: the state's threshold, the base-run bound of the
+    trimmed grammar, at most DESK_BOUND_CAP), and general-caps under the
+    run and cycle caps; a build alone normalizes, and the state is kept
+    on g (`_kept`).  The oracle searches g afresh
     to `depth` (default 4 * window + 4) on [-window..window]^alphabet."""
     if name == "oracle":
         return OracleMembership(g, 4 * window + 4 if depth is None else depth, window)
@@ -972,7 +992,7 @@ def engine(
 
         def build() -> RegularMembership:
             n = normalize(g)
-            return RegularMembership(n, at(base_run_bound(n).value))
+            return RegularMembership(n, at(base_run_bound(n.trimmed).value))
 
         return _kept(g, name, lambda s: s.bound == at(s.complete_bound), build)
     if name == "general-caps":

@@ -96,7 +96,12 @@ class TransitionMultiset:
         return self.counts <= other.counts
 
     def _check_same(self, other: "TransitionMultiset") -> None:
-        if self.grammar is not other.grammar and self.grammar != other.grammar:
+        # equal grammars may list their rules under other ids (`Grammar`
+        # equality ignores them), and then one id names two rules
+        a, b = self.grammar, other.grammar
+        if a is not b and (
+            a != b or any(s.tid != t.tid for s, t in zip(a.transitions, b.transitions))
+        ):
             raise ValueError("transition multisets belong to different grammars")
 
 

@@ -21,6 +21,7 @@ from parikh import (
     grammar_from_rules,
     member_regular,
     parse_grammar,
+    trim,
 )
 from parikh.decomposition import base_run_bound
 from parikh.intlinalg import CosetIndex, PeriodLattice
@@ -743,14 +744,16 @@ def ref_box_certified(state: RegularMembership, lo: Sequence[int], hi: Sequence[
     """Whether a regular-dp miss inside the box is a definite no: the bound
     reaches the completeness threshold, or no run vector first reached at
     the bound (read off the forward reference build over `supports`,
-    by default the state's tracked ones) reaches the box."""
+    by default the state's tracked ones) reaches the box.  Both read the
+    trimmed grammar, as the state does."""
     if state.bound >= state.complete_bound:
         return True
     if supports is None:
         supports = state._periods
-    cells, _exhausted = ref_run_cells(state.grammar, state.bound, supports)
+    t = trim(state.grammar)
+    cells, _exhausted = ref_run_cells(t, state.bound, supports)
     return not any(
-        n == state.bound and ref_reaches_box(state.grammar, vec, lo, hi)
+        n == state.bound and ref_reaches_box(t, vec, lo, hi)
         for cell in cells.values()
         for vec, n in cell.items()
     )
@@ -838,7 +841,7 @@ def ref_member_fn(g: Grammar, engine: str, window: int, bound=None, run_cap=10,
     the box is certified, and then every point query must agree."""
     if engine == "regular-dp":
         if bound is None:
-            bound = min(base_run_bound(g).value, DESK_BOUND_CAP)
+            bound = min(base_run_bound(trim(g)).value, DESK_BOUND_CAP)
         state = RegularMembership(g, bound)
         note = f"regular-dp with run bound {bound}" + (
             "" if bound >= state.complete_bound else " (below the completeness threshold)"

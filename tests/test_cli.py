@@ -18,6 +18,8 @@ _CHILD_ENV = {
 # a regular language outside normal form: its one-target rule S -> a^3 : T
 # normalizes to a chain that stays regular
 WIDE_TEXT = "alphabet: a b\nstart: S\nS -> a^3 : T\nT -> b : S\nT -> :\n"
+# S derives the even powers of a; U, which lowers a, is never reached
+USELESS_TEXT = "alphabet: a\nstart: S\nS -> a^2 : S\nS -> :\nU -> a^-1 : U\nU -> :\n"
 GENERAL_CAPS = ("--window", "4", "--engine", "general-caps")
 REGULAR_DP = ("--window", "4", "--engine", "regular-dp")
 
@@ -77,6 +79,14 @@ class TestDecisionCommands:
         code, out, _ = run_cli(capsys, "member", gb_file, "a^3")
         assert code == 1
         assert out == "VERDICT false WITNESS -\n"
+
+    def test_member_false_past_a_useless_nonterminal(self, capsys, tmp_path):
+        # U lowers a, but no run from S uses it: on the trimmed grammar a is
+        # one-way and the threshold (113) is below the desk bound, so the no
+        # is definite
+        p = tmp_path / "useless.cg"
+        p.write_text(USELESS_TEXT)
+        assert run_cli(capsys, "member", str(p), "a^3") == (1, "VERDICT false WITNESS -\n", "")
 
     def test_member_unknown_with_tiny_caps(self, capsys, gb_file):
         code, out, _ = run_cli(capsys, "member", gb_file, "a^3", "--caps", "3,1")

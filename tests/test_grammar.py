@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from parikh import (
     GrammarError,
@@ -15,9 +17,10 @@ from parikh import (
     oracle_language,
     parse_grammar,
     serialize_grammar,
+    trim,
 )
 from parikh import membership
-from helpers import ga, gb, random_grammar
+from helpers import ga, gb, random_grammar, random_grammar_with_dead_ends
 
 
 def lang(g, depth, window):
@@ -210,6 +213,69 @@ class TestNormalize:
             assert classify(ng)["normal_form"]
             assert lang(g, 6, 4) <= lang(ng, 24, 4)
             assert lang(ng, 6, 4) <= lang(g, 24, 4)
+
+
+# S runs; U is unproductive (its one rule leads back to U) and V
+# unreachable; W is reached through S -> : W
+USELESS_TEXT = (
+    "alphabet: a b\nstart: S\n"
+    "S -> a : S\nS -> b : U\nS -> : W\nS -> :\nU -> a : U\nV -> b : S\nV -> :\nW -> a :"
+)
+
+
+class TestTrim:
+    def test_drops_unproductive_and_unreachable_nonterminals(self):
+        # W is productive, and reached only through U
+        g = parse_grammar(
+            "alphabet: a b\nstart: S\n"
+            "S -> a : S\nS -> b : U\nS -> :\nU -> a : U\nU -> : U W\nV -> b : S\nV -> :\nW -> a :"
+        )
+        t = trim(g)
+        assert t.nonterminals == ("S",) and t.start == "S" and t.alphabet == g.alphabet
+        assert [r.tid for r in t.transitions] == ["t1", "t3"]
+
+    def test_keeps_the_grammars_transition_objects(self):
+        g = parse_grammar(USELESS_TEXT)
+        t = trim(g)
+        assert t.nonterminals == ("S", "W")
+        assert [r.tid for r in t.transitions] == ["t1", "t3", "t4", "t8"]
+        assert all(r is g.transition(r.tid) for r in t.transitions)
+        assert trim(t) is t and g.trimmed is g.trimmed
+
+    def test_returns_the_grammar_when_nothing_is_useless(self):
+        for g in (ga(), gb(), parse_grammar("alphabet: a\nstart: S\nS -> a : S S\nS -> :")):
+            assert trim(g) is g and g.trimmed is g
+
+    def test_unproductive_start_keeps_the_start_alone(self):
+        # every rule out of the start needs S or T, and neither has a run
+        dead = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nS -> : T U\nU -> :\nT -> : T")
+        assert trim(dead) == parse_grammar("alphabet: a\nstart: S")
+        assert trim(parse_grammar("alphabet: a\nstart: T\nS -> a : S\nT -> : S")) == (
+            parse_grammar("alphabet: a\nstart: T")
+        )
+
+    def test_pickle_leaves_the_trimmed_grammar_behind(self):
+        g = parse_grammar(USELESS_TEXT)
+        assert g.trimmed.nonterminals == ("S", "W")
+        copy = pickle.loads(pickle.dumps(g))
+        assert "trimmed" not in copy.__dict__ and copy.trimmed == g.trimmed
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([None, "U", "Z"]), st.integers(0, 10),
+           st.integers(0, 3))
+    def test_the_oracle_finds_the_same_vectors(self, seed, start, depth, window):
+        # every derivation from the start uses kept rules alone; pruning on
+        # the trimmed grammar's letter signs drops nothing that completes,
+        # and each of its states is one of g's, so an exhausted search on g
+        # is exhausted on trim(g)
+        g = random_grammar_with_dead_ends(random.Random(seed), start, max_nonterminals=3)
+        t = trim(g)
+        event(f"dropped {len(g.nonterminals) - len(t.nonterminals)} nonterminals")
+        found, exhausted = membership.dense_oracle(g, depth, window)
+        found_t, exhausted_t = membership.dense_oracle(t, depth, window)
+        event(f"exhausted on g: {exhausted}, on trim(g): {exhausted_t}")
+        assert found_t == found
+        assert exhausted_t or not exhausted
 
 
 class TestClassify:

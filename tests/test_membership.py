@@ -20,6 +20,7 @@ from parikh import (
     oracle_language,
     parse_grammar,
     regular_bundles,
+    trim,
 )
 from parikh import intlinalg, membership, normalize
 from parikh.hardness import hard_grammar
@@ -390,6 +391,46 @@ class TestMemberRegular:
                 assert total.parikh() == v
                 checked += 1
 
+    def test_unproductive_start_answers_no_everywhere(self):
+        # the start U has no run (its rules lead to U and to Z, which has
+        # none), so the trimmed grammar keeps U alone: every point and box
+        # is a definite no at any bound
+        rng = random.Random(61)
+        for _ in range(20):
+            g = random_grammar(rng, regular=True, neg_prob=0.3)
+            rules = [(t.source, t.output, t.targets) for t in g.transitions] + [
+                ("U", Vec.unit(rng.choice(g.alphabet)), Vec.unit("U")),
+                ("U", Vec.zero(), Vec.unit("Z")),
+                (rng.choice(g.nonterminals), Vec.zero(), Vec.unit("U")),
+            ]
+            g = grammar_from_rules(g.alphabet, "U", rules)
+            states = [RegularMembership(g, bound) for bound in (1, 5, 30, None)]
+            for state in states + [membership.engine(g, "regular-dp")]:
+                for t in product(range(-2, 3), repeat=len(g.alphabet)):
+                    v = Vec.from_tuple(t, g.alphabet)
+                    assert state.result(v) == MembershipResult(NON_MEMBER)
+                assert state.box_members(-2, 2) == frozenset()
+                assert state.miss().verdict is False
+
+    def test_witnesses_are_multisets_of_the_callers_grammar(self):
+        # on grammars with useless nonterminals the tables read the trimmed
+        # grammar, and every witness still names the caller's object
+        rng = random.Random(67)
+        checked = 0
+        while checked < 150:
+            g = random_grammar(rng, regular=True, neg_prob=0.3)
+            if trim(g) is g:
+                continue
+            for state in (RegularMembership(g, bound=30), membership.engine(g, "regular-dp")):
+                for v in oracle_language(g, 10, 3):
+                    res = state.result(v)
+                    assert res.status == MEMBER
+                    parts = (res.witness.base_run, *(term.cycle for term in res.witness.cycles))
+                    assert all(part.grammar is g for part in parts)
+                    total = res.witness.expand()
+                    assert is_run(total, g.start) and total.parikh() == v
+                    checked += 1
+
     def test_foreign_letter_rejected(self):
         assert member_regular(ga(), Vec.unit("z"), bound=10).status == NON_MEMBER
 
@@ -408,17 +449,26 @@ def test_boxless_miss_answers_for_every_vector():
     # when the forward reference build over the tracked supports ran dry,
     # and then a no in every box; a build over every support that ran dry
     # still makes it definite.  general-caps: its answer in any box; the
-    # oracle: unknown
+    # oracle: unknown.  The reference builds read the trimmed grammar, as
+    # the state does.  On a trimmed grammar the tracked supports run dry
+    # first only past a zero cycle: the last grammar's T U V W adds no
+    # vector, so its tracked build (the empty support alone) runs dry
+    # before size 5, while the support {U} first keys the run a through
+    # T U V W T at size 6
     rng = random.Random(83)
     seen = set()
-    for _ in range(30):
-        g = random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3)
+    zero_cycle = parse_grammar(
+        "alphabet: a\nstart: S\nS -> a : T\nT -> : U\nU -> : V\nV -> : W\nW -> : T\nT -> :"
+    )
+    grammars = [random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3) for _ in range(30)]
+    for g in grammars + [zero_cycle]:
+        t = trim(g)
         box = ((-1,) * len(g.alphabet), (1,) * len(g.alphabet))
-        every = supports_up_to(g, min(len(g.alphabet), len(g.nonterminals)))
+        every = supports_up_to(t, min(len(t.alphabet), len(t.nonterminals)))
         for bound in (2, 6, 30):
             state = RegularMembership(g, bound)
-            _cells, exhausted = ref_run_cells(g, bound, state._periods)
-            _cells, every_exhausted = ref_run_cells(g, bound, every)
+            _cells, exhausted = ref_run_cells(t, bound, state._periods)
+            _cells, every_exhausted = ref_run_cells(t, bound, every)
             assert exhausted or not every_exhausted
             definite = bound >= state.complete_bound or exhausted
             assert state.miss().verdict is (False if definite else None)
@@ -528,22 +578,24 @@ class TestTrackedSupports:
         seen = set()
         for _ in range(40):
             g = random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+            # the state's tables read the trimmed grammar; so do the references
+            t = trim(g)
             dim = len(g.alphabet)
-            every = supports_up_to(g, min(dim, len(g.nonterminals)))
+            every = supports_up_to(t, min(dim, len(t.nonterminals)))
             tracked = RegularMembership(g, 3)._periods
             assert set(tracked) <= every
             assert all(supp - {q} in tracked for supp in tracked for q in supp)
             if len(tracked) < len(every):
                 seen.add("supports left out")
             for bound in (3, 12):
-                full, _exhausted = ref_run_cells(g, bound, every)
+                full, _exhausted = ref_run_cells(t, bound, every)
                 point = tuple(rng.randint(-2, 2) for _ in range(dim))
                 for box in (None, (point, point), ((-2,) * dim, (2,) * dim)):
                     state = RegularMembership(g, bound)
                     runs = state._runs() if box is None else state._runs(*box)
                     kept = {
                         key: {v: n for v, n in cell.items()
-                              if runs.box is None or ref_reaches_box(g, v, *runs.box)}
+                              if runs.box is None or ref_reaches_box(t, v, *runs.box)}
                         for key, cell in full.items()
                         if key[0] in tracked
                     }
@@ -596,24 +648,27 @@ class TestTrackedSupports:
 
     def test_sharper_nos_agree_with_an_exhausted_oracle(self):
         # a no that the last frontier of the tracked supports certifies
-        # and the one over every support does not
+        # and the one over every support of the trimmed grammar does not
         rng = random.Random(4242)
         sharper = []
         for draw in range(1, 151):
             g = random_grammar(rng, max_letters=2, regular=True, neg_prob=0.3)
+            trimmed = trim(g)
             dim = len(g.alphabet)
-            every = supports_up_to(g, min(dim, len(g.nonterminals)))
+            every = supports_up_to(trimmed, min(dim, len(trimmed.nonterminals)))
             for bound in (2, 6, 30):
                 state = RegularMembership(g, bound)
                 if bound >= state.complete_bound:
                     continue
-                cells, _exhausted = ref_run_cells(g, bound, every)
+                cells, _exhausted = ref_run_cells(trimmed, bound, every)
                 last = [v for cell in cells.values() for v, n in cell.items() if n == bound]
                 for t in product(range(-2, 3), repeat=dim):
                     got = state.result(Vec.from_tuple(t, g.alphabet), want_witness=False)
-                    if got.status == NON_MEMBER and any(ref_reaches_box(g, v, t, t) for v in last):
+                    if got.status == NON_MEMBER and any(
+                        ref_reaches_box(trimmed, v, t, t) for v in last
+                    ):
                         sharper.append((draw, bound, t))
-                        found = oracle_language(g, 24, 2)
+                        found = oracle_language(trimmed, 24, 2)
                         assert found.exhausted and Vec.from_tuple(t, g.alphabet) not in found
         assert {(71, 2, (0, s * k)) for s in (1, -1) for k in (1, 2)} <= set(sharper)
 

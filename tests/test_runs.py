@@ -3,6 +3,9 @@ import random
 import pytest
 
 from parikh import (
+    Grammar,
+    Transition,
+    TransitionMultiset,
     Vec,
     enumerate_simple_cycles,
     format_multiset,
@@ -24,6 +27,26 @@ from helpers import ga, gb, random_grammar, random_marking, random_run, simulate
 
 def ms(g, text):
     return parse_multiset(g, text)
+
+
+class TestTransitionMultiset:
+    def test_multisets_of_grammars_with_other_ids_do_not_mix(self):
+        # g2 lists g1's rules under other ids; the grammars are equal, as
+        # equality ignores ids, but t1 is a in g1 and b in g2
+        text = "alphabet: a b\nstart: S\nS -> a : S\nS -> b : S\nS -> :"
+        g1 = parse_grammar(text)
+        ids = {"t1": "t2", "t2": "t1", "t3": "t3"}
+        g2 = Grammar(g1.alphabet, g1.nonterminals, g1.start, tuple(
+            Transition(ids[t.tid], t.source, t.output, t.targets) for t in g1.transitions))
+        assert g1 == g2
+        x = TransitionMultiset.from_counts(g1, {"t1": 1})
+        y = TransitionMultiset.from_counts(g2, {"t1": 1})
+        for combine in (lambda: x + y, lambda: x - y, lambda: x <= y):
+            with pytest.raises(ValueError, match="different grammars"):
+                combine()
+        # an equal grammar under the same ids adds as one
+        z = TransitionMultiset.from_counts(parse_grammar(text), {"t2": 1})
+        assert (x + z).parikh() == Vec({"a": 1, "b": 1})
 
 
 class TestRunStats:
