@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .grammar import Grammar, normalize
 from .intlinalg import CosetIndex, PeriodLattice, hadamard_bound
 from .membership import engine
-from .runs import SearchCapExceeded, tree_size_bound
+from .runs import SearchCapExceeded
 from .semilinear import SimpleBundle
 from .vector import Vec
 
@@ -169,15 +169,16 @@ FOLD_PRODUCT_CAP = 200_000
 def two_letter_bundles(
     g: Grammar,
     run_cap: int,
-    cycle_cap: Optional[int] = None,
+    cycle_cap: int = 8,
     fold_cap: Optional[int] = None,
 ) -> BundlesResult:
     """Bundle decomposition over a two-letter alphabet.
 
     The base runs up to run_cap, grouped by support, and the simple
-    cycles anchored in each support come from the general-caps state of
-    the normalized grammar (cycle_cap defaults to min(gamma - 1, 8));
-    the cycle vectors supply the period sets via angular sectors.
+    cycles anchored in each support up to cycle_cap come from the
+    general-caps state of the normalized grammar; the default cap is the
+    engine's own, so `engine` with the same run cap shares the state.
+    The cycle vectors supply the period sets via angular sectors.
     Interior lattice offsets (cycle directions that are not period
     boundaries) are folded into the base set with coefficients up to
     fold_cap, as one set of dense tuples (SearchCapExceeded when that
@@ -189,9 +190,6 @@ def two_letter_bundles(
     """
     if len(g.alphabet) != 2:
         raise ValueError("two_letter_bundles needs an alphabet of exactly two letters")
-    if cycle_cap is None:
-        n = normalize(g)
-        cycle_cap = min(tree_size_bound(len(n.nonterminals), n.is_regular()) - 1, 8)
     state = engine(g, "general-caps", run_cap=run_cap, cycle_cap=cycle_cap)
 
     raw: list[SimpleBundle] = []

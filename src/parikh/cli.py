@@ -372,14 +372,13 @@ def _dispatch(args) -> int:
         return EXIT_TRUE
     if cmd == "bundles":
         g = _load_grammar(args.grammar)
+        # a cap not given keeps `two_letter_bundles`' default
+        caps = {"cycle_cap": args.cycle_cap, "fold_cap": args.fold_cap}
+        given = {key: cap for key, cap in caps.items() if cap is not None}
         if args.two_letter:
-            result = bundles_mod.two_letter_bundles(
-                g, args.run_cap, cycle_cap=args.cycle_cap, fold_cap=args.fold_cap
-            )
+            result = bundles_mod.two_letter_bundles(g, args.run_cap, **given)
         else:
-            caps = (("--cycle-cap", args.cycle_cap), ("--fold-cap", args.fold_cap))
-            _note_unused([flag for flag, value in caps if value is not None],
-                         "without --two-letter")
+            _note_unused(["--" + key.replace("_", "-") for key in given], "without --two-letter")
             result = bundles_mod.regular_bundles(g, args.run_cap)
         blocks = []
         for b in result.bundles:

@@ -15,8 +15,10 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
     S -> :               # empty output, empty targets
     T -> a^2 b^-1 : T^2 U
 
-Output and target fields use monomial syntax; target exponents must be
-positive.  Nonterminals are not declared, they are inferred from use.
+Output and target fields use monomial syntax; every exponent of a
+target factor must be positive, so `T^0` and `T T^-1` are rejected
+rather than read as no target.  Nonterminals are not declared, they are
+inferred from use.
 """
 
 from __future__ import annotations
@@ -381,8 +383,10 @@ def parse_grammar(text: str) -> Grammar:
                 targets = fields[tgt_text] = parse_monomial(tgt_text)
         except ValueError as e:
             raise GrammarParseError(str(e), lineno) from None
-        for sym, count in targets:
-            if count < 1:
+        # factor by factor: `T^0` and `T T^-1` sum to no target at all
+        for tok in tgt_text.split():
+            sym, caret, exp = tok.partition("^")
+            if caret and int(exp) < 1:
                 raise GrammarParseError(f"target {sym!r} needs a positive exponent", lineno)
         rules.append((src, output, targets))
     if alphabet is None:

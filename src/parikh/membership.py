@@ -20,16 +20,18 @@ rules are the caller's own transitions, so every witness is a multiset
 of the caller's grammar.
 
 The cycle tables are built with the decision state, its one run table
-on first use.  A point query and a window sweep (`box_members`) read
-that table cut to their box: a run vector past the box on a one-way
-letter (`CompiledGrammar.letter_sign`) stays out of it whatever cycles
-are added, so it is never tabulated.  For a point v the box is
-everything below v on the letters no rule lowers and above v on those
-no rule raises.  The build also certifies a no: once no vector of its
-last frontier lies in the box, no longer run can be pumped into it, so
-a miss there is a non-member even below the theoretical bound.  Grammars
-without one-way letters, and box-less reads (the bundles' queries,
-`miss()`), read the full run table, which then serves every box.
+on first use.  A request reads that table under the one-way cut of its
+box (`_cut`): a run vector past the box on a one-way letter
+(`CompiledGrammar.letter_sign`) stays out of it whatever cycles are
+added, so it is never tabulated.  For a point v the cut keeps everything
+below v on the letters no rule lowers and above v on those no rule
+raises; a box-less read (the bundles' queries, `miss()`) cuts nothing.
+The kept table serves a request that cuts each of its sides at a limit
+no larger, and any other request regrows it to the larger limits of
+the sides both cut, the full table when they share none.  The build
+also certifies a no: once every vector of its last frontier is past the
+cut, no longer run can be pumped into the box, so a miss there is a
+non-member even below the theoretical bound.
 
 For general normal-form grammars the same scheme runs on explicitly
 enumerated base runs and simple cycles under user caps.  The state is
@@ -88,7 +90,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import add, sub
-from typing import Callable, Container, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional, Sequence
 
 from .decomposition import CycleTerm, Decomposition, base_run_bound
 from .grammar import CompiledGrammar, Grammar, normalize
@@ -184,17 +186,17 @@ def dense_oracle(g: Grammar, depth: int, window: int) -> tuple[frozenset[IntTupl
     sign = cg.letter_sign
     # per source nonterminal: (targets, target count, output or None,
     # guards) per transition, where a guard (j, s, limit) prunes when
-    # s * value[j] > limit: the one-way sides of the window box
-    # (`_box_guards`) on the letters the transition moves, the only ones
-    # it can newly push out
-    window_guards = _box_guards(sign, (-window,) * dim, (window,) * dim)
+    # s * value[j] > limit: the one-way sides of the window box (`_cut`)
+    # on the letters the transition moves, the only ones it can newly
+    # push out
+    window_cut = _cut(sign, (-window,) * dim, (window,) * dim)
     moves = [
         [
             (
                 cg.targets[i],
                 cg.target_count[i],
                 cg.output[i] if any(cg.output[i]) else None,
-                tuple((j, s, limit) for j, s, limit in window_guards if cg.output[i][j]),
+                tuple((j, s, limit) for (j, s), limit in window_cut.items() if cg.output[i][j]),
             )
             for i in ids
         ]
@@ -290,23 +292,27 @@ def _require_regular_normal(g: Grammar) -> None:
         raise ValueError("this procedure needs a regular grammar in normal form")
 
 
-def _box_guards(
-    sign: Sequence[Optional[int]], lo: Sequence[int], hi: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """(j, s, limit) for each one-way side of the box with per-letter
-    bounds lo and hi, in letter order: a vector v is past that side when
-    s * v[j] > limit.  The box is cut above hi[j] only when no rule
-    lowers letter j, and below lo[j] only when no rule raises it; a
-    letter moved both ways is not cut."""
-    guards = []
+# a one-way cut of a box: {(j, s): limit}, and a vector v is past the
+# side (j, s) when s * v[j] > limit; {} cuts nothing
+Cut = Mapping[tuple[int, int], int]
+
+
+def _cut(sign: Sequence[Optional[int]], lo: Sequence[int], hi: Sequence[int]) -> Cut:
+    """The one-way sides of the box with per-letter bounds lo and hi, in
+    letter order: the box is cut above hi[j], side (j, 1) at limit hi[j],
+    only when no rule lowers letter j, and below lo[j], side (j, -1) at
+    limit -lo[j], only when no rule raises it.  A vector past such a side
+    never comes back into the box, whatever is added to it; a letter
+    moved both ways is not cut."""
+    cut = {}
     for j, s in enumerate(sign):
         if s is None:
             continue
         if s >= 0:
-            guards.append((j, 1, hi[j]))
+            cut[j, 1] = hi[j]
         if s <= 0:
-            guards.append((j, -1, -lo[j]))
-    return guards
+            cut[j, -1] = -lo[j]
+    return cut
 
 
 def _path_cells(
@@ -314,7 +320,7 @@ def _path_cells(
     end: str,
     bound: int,
     supports: Container[frozenset] = (),
-    box: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+    cut: Cut = {},
 ) -> dict[Cell, dict[IntTuple, int]]:
     """Letter vectors of the paths of size <= bound into `end` (a
     nonterminal, or FINAL for runs), built backwards one rule at a time
@@ -328,27 +334,24 @@ def _path_cells(
     `bound` are the last frontier: none means there are no paths beyond
     the tabulated ones.
 
-    With box=(lo, hi), per-letter bounds, a path vector is dropped once
-    it has left the box on a one-way letter: above hi[j] on a letter j
-    no rule lowers, or below lo[j] on one no rule raises (`_box_guards`).
-    Extending the path backwards, or adding any cycle vector, only moves
-    that letter further out, so no vector built from it comes back into
-    the box.  The cells kept are the full
-    cells restricted to the vectors that stay, at the same least sizes;
-    cells left empty are not kept."""
+    A path vector past a side of the one-way `cut` of a box (`_cut`) is
+    dropped: extending the path backwards, or adding any cycle vector,
+    only moves that letter further out, so no vector built from it comes
+    back into the box.  The cells kept are the full cells restricted to
+    the vectors that stay, at the same least sizes; cells left empty are
+    not kept.  The empty cut keeps the full cells."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
-    # (j, s, limit): drop a vector v with s * v[j] > limit
-    guards = [] if box is None else _box_guards(cg.letter_sign, *box)
-    if any(limit < 0 for _j, _s, limit in guards):
+    if any(limit < 0 for limit in cut.values()):
         return {}  # even the empty path is out of the box
-    # r -> [(q, out, guards)]: only the letters out moves can newly leave
-    # the box, and a guard here reads the vector before out is added
+    # r -> [(q, out, guards)]: a guard (j, s, limit) drops a vector v with
+    # s * v[j] > limit; only the letters out moves can newly leave the
+    # box, and a guard here reads the vector before out is added
     steps: dict[str, list[tuple[str, IntTuple, list]]] = {}
     for src, targets, out in zip(cg.source, cg.targets, cg.output):
         r = names[targets[0]] if targets else FINAL
-        moved = [(j, s, limit - s * out[j]) for j, s, limit in guards if out[j]]
+        moved = [(j, s, limit - s * out[j]) for (j, s), limit in cut.items() if out[j]]
         steps.setdefault(r, []).append((names[src], out, moved))
 
     cells: dict[Cell, dict[IntTuple, int]] = {(frozenset(), end): {zero: 0}}
@@ -611,12 +614,12 @@ class _Engine:
 class _Runs:
     """The run table of a `RegularMembership` and what its queries need.
 
-    `box` is the per-letter (lo, hi) the table is cut to, or None when
-    nothing is cut; `last` holds the vectors the build first reached at
+    `cut` is the one-way cut (`_cut`) the table was built under, {} for
+    the full table; `last` holds the vectors the build first reached at
     the bound (its last frontier, empty when the build ran out of paths
     earlier); `queries` are the prepared queries over `cells`."""
 
-    box: Optional[tuple[IntTuple, IntTuple]]
+    cut: Cut
     cells: dict[Cell, dict[IntTuple, int]]
     last: frozenset[IntTuple]
     queries: list[Query]
@@ -636,14 +639,12 @@ class RegularMembership(_Engine):
 
     The cycle tables, and the supports the run tables track
     (`_tracked_supports`), are built with the state, its one run table
-    on first use.  A point query or a window sweep reads a run table cut to
-    its box on one-way letters: a point v needs only the runs below v on
-    the letters no rule lowers and above v on those no rule raises.  The
-    table serves every box inside it; a box outside it rebuilds the table
-    at the join of the two boxes, and a box-less read (`_queries`,
-    `miss()`) rebuilds a cut table in full.  Without one-way letters
-    nothing is cut and the full run table, built once, serves.  Window
-    sweeps should reuse one instance.
+    on first use.  Each request reads the run table under the one-way
+    cut of its box (`_cut`): a point v needs only the runs below v on
+    the letters no rule lowers and above v on those no rule raises; a
+    box-less read (`_queries`, `miss()`) cuts nothing.  One rule keeps
+    the table (`_runs`), and without one-way letters nothing is ever
+    cut.  Window sweeps should reuse one instance.
     """
 
     def __init__(self, g: Grammar, bound: Optional[int] = None):
@@ -675,28 +676,21 @@ class RegularMembership(_Engine):
     def _queries(self) -> list[Query]:
         return self._runs().queries
 
-    def _runs(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> _Runs:
-        """The state's run table, holding every run vector that can still
-        be pumped into the box [lo..hi] (per letter), at its least size;
-        with no box, every run up to the bound.  A full table serves every
-        box, a cut one every box inside it on its one-way sides: below its
-        top where it is cut above, above its bottom where it is cut below.
-        Any other request rebuilds it, at the join of the two boxes or in
-        full."""
+    def _runs(self, cut: Cut = {}) -> _Runs:
+        """The state's run table, holding every run vector up to the bound
+        that is past no side of the one-way `cut`, at its least size.  The
+        kept table serves when every side it cuts is cut by the request
+        too, at a limit no larger.  Any other request rebuilds it at the
+        larger limit of each side both cut; when they share no side (a
+        box-less request, `{}`), that is the full table, which serves
+        every later one."""
         runs = self._table
-        if runs is not None and runs.box is None:
-            return runs
-        if runs is not None and lo is not None:
-            cut_lo, cut_hi = runs.box
-            if all(
-                s is None or ((s < 0 or h <= ch) and (s > 0 or l >= cl))
-                for s, l, h, cl, ch in zip(self._sign, lo, hi, cut_lo, cut_hi)
-            ):
+        if runs is not None:
+            if all(side in cut and cut[side] <= limit for side, limit in runs.cut.items()):
                 return runs
-            lo, hi = tuple(map(min, lo, cut_lo)), tuple(map(max, hi, cut_hi))
-        # a box with no one-way side cuts nothing: build the full table
-        box = None if lo is None or not _box_guards(self._sign, lo, hi) else (lo, hi)
-        cells = _path_cells(self._trimmed, FINAL, self.bound, self._periods, box)
+            cut = {side: max(limit, runs.cut[side])
+                   for side, limit in cut.items() if side in runs.cut}
+        cells = _path_cells(self._trimmed, FINAL, self.bound, self._periods, cut)
         last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
         # one group per run cell from the start, by support size and names
         start = self._trimmed.start
@@ -706,7 +700,7 @@ class RegularMembership(_Engine):
             (key, cells[key], sorted(key[0] | {start}), self._periods[key[0]]) for key in keys
         ]
         queries = _prepare_queries(groups, len(self.order))
-        self._table = _Runs(box, cells, last, queries)
+        self._table = _Runs(cut, cells, last, queries)
         return self._table
 
     def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
@@ -715,21 +709,20 @@ class RegularMembership(_Engine):
         else NO_WITHIN_BOUND.
 
         It is a definite no when the bound reaches the completeness
-        threshold, or when no vector of the last frontier lies in the box
-        on its one-way letters (with no box: the full table's last
-        frontier is empty): a longer path only extends a frontier vector,
-        which moves such a letter further out, so no level past the bound
-        adds a run vector that can be pumped into the box.  The frontier
-        is that of the tracked supports' cells alone, which are all the
-        kept queries read; a query left out reaches nothing a kept one
-        misses at any bound.  The answer depends on the grammar, the
-        bound and the box alone."""
+        threshold, or when every vector of the last frontier is past a
+        side of the box's one-way cut (`_cut`; with no box, nothing is
+        cut, so only an empty frontier certifies): a longer path only
+        extends a frontier vector, which moves such a letter further out,
+        so no level past the bound adds a run vector that can be pumped
+        into the box.  The frontier is that of the tracked supports'
+        cells alone, which are all the kept queries read; a query left
+        out reaches nothing a kept one misses at any bound.  The answer
+        depends on the grammar, the bound and the box alone."""
         if self.bound >= self.complete_bound:
             return _NO
-        last = self._runs(lo, hi).last
-        if last:
-            guards = [] if lo is None else _box_guards(self._sign, lo, hi)
-            if any(all(s * v[j] <= limit for j, s, limit in guards) for v in last):
+        cut = {} if lo is None else _cut(self._sign, lo, hi)
+        for v in self._runs(cut).last:
+            if all(s * v[j] <= limit for (j, s), limit in cut.items()):
                 return self._no_within_bound
         return _NO
 
@@ -739,11 +732,12 @@ class RegularMembership(_Engine):
         """The first query of the run table cut to t's box that reaches t.
         The answer and witness are those of the full run table; only the
         no (`miss` at t) is sharper."""
-        return _first_hit(self._runs(t, t).queries, t)
+        return _first_hit(self._runs(_cut(self._sign, t, t)).queries, t)
 
     def _box(self, lo: int, hi: int) -> frozenset[IntTuple]:
         dim = len(self.order)
-        return _box_union(self._runs((lo,) * dim, (hi,) * dim).queries, lo, hi)
+        cut = _cut(self._sign, (lo,) * dim, (hi,) * dim)
+        return _box_union(self._runs(cut).queries, lo, hi)
 
     # -- witness reconstruction ------------------------------------------
 

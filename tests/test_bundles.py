@@ -191,6 +191,15 @@ class TestTwoLetterBundles:
         assert g.engine_states == {"general-caps": state}
         assert "_queries" in state.__dict__
 
+    def test_default_caps_share_the_engine_default_state(self):
+        # with no cycle cap given, the bundles read the state that the
+        # engine keeps at its own default caps
+        g = normalize(hard_grammar(1, "stripped"))
+        two_letter_bundles(g, run_cap=8)
+        state = g.engine_states["general-caps"]
+        assert membership.engine(g, "general-caps", run_cap=8) is state
+        assert state.caps == (8, 8, membership.DEFAULT_STATE_CAP)
+
     def test_exhaustive_run_enumeration_is_not_truncated(self):
         # the cycle search is not complete at the default cycle cap, but
         # every run fits the run cap: the general state's miss is a no,

@@ -490,6 +490,50 @@ class TestInputValidation:
         assert code == 64
         assert "--oracle" in err and "depth,window" in err and "run,cycle" not in err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("grammar", "alphabet: a\nalphabet: a\nstart: S\nS -> :\n",
+         "line 2: alphabet declared twice"),
+        ("grammar", "alphabet: a\nstart: S\nstart: S\nS -> :\n", "line 3: start declared twice"),
+        ("grammar", "start: S\nS -> :\n", "missing 'alphabet:' line"),
+        ("grammar", "alphabet: a\nstart: S\nS -> a S\n",
+         "line 3: transition is missing the ':' separator"),
+        ("grammar", "alphabet: a\nstart: S\nS -> a : T^0\nT -> :\n",
+         "line 3: target 'T' needs a positive exponent"),
+        ("formula", "p cnf 1 1\ny0\n", "bad header 'p cnf 1 1'"),
+        ("graph", "u v w\n", "bad edge line 'u v w'"),
+    ])
+    def test_bad_input_file_is_an_input_error(self, capsys, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = {
+            "grammar": ("parse", str(path)),
+            "formula": ("gen", "qsat2", "--formula", str(path), "--side", "s1"),
+            "graph": ("gen", "ham", "--graph", str(path), "--start", "u"),
+        }[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (65, "", f"error: {message}\n")
+        assert "Traceback" not in err
+
+    def test_formula_header_pins_the_variable_counts(self, capsys, tmp_path):
+        # x1 appears in no clause; the header still declares it
+        f = tmp_path / "f.cnf"
+        f.write_text("p qcnf 2 1\nx0 y0\n")
+        code, out, err = run_cli(capsys, "gen", "qsat2", "--formula", str(f), "--side", "s1")
+        assert code == 0 and "A1 ->" in out
+        assert "Traceback" not in err
+        f.write_text("x0 y0\n")
+        code, out, _ = run_cli(capsys, "gen", "qsat2", "--formula", str(f), "--side", "s1")
+        assert code == 0 and "A1" not in out
+
+    def test_directed_graph_keeps_one_direction_per_edge(self, capsys, tmp_path):
+        g = tmp_path / "g.graph"
+        g.write_text("directed\nu v\nv w\nw u\n")
+        code, out, err = run_cli(capsys, "gen", "ham", "--graph", str(g), "--start", "u")
+        assert code == 0 and "Traceback" not in err
+        assert [line for line in out.splitlines() if "->" in line] == [
+            "q_u -> v : q_v", "q_v -> w : q_w", "q_w -> u : q_u", "q_u -> :",
+        ]
+
     def test_letter_outside_alphabet_with_general_engine(self, capsys, gb_file):
         code, out, _ = run_cli(capsys, "member", gb_file, "b", "--caps", "3,3")
         assert code == 1 and out == "VERDICT false WITNESS -\n"

@@ -82,6 +82,14 @@ class TestParse:
         # still fails its own check, on line 4
         ("alphabet: a\nstart: S\nS -> a^-1: S\nS -> : a^-1\nS -> : a^-1\n",
          4, "target 'a' needs a positive exponent"),
+        # a factor below 1 is rejected even where the sum drops it or
+        # stays positive
+        ("alphabet: a\nstart: S\nS -> a : T^0\nT -> :\n", 3,
+         "target 'T' needs a positive exponent"),
+        ("alphabet: a\nstart: S\nS -> a : T T^-1\nT -> :\n", 3,
+         "target 'T' needs a positive exponent"),
+        ("alphabet: a\nstart: S\nS -> :\nS -> a : T^2 T^-1\nS -> a : T^2 T^-1\nT -> :\n", 4,
+         "target 'T' needs a positive exponent"),
     ])
     def test_a_repeated_bad_field_reports_its_first_bad_line(self, text, line, message):
         with pytest.raises(GrammarParseError) as info:

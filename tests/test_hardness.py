@@ -119,6 +119,17 @@ class TestQsatReductions:
         res = universality_within_window(gf, 20, "integers", engine="oracle", depth=120)
         assert res.verdict is False
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_universality_instance_without_clauses(self, k):
+        # no clause to violate: the formula holds, and the instance is
+        # universal over the integers on an exhausted window
+        f = CnfFormula(k, 1, ())
+        assert qbf2_holds(f)
+        res = universality_within_window(qsat_universality_instance(f), 6, "integers",
+                                         engine="oracle", depth=200)
+        assert res.verdict is True
+        assert res.notes == ("oracle with depth 200, window 6",)
+
     def test_universality_search_is_exhausted(self):
         # Zp raises the one letter and Zm lowers it, so no rule-level guard
         # applies; a form whose pending nonterminals reach only Zp (or only

@@ -41,6 +41,7 @@ from parikh.membership import (
     UNKNOWN,
     _box_union,
     _first_hit,
+    _cut,
     _path_cells,
     _without_multiples,
     dense_oracle,
@@ -309,7 +310,7 @@ def test_box_cut_keeps_exactly_the_full_cells_that_reach_the_box():
                     label = "lo > 0" if lo > 0 else "hi < 0" if hi < 0 else "around 0"
                     boxes.append((label, ((lo,) * dim, (hi,) * dim)))
             for label, box in boxes:
-                cut = _path_cells(g, FINAL, bound, supports, box)
+                cut = _path_cells(g, FINAL, bound, supports, _cut(g.compiled.letter_sign, *box))
                 kept = {
                     key: {v: n for v, n in cell.items() if ref_reaches_box(g, v, *box)}
                     for key, cell in full.items()
@@ -592,16 +593,16 @@ class TestTrackedSupports:
                 point = tuple(rng.randint(-2, 2) for _ in range(dim))
                 for box in (None, (point, point), ((-2,) * dim, (2,) * dim)):
                     state = RegularMembership(g, bound)
-                    runs = state._runs() if box is None else state._runs(*box)
+                    runs = state._runs({} if box is None else _cut(state._sign, *box))
                     kept = {
                         key: {v: n for v, n in cell.items()
-                              if runs.box is None or ref_reaches_box(t, v, *runs.box)}
+                              if box is None or ref_reaches_box(t, v, *box)}
                         for key, cell in full.items()
                         if key[0] in tracked
                     }
                     cells = {key: cell for key, cell in runs.cells.items() if key[1] != FINAL}
                     assert cells == {key: cell for key, cell in kept.items() if cell}
-                    if runs.box is not None and cells != {k: full[k] for k in cells}:
+                    if runs.cut and cells != {k: full[k] for k in cells}:
                         seen.add("cut")
         assert seen == {"supports left out", "cut"}
 
@@ -635,7 +636,7 @@ class TestTrackedSupports:
                     seen.add("periods dropped at a kept support")
                 if any(len(key[0]) > 1 for key in keys):
                     seen.add("two-member support")
-                if cut._table.box is not None:
+                if cut._table.cut:
                     seen.add("cut")
                 if any(hit and any(hit[3]) and hit[0][0] for hit in hits):
                     seen.add("pumped hit off the empty support")
@@ -735,6 +736,18 @@ class TestMemberGeneral:
         )
         found = state.result(Vec.unit("a", 2))
         assert found.status == MEMBER and found.witness.parikh() == Vec.unit("a", 2)
+
+    def test_full_caps_give_a_definite_no(self):
+        # the run cap reaches the base-run bound (34) and a cycle cap of 1
+        # completes the cycle listing: a miss is a definite no there, and
+        # one run step less leaves it unknown
+        g = parse_grammar("alphabet: a\nstart: S\nS -> a : S\nS -> :")
+        state = GeneralMembership(g, 34, 1)
+        assert not state.runs_complete and state.cycles_complete
+        assert state.result(Vec.unit("a", -1)) == MembershipResult(NON_MEMBER)
+        assert member_general(g, Vec.unit("a", -1), 33, 1) == MembershipResult(
+            UNKNOWN, note="caps below the completeness thresholds"
+        )
 
     def test_start_without_runs_is_a_definite_no(self):
         # the run search from S drops every state (each holds S) without

@@ -48,6 +48,16 @@ class TestTransitionMultiset:
         z = TransitionMultiset.from_counts(parse_grammar(text), {"t2": 1})
         assert (x + z).parikh() == Vec({"a": 1, "b": 1})
 
+    def test_order_is_per_transition_within_one_grammar(self):
+        g = ga()
+        small, large, other = ms(g, "t2*1"), ms(g, "t1*2 t2*1"), ms(g, "t1*1")
+        assert ms(g, "-") <= small <= large and small <= small
+        assert not large <= small
+        assert not other <= small and not small <= other
+        # t1 names another rule in gb
+        with pytest.raises(ValueError, match="different grammars"):
+            small <= ms(gb(), "t1*1 t2*1 t3*1")
+
 
 class TestRunStats:
     def test_ga_example(self):
@@ -267,6 +277,13 @@ class TestSkeletonRuns:
         cycle, anchor = find_removable_cycle(ms(gb(), "t1*2 t2*2 t3*1"), "S")
         assert format_multiset(cycle) == "t1*1 t2*1"
         assert anchor in {"S", "T"}
+
+    def test_unbalanced_multiset_has_no_removable_cycle(self):
+        # t1 t2 is a cycle at S, but no removal balances the rest: t1 once
+        # more than t2 leaves a T pending
+        m = ms(gb(), "t1*2 t2*1 t3*1")
+        assert is_run(m, "S").reason == "euler"
+        assert find_removable_cycle(m, "S") is None
 
     def test_large_runs_never_skeleton(self):
         rng = random.Random(37)

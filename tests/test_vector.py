@@ -40,6 +40,9 @@ def test_monomial_round_trip_examples():
     assert parse_monomial("") == Vec.zero()
     assert parse_monomial("1") == Vec.zero()
     assert parse_monomial("a a") == Vec({"a": 2})
+    # factors of one symbol that cancel leave no entry
+    assert parse_monomial("a a^-1") == Vec.zero()
+    assert parse_monomial("b a^2 a^-2") == Vec({"b": 1})
     assert format_monomial(Vec.zero()) == "1"
     assert format_monomial(Vec({"a": 2, "b": -1}), ["b", "a"]) == "b^-1 a^2"
 

@@ -357,10 +357,10 @@ class TestEngineReuse:
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, supports=(), box=None):
+        def counting(g, end, bound, supports=(), cut={}):
             if end == membership.FINAL:
-                builds.append((g.start, len(g.nonterminals), box))
-            return path_cells(g, end, bound, supports, box)
+                builds.append((g.start, len(g.nonterminals), cut))
+            return path_cells(g, end, bound, supports, cut)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         b, a = gb(), ga()
@@ -369,26 +369,26 @@ class TestEngineReuse:
                 compare_within_window(b, a, window, mode, engine="regular-dp", bound=40)
             universality_within_window(a, window, "naturals", engine="regular-dp", bound=40)
         assert builds == [
-            ("S", 2, ((-4,), (4,))), ("S", 1, ((-4,), (4,))),
-            ("S", 2, ((-5,), (5,))), ("S", 1, ((-5,), (5,))),
+            ("S", 2, {(0, 1): 4}), ("S", 1, {(0, 1): 4}),
+            ("S", 2, {(0, 1): 5}), ("S", 1, {(0, 1): 5}),
         ]
         # a state used only for sweeps holds one table, cut to its window
-        assert membership.engine(b, "regular-dp", bound=40)._table.box is not None
+        assert membership.engine(b, "regular-dp", bound=40)._table.cut == {(0, 1): 5}
         # with no one-way letter nothing is cut: the full table serves
         builds.clear()
         for window in (2, 3):
             universality_within_window(two_way, window, "integers", engine="regular-dp", bound=6)
-        assert builds == [("S", 1, None)]
+        assert builds == [("S", 1, {})]
 
     def test_point_queries_share_one_cut_table_and_grow_it_to_the_join(self, monkeypatch):
         # gb only raises a, so the box of a^k is a <= k
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, supports=(), box=None):
+        def counting(g, end, bound, supports=(), cut={}):
             if end == membership.FINAL:
-                builds.append(box)
-            return path_cells(g, end, bound, supports, box)
+                builds.append(cut)
+            return path_cells(g, end, bound, supports, cut)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         state = RegularMembership(gb(), 40)
@@ -396,7 +396,7 @@ class TestEngineReuse:
         assert statuses == [membership.MEMBER, membership.MEMBER, membership.MEMBER,
                             membership.NON_MEMBER]
         assert state.box_members(-5, 5) == {(0,), (2,), (4,)}
-        assert builds == [((4,), (4,)), ((4,), (6,))]
+        assert builds == [{(0, 1): 4}, {(0, 1): 6}]
 
     def test_one_run_table_serves_points_bundles_and_boxes(self, monkeypatch):
         # a and b are only raised; after the bundles read the full table,
@@ -416,10 +416,10 @@ class TestEngineReuse:
         builds = []
         path_cells = membership._path_cells
 
-        def counting(g, end, bound, supports=(), box=None):
+        def counting(g, end, bound, supports=(), cut={}):
             if end == membership.FINAL:
-                builds.append(box)
-            return path_cells(g, end, bound, supports, box)
+                builds.append(cut)
+            return path_cells(g, end, bound, supports, cut)
 
         monkeypatch.setattr(membership, "_path_cells", counting)
         state = membership.engine(g, "regular-dp", bound=12)
@@ -428,7 +428,7 @@ class TestEngineReuse:
         assert state.result(points[1]) == expected_points[1]
         assert state.box_members(0, 4) == expected_box
         assert state.result(points[2]) == expected_points[2]
-        assert builds == [((2, 1), (2, 1)), None]
+        assert builds == [{(0, 1): 2, (1, 1): 1}, {}]
 
     def test_state_is_freed_with_its_grammar(self):
         # a state refers back to its grammar (or to its normal form), so
