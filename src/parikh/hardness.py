@@ -65,7 +65,8 @@ def parse_formula(text: str) -> CnfFormula:
     """One clause per line of tokens like ``x0 -y1 y2``; ``c`` comments.
 
     Variable counts are inferred from the largest index used, or pinned
-    with a header line ``p qcnf <universals> <existentials>``.
+    with a header line ``p qcnf <universals> <existentials>`` of two
+    nonnegative integers.
     """
     clauses = []
     num_x = num_y = 0
@@ -78,12 +79,14 @@ def parse_formula(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "qcnf":
                 raise ValueError(f"bad header {line!r}")
+            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+                raise ValueError(f"bad header {line!r}: the counts must be nonnegative integers")
             declared = (int(parts[2]), int(parts[3]))
             continue
         lits = []
         for tok in line.split():
             body = tok[1:] if tok.startswith("-") else tok
-            if not body or body[0] not in "xy" or not body[1:].isdigit():
+            if not body or body[0] not in "xy" or not body[1:].isdecimal():
                 raise ValueError(f"bad literal {tok!r}")
             lits.append(Literal(body[0], int(body[1:]), not tok.startswith("-")))
             if body[0] == "x":

@@ -9,10 +9,10 @@ determinant, the adjugate and the kernel of a matrix in a single pass.
 `PeriodLattice` keeps them to solve nonnegative integer combinations of
 independent periods on dense integer tuples.  `CosetIndex` answers every
 simple bundle's question, is v a base plus such a combination, over a
-lattice its caller builds, so indexes over equal periods share one; the
-lattice also keeps the pivot images of the last box enumerated, which
-every index over it reads.  Both membership engines, both bundle
-constructions and `SimpleBundle` read it.
+lattice its caller builds, so indexes over equal periods share one, and
+the pivot images of a box (`PeriodLattice.box_images`) that their caller
+enumerates once.  Both membership engines, both bundle constructions and
+`SimpleBundle` read it.
 
 With the vectors as rows, the pivot count is their rank
 (`is_linearly_independent`, and the size of the subsets
@@ -304,8 +304,6 @@ class PeriodLattice:
             self.kernel.append(tuple(x // g for x in u))
         # columns[i][j] = z_j[i], one (possibly empty) column per coordinate
         self.columns = [tuple(z[i] for z in self.zs) for i in range(dim)]
-        # the last (lo, hi) asked of box_images, with its images
-        self._box: Optional[tuple[int, int, dict[IntTuple, list[IntTuple]]]] = None
 
     def scaled(self, t: Sequence[int]) -> IntTuple:
         """adj * t[rows]: det times t's coefficients when t is in the span."""
@@ -335,17 +333,13 @@ class PeriodLattice:
 
     def box_images(self, lo: int, hi: int) -> dict[IntTuple, list[IntTuple]]:
         """adj * u for every pivot tuple u in [lo..hi]^k, bucketed by its
-        residues mod det.  The images of the last box asked are kept, so
-        every index over this lattice reads one enumeration per box."""
-        box = self._box
-        if box is not None and box[0] == lo and box[1] == hi:
-            return box[2]
+        residues mod det: what `CosetIndex.box_points` reads, the same for
+        every index over this lattice."""
         det = self.det
         images: dict[IntTuple, list[IntTuple]] = {}
         for u in product(range(lo, hi + 1), repeat=len(self.zs)):
             image = tuple(sum(map(mul, row, u)) for row in self.adj)
             images.setdefault(tuple(c % det for c in image), []).append(image)
-        self._box = (lo, hi, images)
         return images
 
 
@@ -380,7 +374,9 @@ class CosetIndex:
         det = lattice.det
         return (lattice.functionals(v), tuple(c % det for c in scaled)), scaled
 
-    def box_points(self, lo: int, hi: int) -> set[IntTuple]:
+    def box_points(
+        self, lo: int, hi: int, images: Optional[dict[IntTuple, list[IntTuple]]] = None
+    ) -> set[IntTuple]:
         """Members of the indexed set inside the box [lo..hi]^dim.
 
         A member v = w + sum(c_i z_i) is fixed by its pivot coordinates
@@ -388,14 +384,16 @@ class CosetIndex:
         Pareto-minimal base w tries every u in [lo..hi]^k once and keeps
         it when every det * c_i is a nonnegative multiple of det and v
         lies in the box: at most (hi - lo + 1)^k candidates per base.
-        The images adj * u, bucketed by residues, come from the lattice
-        (`PeriodLattice.box_images`); a class's residue key selects the
-        ones whose c is integral.
+        The images adj * u, bucketed by residues, are the lattice's
+        (`PeriodLattice.box_images(lo, hi)`, enumerated here unless given,
+        so that indexes over one lattice can share them); a class's
+        residue key selects the ones whose c is integral.
         """
         lattice = self.lattice
         det = lattice.det
         columns = lattice.columns
-        images = lattice.box_images(lo, hi)
+        if images is None:
+            images = lattice.box_images(lo, hi)
         found: set[IntTuple] = set()
         for (_kern, residues), entries in self.groups.items():
             candidates = images.get(residues, ())

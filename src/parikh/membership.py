@@ -14,10 +14,11 @@ and a no is definite only when the build certifies it (below).
 
 The regular decision state reads the trimmed grammar (`grammar.trim`):
 the nonterminals no run from the start uses, and the rules into them,
-are gone before any table is built, so the completeness threshold counts
-the trimmed N and the letter signs are those of the kept rules.  The kept
-rules are the caller's own transitions, so every witness is a multiset
-of the caller's grammar.
+are gone before any table is built, so the completeness threshold and
+the cycle tables count the trimmed N and the letter signs are those of
+the kept rules.  An answer so depends on the language's useful rules,
+the bound and the box alone.  The kept rules are the caller's own
+transitions, so every witness is a multiset of the caller's grammar.
 
 The cycle tables are built with the decision state, its one run table
 on first use.  A request reads that table under the one-way cut of its
@@ -28,7 +29,9 @@ below v on the letters no rule lowers and above v on those no rule
 raises; a box-less read (the bundles' queries, `miss()`) cuts nothing.
 The kept table serves a request that cuts each of its sides at a limit
 no larger, and any other request regrows it to the larger limits of
-the sides both cut, the full table when they share none.  The build
+the sides both cut, the full table when they share none; the last box
+asked is kept with its cut, so the point or box a miss follows is cut
+once.  The build
 also certifies a no: once every vector of its last frontier is past the
 cut, no longer run can be pumped into the box, so a miss there is a
 non-member even below the theoretical bound.
@@ -49,10 +52,12 @@ point no query reaches, and `note` names the engine and its sizes.
 `miss` is its one decision, where a no becomes definite: at the
 completeness threshold or past the last frontier (regular-dp), after an
 exhaustive run enumeration or at full caps (general-caps), and inside
-the window of an exhausted search (oracle); a search cut by its state
-cap or depth answers unknown.  A box-less `miss()` answers for every
-vector (the oracle: unknown): bundles read truncation off it.  Other
-modules read a result's `verdict` (None: unknown), not its status.
+the window of an exhausted search (oracle); anything else, a search cut
+by its bound, caps, state cap or depth, answers unknown with a note.
+So every answer is MEMBER, NON_MEMBER or UNKNOWN, one status per
+`verdict` value.  A box-less `miss()` answers for every vector (the
+oracle: unknown): bundles read truncation off it.  Other modules read a
+result's `verdict` (None: unknown), not its status.
 `_kept` keeps the regular-dp and general-caps states on their grammar.
 
 The regular and general states share one query structure.
@@ -397,7 +402,6 @@ Witness = Decomposition
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
-NO_WITHIN_BOUND = "no_within_bound"
 UNKNOWN = "unknown"
 
 
@@ -542,11 +546,12 @@ def _first_hit(queries: list[Query], t: IntTuple) -> Optional[tuple]:
 
 def _box_union(queries: list[Query], lo: int, hi: int) -> frozenset[IntTuple]:
     """Dense tuples of the box [lo..hi]^dim that some query reaches,
-    enumerated query by query (`CosetIndex.box_points`)."""
-    found: set[IntTuple] = set()
-    for _key, _zs, index, _anchors in queries:
-        found |= index.box_points(lo, hi)
-    return frozenset(found)
+    enumerated query by query (`CosetIndex.box_points`); the queries over
+    one period set share its lattice's box images."""
+    lattices = {zs: index.lattice for _key, zs, index, _anchors in queries}
+    images = {zs: lattice.box_images(lo, hi) for zs, lattice in lattices.items()}
+    return frozenset().union(*(index.box_points(lo, hi, images[zs])
+                               for _key, zs, index, _anchors in queries))
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +636,8 @@ class RegularMembership(_Engine):
     Every table reads `g.trimmed` (`grammar.trim`), g without the
     nonterminals no run from the start uses; `self.grammar` stays g, and
     witnesses are multisets of it.  `complete_bound` is the base-run
-    bound of the trimmed grammar, which has g's language, and the
-    one-way letters are those of its rules.  The cycle tables keep g's
-    own N as their size bound: a pool holds every closed walk of that
-    size at its anchor, composite ones too, and below the threshold
-    those decide some yes answers, which so stay g's.
+    bound of the trimmed grammar, which has g's language, its N sizes
+    the cycle tables, and the one-way letters are those of its rules.
 
     The cycle tables, and the supports the run tables track
     (`_tracked_supports`), are built with the state, its one run table
@@ -652,61 +654,67 @@ class RegularMembership(_Engine):
         self.grammar = g
         t = self._trimmed = g.trimmed
         self.complete_bound = base_run_bound(t).value
-        self.bound = self.complete_bound if bound is None else bound
-        if self.bound < 1:
+        self.bound = bound = self.complete_bound if bound is None else bound
+        if bound < 1:
             raise ValueError("bound must be at least 1")
         below = "" if self.bound >= self.complete_bound else " (below the completeness threshold)"
         self.note = f"regular-dp with run bound {self.bound}{below}"
-        self._no_within_bound = MembershipResult(
-            NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {self.bound}"
-        )
+        self._unknown = MembershipResult(UNKNOWN, note=f"no witness with base runs of size <= {bound}")
         self.order = g.alphabet
-        # per kept anchor q: the cells of paths into q of size <= g's N; its
-        # cycle vectors (zero included, at size 0) are the cell at (empty
-        # support, q)
-        self._paths = {q: _path_cells(t, q, len(g.nonterminals)) for q in t.nonterminals}
+        # per anchor q: the cells of paths into q of size <= N; its cycle
+        # vectors (zero included, at size 0) are the cell at (empty support, q)
+        self._paths = {q: _path_cells(t, q, len(t.nonterminals)) for q in t.nonterminals}
         self._pools = {q: self._paths[q][(frozenset(), q)] for q in t.nonterminals}
         # the supports every run table tracks: those that keep a query,
         # with the period sets they keep
         self._periods = _tracked_supports(self._pools, t.start, len(self.order))
         self._sign = t.compiled.letter_sign
         self._table: Optional[_Runs] = None
+        # the last box asked of `_runs`, (lo, hi, its one-way cut)
+        self._asked: Optional[tuple] = None
 
     @property
     def _queries(self) -> list[Query]:
-        return self._runs().queries
+        return self._runs()[1].queries
 
-    def _runs(self, cut: Cut = {}) -> _Runs:
-        """The state's run table, holding every run vector up to the bound
-        that is past no side of the one-way `cut`, at its least size.  The
+    def _runs(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> tuple[Cut, _Runs]:
+        """The one-way cut of the box [lo..hi] (`_cut`; with no box, {})
+        and the state's run table that serves it: every run vector up to
+        the bound that is past no side of the cut, at its least size.  The
         kept table serves when every side it cuts is cut by the request
         too, at a limit no larger.  Any other request rebuilds it at the
         larger limit of each side both cut; when they share no side (a
-        box-less request, `{}`), that is the full table, which serves
-        every later one."""
+        box-less request), that is the full table, which serves every
+        later one.  A rebuilt table so serves every box the old one did,
+        and the last box asked is kept with its cut: a repeat is neither
+        cut nor tested again."""
+        asked = self._asked
+        if asked is not None and asked[0] == lo and asked[1] == hi:
+            return asked[2], self._table
+        cut = {} if lo is None else _cut(self._sign, lo, hi)
         runs = self._table
-        if runs is not None:
-            if all(side in cut and cut[side] <= limit for side, limit in runs.cut.items()):
-                return runs
-            cut = {side: max(limit, runs.cut[side])
-                   for side, limit in cut.items() if side in runs.cut}
-        cells = _path_cells(self._trimmed, FINAL, self.bound, self._periods, cut)
-        last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
-        # one group per run cell from the start, by support size and names
-        start = self._trimmed.start
-        keys = sorted((key for key in cells if key[1] == start),
-                      key=lambda key: _support_order(key[0]))
-        groups = [
-            (key, cells[key], sorted(key[0] | {start}), self._periods[key[0]]) for key in keys
-        ]
-        queries = _prepare_queries(groups, len(self.order))
-        self._table = _Runs(cut, cells, last, queries)
-        return self._table
+        if runs is None or any(side not in cut or cut[side] > limit
+                               for side, limit in runs.cut.items()):
+            join = cut if runs is None else {side: max(limit, runs.cut[side])
+                                             for side, limit in cut.items() if side in runs.cut}
+            cells = _path_cells(self._trimmed, FINAL, self.bound, self._periods, join)
+            last = frozenset(v for cell in cells.values() for v, n in cell.items() if n == self.bound)
+            # one group per run cell from the start, by support size and names
+            start = self._trimmed.start
+            keys = sorted((key for key in cells if key[1] == start),
+                          key=lambda key: _support_order(key[0]))
+            groups = [
+                (key, cells[key], sorted(key[0] | {start}), self._periods[key[0]]) for key in keys
+            ]
+            queries = _prepare_queries(groups, len(self.order))
+            self._table = _Runs(join, cells, last, queries)
+        self._asked = (lo, hi, cut)
+        return cut, self._table
 
     def miss(self, lo: Optional[IntTuple] = None, hi: Optional[IntTuple] = None) -> MembershipResult:
         """The answer for every vector of the box [lo..hi] (per letter),
         or with no box of any vector, that no query reaches: NON_MEMBER,
-        else NO_WITHIN_BOUND.
+        else UNKNOWN, noting the bound.
 
         It is a definite no when the bound reaches the completeness
         threshold, or when every vector of the last frontier is past a
@@ -717,13 +725,13 @@ class RegularMembership(_Engine):
         into the box.  The frontier is that of the tracked supports'
         cells alone, which are all the kept queries read; a query left
         out reaches nothing a kept one misses at any bound.  The answer
-        depends on the grammar, the bound and the box alone."""
+        depends on the trimmed grammar, the bound and the box alone."""
         if self.bound >= self.complete_bound:
             return _NO
-        cut = {} if lo is None else _cut(self._sign, lo, hi)
-        for v in self._runs(cut).last:
+        cut, runs = self._runs(lo, hi)
+        for v in runs.last:
             if all(s * v[j] <= limit for (j, s), limit in cut.items()):
-                return self._no_within_bound
+                return self._unknown
         return _NO
 
     result = _Engine.result  # on the class itself, which `bench/tracing.py` wraps
@@ -732,12 +740,11 @@ class RegularMembership(_Engine):
         """The first query of the run table cut to t's box that reaches t.
         The answer and witness are those of the full run table; only the
         no (`miss` at t) is sharper."""
-        return _first_hit(self._runs(_cut(self._sign, t, t)).queries, t)
+        return _first_hit(self._runs(t, t)[1].queries, t)
 
     def _box(self, lo: int, hi: int) -> frozenset[IntTuple]:
         dim = len(self.order)
-        cut = _cut(self._sign, (lo,) * dim, (hi,) * dim)
-        return _box_union(self._runs(cut).queries, lo, hi)
+        return _box_union(self._runs((lo,) * dim, (hi,) * dim)[1].queries, lo, hi)
 
     # -- witness reconstruction ------------------------------------------
 
@@ -779,8 +786,8 @@ def member_regular(g: Grammar, v: Vec, bound: Optional[int] = None) -> Membershi
 
     With the default bound the answer is exact.  A smaller bound keeps
     yes answers sound; a no stays NON_MEMBER when the run table cut to
-    v's box certifies it (see `RegularMembership.miss`) and is
-    NO_WITHIN_BOUND otherwise.  The state is kept on g (`_kept`).
+    v's box certifies it (see `RegularMembership.miss`) and is UNKNOWN,
+    noting the bound, otherwise.  The state is kept on g (`_kept`).
     """
     def fits(s: RegularMembership) -> bool:
         return s.grammar is g and s.bound == (s.complete_bound if bound is None else bound)

@@ -28,7 +28,6 @@ from parikh.intlinalg import CosetIndex, PeriodLattice
 from parikh.membership import (
     DESK_BOUND_CAP,
     MEMBER,
-    NO_WITHIN_BOUND,
     NON_MEMBER,
     UNKNOWN,
     Cell,
@@ -767,7 +766,7 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
     if any(sym not in state.order for sym in v.support()):
         return MembershipResult(NON_MEMBER, note="letters outside the alphabet")
     tv = v.to_tuple(state.order)
-    runs = state._runs()
+    _cut, runs = state._runs()
     for key, zs, index, anchors in runs.queries:
         if not zs:
             hit = (tv, ()) if tv in runs.cells[key] else None
@@ -780,9 +779,7 @@ def ref_full_table_result(state: RegularMembership, v: Vec) -> MembershipResult:
     _cells, exhausted = ref_run_cells(state.grammar, state.bound, state._periods)
     if state.bound >= state.complete_bound or exhausted:
         return MembershipResult(NON_MEMBER)
-    return MembershipResult(
-        NO_WITHIN_BOUND, note=f"no witness with base runs of size <= {state.bound}"
-    )
+    return MembershipResult(UNKNOWN, note=f"no witness with base runs of size <= {state.bound}")
 
 
 def ref_regular_reachable(g: Grammar, v: Sequence[int]) -> bool:
@@ -1023,7 +1020,7 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
 def regular_query_groups(state: RegularMembership) -> list:
     """The (key, bases, anchors) groups of the full run table's queries:
     one per run cell from the start, by support size, then names."""
-    cells = state._runs().cells
+    cells = state._runs()[1].cells
     start = state.grammar.start
     keys = sorted((key for key in cells if key[1] == start), key=lambda k: (len(k[0]), sorted(k[0])))
     return [(key, cells[key], sorted(key[0] | {start})) for key in keys]

@@ -248,7 +248,7 @@ class TestMinimalBases:
             expected = set()
             state = membership.RegularMembership(g, 7)
             for key, zs, _index, _anchors in state._queries:
-                bases = state._runs().cells[key]
+                bases = state._runs()[1].cells[key]
                 periods = tuple(Vec.from_tuple(z, g.alphabet) for z in zs)
                 base_vecs = [Vec.from_tuple(w, g.alphabet) for w in bases]
                 kept = ref_minimal_bases(base_vecs, periods)

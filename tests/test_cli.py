@@ -500,6 +500,12 @@ class TestInputValidation:
         ("grammar", "alphabet: a\nstart: S\nS -> a : T^0\nT -> :\n",
          "line 3: target 'T' needs a positive exponent"),
         ("formula", "p cnf 1 1\ny0\n", "bad header 'p cnf 1 1'"),
+        ("formula", "p qcnf 1 -2\nx0\n",
+         "bad header 'p qcnf 1 -2': the counts must be nonnegative integers"),
+        ("formula", "p qcnf -1 1\ny0\n",
+         "bad header 'p qcnf -1 1': the counts must be nonnegative integers"),
+        ("formula", "p qcnf x 1\ny0\n",
+         "bad header 'p qcnf x 1': the counts must be nonnegative integers"),
         ("graph", "u v w\n", "bad edge line 'u v w'"),
     ])
     def test_bad_input_file_is_an_input_error(self, capsys, tmp_path, name, text, message):

@@ -45,6 +45,15 @@ class TestFormulaModel:
         assert len(f.clauses) == 2
         assert f.clauses[1][0] == Literal("x", 0, False)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x\u00b2\n", "bad literal 'x\u00b2'"),  # a digit that int() does not read
+        ("p qcnf \u00b9 1\ny0\n", "bad header 'p qcnf \u00b9 1'"),
+    ])
+    def test_parse_formula_names_the_bad_token(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_formula(text)
+        assert str(err.value).startswith(message)
+
     def test_qbf_eval(self):
         assert qbf2_holds(CnfFormula(0, 1, (clause(y0),)))
         assert not qbf2_holds(CnfFormula(1, 0, (clause(x0),)))

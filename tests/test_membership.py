@@ -36,7 +36,6 @@ from parikh.runs import (
 from parikh.membership import (
     FINAL,
     MEMBER,
-    NO_WITHIN_BOUND,
     NON_MEMBER,
     UNKNOWN,
     _box_union,
@@ -341,7 +340,7 @@ def test_point_queries_read_a_cut_table_and_certify_from_its_last_frontier():
             assert [swept.result(v) for v in points] == answers
             for v, got in zip(points, answers):
                 full = ref_full_table_result(forward, v)
-                if full.status == NO_WITHIN_BOUND and got.status == NON_MEMBER:
+                if full.status == UNKNOWN and got.status == NON_MEMBER:
                     # a no the full table could not prove; the frontier did
                     if one_way:
                         assert not ref_regular_reachable(g, v.to_tuple(g.alphabet)), v
@@ -350,7 +349,7 @@ def test_point_queries_read_a_cut_table_and_certify_from_its_last_frontier():
                     assert got == full, v
                     outcomes.add(got.status)
     assert outcomes == {
-        MEMBER, NON_MEMBER, NO_WITHIN_BOUND, "certified", "certified, two-way letter"
+        MEMBER, NON_MEMBER, UNKNOWN, "certified", "certified, two-way letter"
     }
 
 
@@ -368,15 +367,15 @@ class TestMemberRegular:
         # build is still growing (a sits in its last frontier), so a miss
         # is no proof
         res = member_regular(parse_grammar(CHAIN_TEXT), Vec.unit("a"), bound=20)
-        assert res.status == NO_WITHIN_BOUND
-        assert res.note == "no witness with base runs of size <= 20"
+        assert res == MembershipResult(UNKNOWN, note="no witness with base runs of size <= 20")
 
     def test_frontier_below_the_box_certifies_the_no(self):
         # bound 5 is far below gb's threshold of 113, but every run of size
         # 5 emits a^4, past a^3 on a letter no rule lowers
         assert member_regular(gb(), Vec.unit("a", 3), bound=5) == MembershipResult(NON_MEMBER)
         assert member_regular(gb(), Vec.unit("a", 4), bound=5).status == MEMBER
-        assert member_regular(gb(), Vec.unit("a", 5), bound=5).status == NO_WITHIN_BOUND
+        assert member_regular(gb(), Vec.unit("a", 5), bound=5) == MembershipResult(
+            UNKNOWN, note="no witness with base runs of size <= 5")
 
     def test_witnesses_expand_to_runs(self):
         rng = random.Random(47)
@@ -440,9 +439,71 @@ class TestMemberRegular:
             member_regular(gc(), Vec.zero())
 
 
+# a grammar whose witness of a^0 at bound 3 changed when unused
+# nonterminals sized its cycle tables, and three nonterminals no run uses
+GRAMMAR_28 = (
+    "alphabet: a\nstart: Q0\nQ0 -> a : Q1\nQ1 -> a^-1 : Q1\nQ1 -> a : Q0\n"
+    "Q1 -> a^-1 : Q0\nQ0 -> : Q0\nQ0 -> :\n"
+)
+DETACHED_CYCLE = "Zu0 -> : Zu1\nZu1 -> : Zu2\nZu2 -> : Zu0\n"
+
+
+class TestUnusedNonterminals:
+    """A regular-dp answer depends on the trimmed grammar, the bound and
+    the box alone: nonterminals no run from the start uses change no
+    status, note, witness, box member or miss."""
+
+    @staticmethod
+    def answers(g, bound):
+        """Every point answer on [-2..2]^A, each witness as transition
+        counts, then the box's members, the box's miss and `miss()`."""
+        state = RegularMembership(g, bound)
+        dim = len(g.alphabet)
+        points = []
+        for t in product(range(-2, 3), repeat=dim):
+            res = state.result(Vec.from_tuple(t, g.alphabet))
+            w = res.witness
+            parts = w and (w.base_run.counts, [(c.cycle.counts, c.anchor, c.count) for c in w.cycles])
+            points.append((res.status, res.note, parts))
+        box = ((-2,) * dim, (2,) * dim)
+        return points, state.box_members(-2, 2), state.miss(*box), state.miss()
+
+    def test_detached_cycles_and_dead_ends_change_no_answer(self):
+        rng = random.Random(16180)
+        seen = set()
+        for _ in range(60):
+            g = random_grammar(rng, max_nonterminals=3, max_letters=3, regular=True, neg_prob=0.3)
+            rules = [(t.source, t.output, t.targets) for t in g.transitions]
+            cycle = [(f"Zu{i}", Vec.zero(), Vec.unit(f"Zu{(i + 1) % 3}")) for i in range(3)]
+            # U has no run, Z no rule; rules from the grammar's own lead into them
+            dead = [("U", Vec.unit(rng.choice(g.alphabet)), Vec.unit("U"))] + [
+                (rng.choice(g.nonterminals), Vec.unit(rng.choice(g.alphabet), rng.choice((1, -1))),
+                 Vec.unit(rng.choice("UZ")))
+                for _ in range(rng.randint(1, 3))
+            ]
+            for bound in (3, 12):
+                want = self.answers(g, bound)
+                for extra in (cycle, dead):
+                    grown = grammar_from_rules(g.alphabet, g.start, rules + extra)
+                    assert self.answers(grown, bound) == want, (rules, extra, bound)
+                seen.update(status for status, _note, _parts in want[0])
+        assert seen == {MEMBER, NON_MEMBER, UNKNOWN}
+
+    def test_a_detached_cycle_keeps_grammar_28s_witness(self):
+        # sized by the caller's N, Q0's pool took the closed walk t1 t2 t4
+        # (a a^-1 a^-1), and a^0's witness became t1 t3 t6 plus it twice
+        g = parse_grammar(GRAMMAR_28)
+        grown = parse_grammar(GRAMMAR_28 + DETACHED_CYCLE)
+        for grammar in (g, grown):
+            res = RegularMembership(grammar, 3).result(Vec.zero())
+            assert res.status == MEMBER
+            assert res.witness.base_run.counts == Vec({"t6": 1}) and res.witness.cycles == ()
+        assert self.answers(grown, 3) == self.answers(g, 3)
+
+
 def test_verdict_reads_the_status():
-    statuses = (MEMBER, NON_MEMBER, NO_WITHIN_BOUND, UNKNOWN)
-    assert [MembershipResult(s).verdict for s in statuses] == [True, False, None, None]
+    statuses = (MEMBER, NON_MEMBER, UNKNOWN)
+    assert [MembershipResult(s).verdict for s in statuses] == [True, False, None]
 
 
 def test_boxless_miss_answers_for_every_vector():
@@ -543,8 +604,12 @@ class TestQueryStructure:
             "S -> a : U\nU -> a : V\nV -> a : S"
         )
         for n in (2, 3, 4, 5, 6, 9):
-            status = member_regular(g, Vec.unit("a", n), 1).status
-            assert status == (NO_WITHIN_BOUND if n == 5 else MEMBER), n
+            res = member_regular(g, Vec.unit("a", n), 1)
+            if n == 5:
+                assert res == MembershipResult(
+                    UNKNOWN, note="no witness with base runs of size <= 1"), n
+            else:
+                assert res.status == MEMBER, n
 
     def test_chain_builds_one_index_per_cell_and_root(self, monkeypatch):
         # the chain's pool at S is b, b^2, ..., b^31: only b is kept
@@ -593,7 +658,9 @@ class TestTrackedSupports:
                 point = tuple(rng.randint(-2, 2) for _ in range(dim))
                 for box in (None, (point, point), ((-2,) * dim, (2,) * dim)):
                     state = RegularMembership(g, bound)
-                    runs = state._runs({} if box is None else _cut(state._sign, *box))
+                    cut, runs = state._runs(*box) if box else state._runs()
+                    # a fresh state builds its table under the request's own cut
+                    assert cut == runs.cut == ({} if box is None else _cut(state._sign, *box))
                     kept = {
                         key: {v: n for v, n in cell.items()
                               if box is None or ref_reaches_box(t, v, *box)}
@@ -686,7 +753,8 @@ class TestTrackedSupports:
         state = membership.engine(parse_grammar(CORPUS_TEXT), "regular-dp")
         assert state.result(Vec.unit("a", -3)).status == MEMBER
         assert 0 < len(built) <= 20
-        assert state.result(Vec.unit("b", 5)).status == NO_WITHIN_BOUND
+        assert state.result(Vec.unit("b", 5)) == MembershipResult(
+            UNKNOWN, note="no witness with base runs of size <= 200")
 
 
 class TestMemberGeneral:

@@ -96,15 +96,22 @@ def test_only_membership_reads_engine_answers_and_builds_states():
     # shares MEMBER's string, so a comparison with `cmd` does not count
     from parikh import membership
 
-    statuses = {membership.MEMBER, membership.NON_MEMBER, membership.NO_WITHIN_BOUND,
-                membership.UNKNOWN}
-    names = {"MEMBER", "NON_MEMBER", "NO_WITHIN_BOUND", "UNKNOWN"}
+    statuses = {membership.MEMBER, membership.NON_MEMBER, membership.UNKNOWN}
+    names = {"MEMBER", "NON_MEMBER", "UNKNOWN"}
     constructors = {"RegularMembership", "GeneralMembership", "OracleMembership", "_kept"}
     flags = {"runs_complete", "runs_capped", "cycles_complete", "cycles_capped", "engine_states"}
 
     def name_of(node):
         return node.id if isinstance(node, ast.Name) else (
             node.attr if isinstance(node, ast.Attribute) else None)
+
+    # every engine answer is built in `membership` with one of the three
+    # statuses, one per verdict value
+    tree = ast.parse((SRC / "membership.py").read_text(encoding="utf-8"))
+    built = {name_of(node.args[0]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and name_of(node.func) == "MembershipResult"}
+    assert built == names
+    assert {membership.MembershipResult(s).verdict for s in statuses} == {True, False, None}
 
     found = []
     for path in sorted(SRC.glob("*.py")):
