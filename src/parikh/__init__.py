@@ -63,7 +63,6 @@ from .runs import (
     enumerate_simple_cycles,
     format_multiset,
     is_cycle,
-    is_path,
     is_run,
     is_simple_cycle,
     is_skeleton_run,

@@ -69,8 +69,6 @@ def _drop_subsumed(raw: Sequence[SimpleBundle]) -> tuple[SimpleBundle, ...]:
         ),
     )
     for b in order:
-        if not b.bases:
-            continue
         if any(_subsumes(a, b) for a in kept):
             continue
         kept = [a for a in kept if not _subsumes(b, a)]

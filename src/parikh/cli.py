@@ -30,7 +30,6 @@ from .runs import (
     format_multiset,
     order_subrun,
     parse_multiset,
-    tree_size_bound,
 )
 from .vector import MonomialError, Vec, format_monomial, parse_monomial
 
@@ -362,7 +361,7 @@ def _dispatch(args) -> int:
         return EXIT_TRUE
     if cmd == "cycles":
         g = _load_grammar(args.grammar)
-        full = tree_size_bound(len(g.nonterminals), g.is_regular()) - 1
+        full = decomposition.base_run_bound(g).cycle_size - 1
         cap = args.cap if args.cap is not None else full
         for ms in enumerate_simple_cycles(g, args.at, cap):
             print(format_multiset(ms))
@@ -399,7 +398,7 @@ def _dispatch(args) -> int:
         g2 = _load_grammar(args.grammar2)
         report = windows.window_bound_report(g1, g2)
         for side, gb in (("g1", report.left), ("g2", report.right)):
-            print(f"{side}.base_run_bound: {gb.base_run}")
+            print(f"{side}.base_run_bound: {gb.value}")
             print(f"{side}.cycle_size_bound: {gb.cycle_size}")
             print(f"{side}.coeff_bound: {gb.coeff_bound}")
         print(f"note: {report.note}")

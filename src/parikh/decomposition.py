@@ -19,28 +19,39 @@ from .vector import Vec
 
 @dataclass(frozen=True)
 class BaseRunBound:
-    """Size bound for base runs in the decomposition."""
+    """The three bounds of the decomposition for a grammar with N
+    nonterminals and A letters, gamma the bounded-depth tree size bound
+    (`runs.tree_size_bound`).
 
-    nonterminals: int
-    alphabet_size: int
-    regular: bool
+    cycle_size: gamma(N), a strict bound on the size of a simple cycle.
+    Every cycle from q of size >= gamma(N) is a smaller nonzero cycle
+    anchored in its support plus a cycle from q, so splitting ends in
+    simple cycles of size at most gamma(N) - 1, each anchored in the
+    support of the cycle it came from.
+    coeff_bound: hadamard_bound(A, cycle_size), a bound on the
+    determinant of A simple-cycle letter vectors, and so on the count
+    each cycle outside an independent core keeps
+    (`intlinalg.reduce_multiplicities`).
+    value: gamma(N^2) + (2 * cycle_size)**(1+A) * coeff_bound, the size
+    bound on the base run.
+    """
+
     value: int
+    cycle_size: int
+    coeff_bound: int
 
 
 def base_run_bound(g: Grammar) -> BaseRunBound:
-    """gamma(N^2) + (2*gamma(N))**(1+A) * hadamard_bound(A, gamma(N)).
-
-    gamma is the bounded-depth tree size bound; the grammar must be in
-    normal form.
-    """
+    """The decomposition's bounds for g, which must be in normal form."""
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
     n = len(g.nonterminals)
     a = len(g.alphabet)
     regular = g.is_regular()
     gamma_n = tree_size_bound(n, regular)
-    value = tree_size_bound(n * n, regular) + (2 * gamma_n) ** (1 + a) * hadamard_bound(a, gamma_n)
-    return BaseRunBound(n, a, regular, value)
+    coeff = hadamard_bound(a, gamma_n)
+    value = tree_size_bound(n * n, regular) + (2 * gamma_n) ** (1 + a) * coeff
+    return BaseRunBound(value, gamma_n, coeff)
 
 
 @dataclass(frozen=True)
@@ -112,9 +123,8 @@ def decompose_run(g: Grammar, ms: TransitionMultiset, p: str) -> Decomposition:
     keys = sorted(merged, key=Vec.sort_key)
     vectors = list(keys)
     counts = [merged[k][2] for k in keys]
-    gamma_n = tree_size_bound(len(g.nonterminals), g.is_regular())
     reduced, core = reduce_multiplicities(
-        vectors, counts, entry_bound=gamma_n, dim=len(g.alphabet)
+        vectors, counts, entry_bound=base_run_bound(g).cycle_size, dim=len(g.alphabet)
     )
     # keep every cycle vector independent of the core; fold only the rest
     keep = list(core)
@@ -138,18 +148,22 @@ def decompose_run(g: Grammar, ms: TransitionMultiset, p: str) -> Decomposition:
     return Decomposition(base, tuple(terms))
 
 
+def _require(ok: object, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
+
+
 def validate_decomposition(dec: Decomposition, original: TransitionMultiset, p: str) -> None:
-    """Assert all structural guarantees; raises AssertionError on failure."""
+    """Check all structural guarantees; raises AssertionError on failure,
+    also under `python -O`."""
     g = dec.base_run.grammar
-    assert is_run(dec.base_run, p), "base component is not a run"
-    assert dec.parikh() == original.parikh(), "letter vector not preserved"
-    bound = base_run_bound(g).value
-    assert dec.base_run.size() <= bound, "base run exceeds the size bound"
+    _require(is_run(dec.base_run, p), "base component is not a run")
+    _require(dec.parikh() == original.parikh(), "letter vector not preserved")
+    _require(dec.base_run.size() <= base_run_bound(g).value, "base run exceeds the size bound")
     supp = dec.base_run.supp()
     for term in dec.cycles:
-        assert term.anchor in supp, "cycle anchored outside the base run support"
-        assert term.count > 0, "cycle term with zero multiplicity"
-        assert is_simple_cycle(term.cycle, term.anchor), "non-simple cycle in decomposition"
-    assert is_linearly_independent([t.cycle.parikh() for t in dec.cycles]), (
-        "cycle letter vectors are linearly dependent"
-    )
+        _require(term.anchor in supp, "cycle anchored outside the base run support")
+        _require(term.count > 0, "cycle term with zero multiplicity")
+        _require(is_simple_cycle(term.cycle, term.anchor), "non-simple cycle in decomposition")
+    _require(is_linearly_independent([t.cycle.parikh() for t in dec.cycles]),
+             "cycle letter vectors are linearly dependent")

@@ -423,13 +423,12 @@ class CosetIndex:
 
 
 def _pareto_min(entries: list[tuple[IntTuple, IntTuple]]) -> list[tuple[IntTuple, IntTuple]]:
-    """Antichain of coordinatewise-minimal entries (coords, payload), in
-    sorted order: an entry is kept unless an earlier one in that order
-    sits coordinatewise below it (equal coords keep the least payload).
+    """Antichain of coordinatewise-minimal entries (coords, payload) of a
+    non-empty list, in sorted order: an entry is kept unless an earlier
+    one in that order sits coordinatewise below it (equal coords keep the
+    least payload).
     Every entry below another comes earlier, so with 2 or 3 coordinates
     one sweep against the staircase of what it kept decides each entry."""
-    if not entries:
-        return []
     k = len(entries[0][0])
     entries = sorted(entries)
     if k <= 1:

@@ -219,12 +219,8 @@ def is_run(ms: TransitionMultiset, p: str) -> SubrunCheck:
     return is_subrun(ms, Vec.unit(p), Vec.zero())
 
 
-def is_path(ms: TransitionMultiset, p1: str, p2: str) -> SubrunCheck:
-    return is_subrun(ms, Vec.unit(p1), Vec.unit(p2))
-
-
 def is_cycle(ms: TransitionMultiset, p: str) -> SubrunCheck:
-    return is_path(ms, p, p)
+    return is_subrun(ms, Vec.unit(p), Vec.unit(p))
 
 
 def order_subrun(ms: TransitionMultiset, src: Vec, dst: Vec) -> list[str]:
@@ -737,8 +733,8 @@ def enumerate_simple_cycles(
     Simple cycles are not bounded in size: with `S -> a : T`,
     `T -> b : T`, `T -> : S`, `S -> :` the cycle t1 t2*k t3 from S is
     simple at every k, its loop being anchored at T.  The cut at gamma - 1
-    rests on `cycle_enumeration_complete`; a smaller cap is an explicit
-    truncation chosen by the caller.
+    rests on `decomposition.BaseRunBound.cycle_size`; a smaller cap is an
+    explicit truncation chosen by the caller.
     """
     cg = g.compiled
     cycles = dense_simple_cycles(g, q, cap, state_cap)
@@ -755,7 +751,7 @@ def dense_simple_cycles(
     per-transition use counts (`CompiledGrammar` order), smallest first."""
     if not g.is_normal_form():
         raise ValueError("grammar must be in normal form")
-    limit = min(cap, tree_size_bound(len(g.nonterminals), g.is_regular()) - 1)
+    limit = min(cap, _full_cycle_cap(g))
     cg = g.compiled
     listed: set[tuple[int, ...]] = set()
     out = []
@@ -766,9 +762,13 @@ def dense_simple_cycles(
     return out
 
 
+def _full_cycle_cap(g: Grammar) -> int:
+    """gamma - 1 = tree_size_bound(N, regular) - 1, the largest size of a
+    simple cycle (`decomposition.BaseRunBound.cycle_size`)."""
+    return tree_size_bound(len(g.nonterminals), g.is_regular()) - 1
+
+
 def cycle_enumeration_complete(g: Grammar, cap: int) -> bool:
-    """Whether a size cap reaches gamma - 1 = tree_size_bound(N, regular) - 1:
-    every cycle from q of size >= gamma is a smaller nonzero cycle anchored
-    in its support plus a cycle from q, so splitting ends in listed simple
-    cycles, each anchored in the support of the cycle it came from."""
-    return cap >= tree_size_bound(len(g.nonterminals), g.is_regular()) - 1
+    """Whether a size cap reaches gamma - 1, the largest size of a simple
+    cycle (`decomposition.BaseRunBound.cycle_size`)."""
+    return cap >= _full_cycle_cap(g)

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .decomposition import base_run_bound
+from .decomposition import BaseRunBound, base_run_bound
 from .grammar import Grammar, normalize
-from .intlinalg import hadamard_bound
 from .membership import IntTuple, engine
-from .runs import tree_size_bound
 from .vector import Vec
 
 WINDOW_NOTE = (
@@ -35,27 +33,12 @@ WINDOW_NOTE = (
     "window explicitly and read every verdict as window-relative"
 )
 
-@dataclass(frozen=True)
-class GrammarBounds:
-    base_run: int
-    cycle_size: int  # strict bound on simple cycle size
-    coeff_bound: int  # determinant bound at the cycle norm
-
 
 @dataclass(frozen=True)
 class WindowBoundReport:
-    left: GrammarBounds
-    right: GrammarBounds
+    left: BaseRunBound
+    right: BaseRunBound
     note: str = WINDOW_NOTE
-
-
-def _grammar_bounds(g: Grammar) -> GrammarBounds:
-    gamma = tree_size_bound(len(g.nonterminals), g.is_regular())
-    return GrammarBounds(
-        base_run=base_run_bound(g).value,
-        cycle_size=gamma,
-        coeff_bound=hadamard_bound(len(g.alphabet), gamma),
-    )
 
 
 def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
@@ -63,7 +46,7 @@ def window_bound_report(g1: Grammar, g2: Grammar) -> WindowBoundReport:
     normal form (`normalize`)."""
     if g1.alphabet != g2.alphabet:
         raise ValueError("grammars must share one alphabet")
-    return WindowBoundReport(_grammar_bounds(normalize(g1)), _grammar_bounds(normalize(g2)))
+    return WindowBoundReport(base_run_bound(normalize(g1)), base_run_bound(normalize(g2)))
 
 
 def iter_window(

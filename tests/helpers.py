@@ -107,15 +107,21 @@ def random_grammar(
 def random_grammar_with_dead_ends(rng: random.Random, start: Optional[str] = None, **kw) -> Grammar:
     """`random_grammar` plus two nonterminals without runs, which some
     rules lead into: `U`, whose every rule leads back to `U`, and `Z`,
-    which has no rules.  `start` replaces the start symbol."""
+    which has no rules.  `start` replaces the start symbol; with
+    `regular` set every added rule has one target, so the grammar stays
+    regular."""
     g = random_grammar(rng, **kw)
+    regular = kw.get("regular", False)
     nts, letters = list(g.nonterminals), list(g.alphabet)
     rules = [(t.source, t.output, t.targets) for t in g.transitions]
     rules.append(("U", Vec.unit(rng.choice(letters)), Vec.unit("U")))
-    rules.append(("U", Vec.zero(), Vec.unit("U") + Vec.unit(rng.choice(nts))))
+    if regular:
+        rules.append(("U", Vec.zero(), Vec.unit("U")))
+    else:
+        rules.append(("U", Vec.zero(), Vec.unit("U") + Vec.unit(rng.choice(nts))))
     for _ in range(rng.randint(1, 3)):
         targets = Vec.unit(rng.choice(["U", "Z"]))
-        if rng.random() < 0.5:
+        if not regular and rng.random() < 0.5:
             targets = targets + Vec.unit(rng.choice(nts))
         out = Vec.unit(rng.choice(letters)) if rng.random() < 0.5 else Vec.zero()
         rules.append((rng.choice(nts), out, targets))

@@ -499,6 +499,9 @@ class TestInputValidation:
          "line 3: transition is missing the ':' separator"),
         ("grammar", "alphabet: a\nstart: S\nS -> a : T^0\nT -> :\n",
          "line 3: target 'T' needs a positive exponent"),
+        ("grammar", "alphabet: a a\nstart: S\nS -> :\n", "duplicate terminal in alphabet"),
+        ("grammar", "alphabet: a\nstart: a\nS -> :\n", "terminal/nonterminal name clash: ['a']"),
+        ("grammar", "alphabet: a\nstart: S\nS -> b :\n", "transition t1: undeclared terminal 'b'"),
         ("formula", "p cnf 1 1\ny0\n", "bad header 'p cnf 1 1'"),
         ("formula", "p qcnf 1 -2\nx0\n",
          "bad header 'p qcnf 1 -2': the counts must be nonnegative integers"),
@@ -517,6 +520,16 @@ class TestInputValidation:
             "graph": ("gen", "ham", "--graph", str(path), "--start", "u"),
         }[name]
         code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (65, "", f"error: {message}\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("multiset, message", [
+        ("t1*x", "bad multiplicity in 't1*x'"),
+        ("t9*1", "no transition with id 't9'"),
+        ("t1*-2", "negative multiplicity for transition t1"),
+    ])
+    def test_bad_multiset_is_an_input_error(self, capsys, ga_file, multiset, message):
+        code, out, err = run_cli(capsys, "order", ga_file, multiset)
         assert (code, out, err) == (65, "", f"error: {message}\n")
         assert "Traceback" not in err
 

@@ -54,6 +54,10 @@ _dead_rng = random.Random(2025)
 DEAD_ENDS = [random_grammar_with_dead_ends(_dead_rng, regular=k % 3 == 0) for k in range(24)]
 
 
+def test_regular_dead_end_grammars_are_regular():
+    assert all(g.is_regular() for g in DEAD_ENDS[::3])
+
+
 def cycle_events(search):
     """Everything a cycle search yields, then 'cap' if it hit its cap."""
     events = []

@@ -4,6 +4,8 @@ from functools import partial
 import pytest
 
 from parikh import (
+    CycleTerm,
+    Decomposition,
     Vec,
     base_run_bound,
     decompose_run,
@@ -86,6 +88,37 @@ class TestDecomposeRun:
             validate_decomposition(dec, m, g.start)
             assert dec.parikh() == m.parikh()
             done += 1
+
+
+class TestValidateDecomposition:
+    """Each check of `validate_decomposition` rejects a decomposition
+    tampered to fail it alone, also under `python -O`."""
+
+    # t1: S -> a : T, t2: T -> a : S, t3: S -> :
+    TEXT = "alphabet: a\nstart: S\nS -> a : T\nT -> a : S\nS -> :"
+
+    def tampered(self, base, cycles, original):
+        g = parse_grammar(self.TEXT)
+        dec = Decomposition(parse_multiset(g, base), tuple(
+            CycleTerm(parse_multiset(g, c), anchor, count) for c, anchor, count in cycles))
+        return dec, parse_multiset(g, original)
+
+    @pytest.mark.parametrize("base, cycles, original, message", [
+        ("t1*1", [], "t1*1", "base component is not a run"),
+        ("t3*1", [], "t1*1 t2*1 t3*1", "letter vector not preserved"),
+        # 115 transitions, past the bound 113
+        ("t1*57 t2*57 t3*1", [], "t1*57 t2*57 t3*1", "base run exceeds the size bound"),
+        ("t3*1", [("t1*1 t2*1", "T", 1)], "t1*1 t2*1 t3*1",
+         "cycle anchored outside the base run support"),
+        ("t3*1", [("t1*1 t2*1", "S", 0)], "t3*1", "cycle term with zero multiplicity"),
+        ("t3*1", [("t1*2 t2*2", "S", 1)], "t1*2 t2*2 t3*1", "non-simple cycle in decomposition"),
+        ("t3*1", [("t1*1 t2*1", "S", 1)] * 2, "t1*2 t2*2 t3*1",
+         "cycle letter vectors are linearly dependent"),
+    ])
+    def test_rejects_each_tampered_check(self, base, cycles, original, message):
+        dec, original = self.tampered(base, cycles, original)
+        with pytest.raises(AssertionError, match=message):
+            validate_decomposition(dec, original, "S")
 
 
 class TestEnumerationCompleteness:

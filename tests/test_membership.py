@@ -506,6 +506,12 @@ def test_verdict_reads_the_status():
     assert [MembershipResult(s).verdict for s in statuses] == [True, False, None]
 
 
+def test_unknown_engine_name_lists_the_engines():
+    with pytest.raises(ValueError, match="unknown engine 'nope'") as info:
+        membership.engine(ga(), "nope")
+    assert str(membership.ENGINES) in str(info.value)
+
+
 def test_boxless_miss_answers_for_every_vector():
     # regular-dp: a definite no exactly at the completeness threshold or
     # when the forward reference build over the tracked supports ran dry,

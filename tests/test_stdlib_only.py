@@ -24,6 +24,17 @@ def test_only_standard_library_imports():
     assert foreign == []
 
 
+def test_no_assert_statements():
+    # `python -O` strips assert statements, and a check must not vanish
+    # with them: the package raises its errors explicitly
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_module_level_imports():
     # __init__.py imports in order to re-export; every other module-level
     # import must be read somewhere in its module

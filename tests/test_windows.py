@@ -38,8 +38,8 @@ from helpers import (
 class TestWindowBoundReport:
     def test_ga_gb_values(self):
         report = window_bound_report(ga(), gb())
-        assert report.left.base_run == 34
-        assert report.right.base_run == 113
+        assert report.left.value == 34
+        assert report.right.value == 113
         assert report.left.cycle_size == 2
         assert report.right.cycle_size == 3
         assert "window" in report.note
@@ -51,7 +51,7 @@ class TestWindowBoundReport:
     def test_general_pair(self):
         g = parse_grammar("alphabet: a\nstart: S\nS -> a : S S\nS -> :")
         report = window_bound_report(g, g)
-        assert report.left.base_run == 260
+        assert report.left.value == 260
 
     def test_alphabet_mismatch(self):
         g = parse_grammar("alphabet: b\nstart: S\nS -> b :")
