@@ -8,14 +8,7 @@ the generators reproduce the standard hard-instance families.
 """
 
 from .bundles import BundlesResult, regular_bundles, two_letter_bundles
-from .decomposition import (
-    BaseRunBound,
-    CycleTerm,
-    Decomposition,
-    base_run_bound,
-    decompose_run,
-    validate_decomposition,
-)
+from .decomposition import CycleTerm, Decomposition, decompose_run, validate_decomposition
 from .grammar import (
     Grammar,
     GrammarError,
@@ -53,12 +46,14 @@ from .membership import (
     oracle_language,
 )
 from .runs import (
+    BaseRunBound,
     DerivationTree,
     RunStats,
     SearchCapExceeded,
     Subrun,
     SubrunCheck,
     TransitionMultiset,
+    base_run_bound,
     enumerate_runs,
     enumerate_simple_cycles,
     format_multiset,

@@ -25,7 +25,7 @@ from .grammar import (
 )
 from .runs import (
     SearchCapExceeded,
-    cycle_enumeration_complete,
+    base_run_bound,
     enumerate_simple_cycles,
     format_multiset,
     order_subrun,
@@ -361,11 +361,11 @@ def _dispatch(args) -> int:
         return EXIT_TRUE
     if cmd == "cycles":
         g = _load_grammar(args.grammar)
-        full = decomposition.base_run_bound(g).cycle_size - 1
+        full = base_run_bound(g).cycle_size - 1
         cap = args.cap if args.cap is not None else full
         for ms in enumerate_simple_cycles(g, args.at, cap):
             print(format_multiset(ms))
-        if not cycle_enumeration_complete(g, cap):
+        if cap < full:
             print(f"truncated: cap {cap} below the completeness bound {full}", file=sys.stderr)
             return EXIT_UNKNOWN
         return EXIT_TRUE

@@ -4,7 +4,7 @@ Every run's letter vector can be written as the vector of a base run of
 bounded size plus a nonnegative combination of simple cycles anchored in
 the base run's support, with the cycle vectors linearly independent.
 The bound depends only on the nonterminal count, the alphabet size, and
-whether the grammar is regular.
+whether the grammar is regular (`runs.base_run_bound`).
 """
 
 from __future__ import annotations
@@ -12,46 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import Grammar
-from .intlinalg import hadamard_bound, is_linearly_independent, reduce_multiplicities
-from .runs import TransitionMultiset, is_run, is_simple_cycle, strip_cycles, tree_size_bound
+from .intlinalg import is_linearly_independent, reduce_multiplicities
+from .runs import TransitionMultiset, base_run_bound, is_run, is_simple_cycle, strip_cycles
 from .vector import Vec
-
-
-@dataclass(frozen=True)
-class BaseRunBound:
-    """The three bounds of the decomposition for a grammar with N
-    nonterminals and A letters, gamma the bounded-depth tree size bound
-    (`runs.tree_size_bound`).
-
-    cycle_size: gamma(N), a strict bound on the size of a simple cycle.
-    Every cycle from q of size >= gamma(N) is a smaller nonzero cycle
-    anchored in its support plus a cycle from q, so splitting ends in
-    simple cycles of size at most gamma(N) - 1, each anchored in the
-    support of the cycle it came from.
-    coeff_bound: hadamard_bound(A, cycle_size), a bound on the
-    determinant of A simple-cycle letter vectors, and so on the count
-    each cycle outside an independent core keeps
-    (`intlinalg.reduce_multiplicities`).
-    value: gamma(N^2) + (2 * cycle_size)**(1+A) * coeff_bound, the size
-    bound on the base run.
-    """
-
-    value: int
-    cycle_size: int
-    coeff_bound: int
-
-
-def base_run_bound(g: Grammar) -> BaseRunBound:
-    """The decomposition's bounds for g, which must be in normal form."""
-    if not g.is_normal_form():
-        raise ValueError("grammar must be in normal form")
-    n = len(g.nonterminals)
-    a = len(g.alphabet)
-    regular = g.is_regular()
-    gamma_n = tree_size_bound(n, regular)
-    coeff = hadamard_bound(a, gamma_n)
-    value = tree_size_bound(n * n, regular) + (2 * gamma_n) ** (1 + a) * coeff
-    return BaseRunBound(value, gamma_n, coeff)
 
 
 @dataclass(frozen=True)

@@ -316,8 +316,9 @@ class PeriodLattice:
 
     def solve(self, t: Sequence[int]) -> Optional[IntTuple]:
         """Coefficients x in N^k with sum x_j z_j = t, or None."""
-        # the general engine's inner query: loops that stop at the first
-        # failed check run ~2.5x faster than building the full tuples
+        # called by `SimpleBundle.spans` (bundle subsumption), `linear_member`
+        # and `nonneg_integer_solve`: loops that stop at the first failed
+        # check run ~2.5x faster than building the full tuples
         for u in self.kernel:
             if sum(map(mul, u, t)):
                 return None
@@ -374,9 +375,7 @@ class CosetIndex:
         det = lattice.det
         return (lattice.functionals(v), tuple(c % det for c in scaled)), scaled
 
-    def box_points(
-        self, lo: int, hi: int, images: Optional[dict[IntTuple, list[IntTuple]]] = None
-    ) -> set[IntTuple]:
+    def box_points(self, lo: int, hi: int, images: dict[IntTuple, list[IntTuple]]) -> set[IntTuple]:
         """Members of the indexed set inside the box [lo..hi]^dim.
 
         A member v = w + sum(c_i z_i) is fixed by its pivot coordinates
@@ -385,15 +384,13 @@ class CosetIndex:
         it when every det * c_i is a nonnegative multiple of det and v
         lies in the box: at most (hi - lo + 1)^k candidates per base.
         The images adj * u, bucketed by residues, are the lattice's
-        (`PeriodLattice.box_images(lo, hi)`, enumerated here unless given,
-        so that indexes over one lattice can share them); a class's
-        residue key selects the ones whose c is integral.
+        (`PeriodLattice.box_images(lo, hi)`, made once by the caller, so
+        that indexes over one lattice share them); a class's residue key
+        selects the ones whose c is integral.
         """
         lattice = self.lattice
         det = lattice.det
         columns = lattice.columns
-        if images is None:
-            images = lattice.box_images(lo, hi)
         found: set[IntTuple] = set()
         for (_kern, residues), entries in self.groups.items():
             candidates = images.get(residues, ())

@@ -97,14 +97,14 @@ from itertools import compress
 from operator import add, sub
 from typing import Callable, Container, Mapping, Optional, Sequence
 
-from .decomposition import CycleTerm, Decomposition, base_run_bound
+from .decomposition import CycleTerm, Decomposition
 from .grammar import CompiledGrammar, Grammar, normalize
 from .intlinalg import CosetIndex, IntTuple, PeriodLattice, maximal_independent_subsets
 from .runs import (
     DEFAULT_STATE_CAP,
     SearchCapExceeded,
     TransitionMultiset,
-    cycle_enumeration_complete,
+    base_run_bound,
     dense_runs,
     dense_simple_cycles,
 )
@@ -819,8 +819,7 @@ class GeneralMembership(_Engine):
         cycle_cap: int = 8,
         state_cap: int = DEFAULT_STATE_CAP,
     ):
-        if not g.is_normal_form():
-            raise ValueError("grammar must be in normal form")
+        bounds = base_run_bound(g)
         self.grammar = g
         self.order = g.alphabet
         self.run_cap = run_cap
@@ -856,7 +855,8 @@ class GeneralMembership(_Engine):
                 z = cg.output_sum(used)
                 if any(z) and z not in pool:
                     pool[z] = TransitionMultiset(g, cg.multiset(used))
-        self.cycles_complete = cycle_enumeration_complete(g, cycle_cap)
+        self.cycles_complete = cycle_cap >= bounds.cycle_size - 1
+        self.complete_bound = bounds.value
 
     @cached_property
     def _queries(self) -> list[Query]:
@@ -873,7 +873,7 @@ class GeneralMembership(_Engine):
         (`RunSearch.complete`: no run left that the run cap cut off, which
         holds at once when the start has no run) lists the whole language.
         At full caps the no rests on the base-run bound and on the split
-        that `cycle_enumeration_complete` states, not on a size bound for
+        that `BaseRunBound.cycle_size` states, not on a size bound for
         simple cycles (they have none)."""
         if self.runs_complete:
             return MembershipResult(NON_MEMBER, note="run enumeration was exhaustive")
@@ -882,7 +882,7 @@ class GeneralMembership(_Engine):
             return MembershipResult(
                 UNKNOWN, note=f"{search} search stopped at the state cap of {self.state_cap}"
             )
-        if self.cycles_complete and self.run_cap >= base_run_bound(self.grammar).value:
+        if self.cycles_complete and self.run_cap >= self.complete_bound:
             return _NO
         return _CAPS_BELOW
 

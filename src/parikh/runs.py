@@ -16,7 +16,9 @@ The run and simple-cycle listings come as dense per-transition counts
 The search keeps only the states that can still finish within its size
 cap: each pending nonterminal q still costs at least its least run size
 d(q), the least fixpoint of d(q) = min over rules of 1 + sum of
-d(targets) (`CompiledGrammar.least_run_sizes`).
+d(targets) (`CompiledGrammar.least_run_sizes`).  `base_run_bound`
+returns the bounds of a run's decomposition into a base run plus simple
+cycles as one record; its gamma(N) - 1 caps every simple-cycle listing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from operator import add, le, mul, sub
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .grammar import CompiledGrammar, Grammar
+from .intlinalg import hadamard_bound
 from .vector import Vec
 
 
@@ -364,6 +367,44 @@ def tree_size_bound(depth: int, regular: bool) -> int:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     return depth + 1 if regular else 2 ** (depth + 1)
+
+
+@dataclass(frozen=True)
+class BaseRunBound:
+    """The three bounds of the run decomposition
+    (`decomposition.decompose_run`) for a grammar with N nonterminals
+    and A letters, gamma the bounded-depth tree size bound
+    (`tree_size_bound` above).
+
+    cycle_size: gamma(N), a strict bound on the size of a simple cycle.
+    Every cycle from q of size >= gamma(N) is a smaller nonzero cycle
+    anchored in its support plus a cycle from q, so splitting ends in
+    simple cycles of size at most gamma(N) - 1, each anchored in the
+    support of the cycle it came from.
+    coeff_bound: hadamard_bound(A, cycle_size), a bound on the
+    determinant of A simple-cycle letter vectors, and so on the count
+    each cycle outside an independent core keeps
+    (`intlinalg.reduce_multiplicities`).
+    value: gamma(N^2) + (2 * cycle_size)**(1+A) * coeff_bound, the size
+    bound on the base run.
+    """
+
+    value: int
+    cycle_size: int
+    coeff_bound: int
+
+
+def base_run_bound(g: Grammar) -> BaseRunBound:
+    """The decomposition's bounds for g, which must be in normal form."""
+    if not g.is_normal_form():
+        raise ValueError("grammar must be in normal form")
+    n = len(g.nonterminals)
+    a = len(g.alphabet)
+    regular = g.is_regular()
+    gamma_n = tree_size_bound(n, regular)
+    coeff = hadamard_bound(a, gamma_n)
+    value = tree_size_bound(n * n, regular) + (2 * gamma_n) ** (1 + a) * coeff
+    return BaseRunBound(value, gamma_n, coeff)
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -727,13 +768,13 @@ def enumerate_simple_cycles(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[TransitionMultiset]:
     """All simple cycles from q of size <= min(cap, gamma - 1), smallest
-    first, where gamma = tree_size_bound(N, regular); a candidate is
-    dropped when two cycles listed before it add up to it.
+    first, where gamma = tree_size_bound(N, regular) in this module; a
+    candidate is dropped when two cycles listed before it add up to it.
 
     Simple cycles are not bounded in size: with `S -> a : T`,
     `T -> b : T`, `T -> : S`, `S -> :` the cycle t1 t2*k t3 from S is
     simple at every k, its loop being anchored at T.  The cut at gamma - 1
-    rests on `decomposition.BaseRunBound.cycle_size`; a smaller cap is an
+    rests on `BaseRunBound.cycle_size` in this module; a smaller cap is an
     explicit truncation chosen by the caller.
     """
     cg = g.compiled
@@ -749,9 +790,7 @@ def dense_simple_cycles(
 ) -> list[tuple[int, ...]]:
     """`enumerate_simple_cycles` on dense tuples: the cycles'
     per-transition use counts (`CompiledGrammar` order), smallest first."""
-    if not g.is_normal_form():
-        raise ValueError("grammar must be in normal form")
-    limit = min(cap, _full_cycle_cap(g))
+    limit = min(cap, base_run_bound(g).cycle_size - 1)
     cg = g.compiled
     listed: set[tuple[int, ...]] = set()
     out = []
@@ -761,14 +800,3 @@ def dense_simple_cycles(
         listed.add(used)
     return out
 
-
-def _full_cycle_cap(g: Grammar) -> int:
-    """gamma - 1 = tree_size_bound(N, regular) - 1, the largest size of a
-    simple cycle (`decomposition.BaseRunBound.cycle_size`)."""
-    return tree_size_bound(len(g.nonterminals), g.is_regular()) - 1
-
-
-def cycle_enumeration_complete(g: Grammar, cap: int) -> bool:
-    """Whether a size cap reaches gamma - 1, the largest size of a simple
-    cycle (`decomposition.BaseRunBound.cycle_size`)."""
-    return cap >= _full_cycle_cap(g)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .decomposition import BaseRunBound, base_run_bound
 from .grammar import Grammar, normalize
 from .membership import IntTuple, engine
+from .runs import BaseRunBound, base_run_bound
 from .vector import Vec
 
 WINDOW_NOTE = (

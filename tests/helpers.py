@@ -39,7 +39,6 @@ from parikh.membership import (
 )
 from parikh.runs import (
     SearchCapExceeded,
-    cycle_enumeration_complete,
     enumerate_runs,
     enumerate_simple_cycles,
 )
@@ -1011,9 +1010,8 @@ def ref_general_result(state: GeneralMembership, v: Vec) -> MembershipResult:
         return MembershipResult(
             UNKNOWN, note=f"run search stopped at the state cap of {state.state_cap}"
         )
-    if state.run_cap >= base_run_bound(g).value and cycle_enumeration_complete(
-        g, state.cycle_cap
-    ):
+    bounds = base_run_bound(g)
+    if state.run_cap >= bounds.value and state.cycle_cap >= bounds.cycle_size - 1:
         return MembershipResult(NON_MEMBER)
     return MembershipResult(UNKNOWN, note="caps below the completeness thresholds")
 

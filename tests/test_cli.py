@@ -485,6 +485,42 @@ class TestInputValidation:
         assert out == ""
         assert err.startswith("truncated: fold-in enumeration too large")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bound", "x", "expected an integer, got 'x'"),
+        ("--caps", "x,8", "expected run,cycle as two nonnegative integers like 10,8, got 'x,8'"),
+    ])
+    def test_malformed_number_is_a_usage_error(self, capsys, gb_file, flag, value, message):
+        with pytest.raises(SystemExit) as info:
+            main(["member", gb_file, "a", flag, value])
+        out = capsys.readouterr()
+        assert (info.value.code, out.out) == (64, "")
+        assert out.err.splitlines()[-1] == f"parikh member: error: argument {flag}: {message}"
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("files, argv, message", [
+        ({"g": "alphabet: a\nstart: S\nS -> a^3 : S\nS -> :\n"}, ("decompose", "{g}", "t1*1"),
+         "grammar must be in normal form"),
+        ({"g": GA_TEXT, "h": "alphabet: b\nstart: S\nS -> b : S\nS -> :\n"},
+         ("compare", "{g}", "{h}", "--mode", "include", "--window", "2"),
+         "grammars must share one alphabet"),
+        ({"g": "u v-2\n"}, ("gen", "ham", "--graph", "{g}", "--start", "u"),
+         "vertex name 'v-2' is not identifier-shaped"),
+        ({"g": "u v\n"}, ("gen", "ham", "--graph", "{g}", "--start", "v9"),
+         "unknown start vertex 'v9'"),
+        ({"g": ""}, ("gen", "ham", "--graph", "{g}", "--start", "u"),
+         "graph must have at least one vertex"),
+        ({"f": "x0\n"}, ("gen", "sat-unary", "--formula", "{f}", "--primes", "2"),
+         "unary encoding expects no universal variables"),
+        ({"f": "y0 y1\n"}, ("gen", "sat-unary", "--formula", "{f}", "--primes", "2"),
+         "need one prime per variable"),
+    ])
+    def test_invalid_instance_is_an_input_error(self, capsys, tmp_path, files, argv, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(**{name: tmp_path / name for name in files}) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (65, "", f"error: {message}\n")
+
     def test_malformed_oracle_pair_names_the_flag(self, capsys, gb_file):
         code, err = usage_error(capsys, "member", gb_file, "a^2", "--oracle", "5")
         assert code == 64

@@ -6,8 +6,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from parikh import (
+    Grammar,
     GrammarError,
     GrammarParseError,
+    Transition,
     Vec,
     classify,
     difference_grammar,
@@ -120,6 +122,29 @@ class TestParse:
     def test_comments_and_blanks(self):
         g = parse_grammar("# header\nalphabet: a\n\nstart: S # trailing\nS -> a : S\nS -> :")
         assert len(g.transitions) == 2
+
+
+def _rule(tid="t1", source="S", output=None, targets=None):
+    return Transition(tid, source, Vec(output or {}), Vec(targets or {}))
+
+
+class TestDirectConstruction:
+    """`Grammar(...)` checks what `parse_grammar` would have rejected."""
+
+    @pytest.mark.parametrize("nonterminals, start, rules, message", [
+        (("S", "S"), "S", [_rule()], "duplicate nonterminal"),
+        (("S", "T-1"), "S", [_rule()], "bad symbol name 'T-1'"),
+        (("S",), "T", [_rule()], "start symbol 'T' is not a nonterminal"),
+        (("S",), "S", [_rule(), _rule()], "duplicate transition id t1"),
+        (("S",), "S", [_rule(source="T")], "transition t1: unknown source 'T'"),
+        (("S",), "S", [_rule(targets={"T": 1})], "transition t1: unknown nonterminal 'T'"),
+        (("S",), "S", [_rule(targets={"S": -1})],
+         "transition t1: negative target multiplicity"),
+    ])
+    def test_invalid_grammar_is_rejected(self, nonterminals, start, rules, message):
+        with pytest.raises(GrammarError) as info:
+            Grammar(("a",), nonterminals, start, tuple(rules))
+        assert str(info.value) == message
 
 
 class TestPickle:

@@ -331,6 +331,18 @@ def independent(zs, dim):
     return naive_rank([Vec.from_tuple(z, "abcd"[:dim]) for z in zs]) == len(zs)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: hadamard_bound(-1, 0), "hadamard_bound needs n >= 0 and c >= 0"),
+    (lambda: cramer_solve([[1, 0], [0, 1]], [1]), "dimension mismatch between matrix and vector"),
+    (lambda: reduce_multiplicities([vec2(1, 0), vec2(0, 1)], [1]),
+     "counts must be nonnegative and match vectors"),
+])
+def test_invalid_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestPeriodLattice:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 4), st.data(), st.sampled_from(["free", "combination", "nudged"]))
@@ -458,9 +470,10 @@ class TestCosetIndex:
                     seen.add("no periods" if not zs else "periods")
                     if any(abs(x) > 2 for x in want[0]):
                         seen.add("base outside the box")
-            assert index.box_points(-2, 2) == expected
-            # the lattice keeps the last box's images: a new box redoes them
-            assert index.box_points(-1, 1) == {v for v in expected if min(v) >= -1 and max(v) <= 1}
+            assert index.box_points(-2, 2, index.lattice.box_images(-2, 2)) == expected
+            # a smaller box reads its own images
+            inner = index.box_points(-1, 1, index.lattice.box_images(-1, 1))
+            assert inner == {v for v in expected if min(v) >= -1 and max(v) <= 1}
             if index.det > 1:
                 seen.add("det>1")
         assert seen == {"no periods", "periods", "base outside the box", "det>1"}
@@ -470,7 +483,7 @@ class TestCosetIndex:
         assert index.det == 1 and len(index.groups) == 3
         assert index.lookup((1, 2)) == ((1, 2), ())
         assert index.lookup((1, 1)) is None
-        assert index.box_points(0, 2) == {(1, 2), (0, 0)}
+        assert index.box_points(0, 2, index.lattice.box_images(0, 2)) == {(1, 2), (0, 0)}
 
 
 def ref_pareto_min(entries):

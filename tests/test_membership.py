@@ -506,6 +506,18 @@ def test_verdict_reads_the_status():
     assert [MembershipResult(s).verdict for s in statuses] == [True, False, None]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegularMembership(ga(), 0), "bound must be at least 1"),
+    # the check is `runs.base_run_bound`'s, the first thing the engine reads
+    (lambda: GeneralMembership(parse_grammar("alphabet: a\nstart: S\nS -> : S S S")),
+     "grammar must be in normal form"),
+])
+def test_invalid_engine_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_unknown_engine_name_lists_the_engines():
     with pytest.raises(ValueError, match="unknown engine 'nope'") as info:
         membership.engine(ga(), "nope")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from parikh import (
+    DerivationTree,
     Grammar,
     Transition,
     TransitionMultiset,
@@ -21,7 +22,7 @@ from parikh import (
     tree_size_bound,
     tree_to_multiset,
 )
-from parikh.runs import find_removable_cycle, is_cycle, iter_cycles
+from parikh.runs import dense_simple_cycles, find_removable_cycle, is_cycle, iter_cycles
 from helpers import ga, gb, random_grammar, random_marking, random_run, simulate_subrun
 
 
@@ -189,12 +190,27 @@ class TestTrees:
                 assert tree.free(v).nonneg()
             done += 1
 
+    @pytest.mark.parametrize("labels, parents, message", [
+        (("t1",), (None, 0), "labels and parents disagree in length"),
+        (("t1", "t2"), (1, 0), "vertex 0 must be the root"),
+        (("t1", "t1", "t2"), (None, 2, 0), "vertex 1 needs a parent earlier in the order"),
+        # t2 (S -> :) produces no S for its child to consume
+        (("t2", "t2"), (None, 0), "consumes more than its parent produced"),
+    ])
+    def test_invalid_trees_are_rejected(self, labels, parents, message):
+        with pytest.raises(ValueError, match=message):
+            DerivationTree(ga(), labels, parents)
+
 
 class TestTreeSizeBound:
     def test_examples(self):
         assert tree_size_bound(3, True) == 4
         assert tree_size_bound(3, False) == 16
         assert tree_size_bound(0, False) == 2
+
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            tree_size_bound(-1, True)
 
     def test_bounds_random_trees(self):
         rng = random.Random(31)
@@ -211,6 +227,11 @@ class TestTreeSizeBound:
 
 
 class TestSimpleCycles:
+    def test_listing_requires_normal_form(self):
+        g = parse_grammar("alphabet: a\nstart: S\nS -> : S S S")
+        with pytest.raises(ValueError, match="^grammar must be in normal form$"):
+            dense_simple_cycles(g, "S", 3)
+
     def test_self_loop_simple(self):
         assert is_simple_cycle(ms(ga(), "t1*1"), "S")
 

@@ -141,3 +141,18 @@ def test_only_membership_reads_engine_answers_and_builds_states():
             elif isinstance(node, ast.Attribute) and node.attr in flags:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_runs_works_out_the_tree_size_bound():
+    # gamma(N) caps a simple cycle and feeds the base-run bound; `runs`
+    # works it out once, in `base_run_bound`, and every other module reads
+    # the `BaseRunBound` record
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "tree_size_bound":
+                    found.append(path.name)
+    assert found and set(found) == {"runs.py"}

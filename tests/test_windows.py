@@ -59,6 +59,17 @@ class TestWindowBoundReport:
             window_bound_report(ga(), g)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compare_within_window(ga(), ga(), 2, mode="subset"), "unknown mode 'subset'"),
+    (lambda: universality_within_window(ga(), 2, ambient="rationals"),
+     "unknown ambient 'rationals'"),
+])
+def test_unknown_sweep_kind_is_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCompare:
     def test_evens_included_in_all(self):
         res = compare_within_window(gb(), ga(), 5, "inclusion", engine="oracle", depth=24)
