@@ -73,12 +73,19 @@ The regular state leaves out a set that a smaller support also has:
 its run cells are nested, so the smaller support's query, which comes
 first, reaches all that the left-out one does.  It fixes the supports
 that keep a query once (`_tracked_supports`), and its run table keys
-only those and their subsets.  A point is answered by the first query
-that reaches it (`_first_hit`), a box by the union of every query's
-box points (`_box_union`), so neither changes when such queries are
-left out.  A witness follows one rule in both: the first group, then
-the first period set in dense-tuple order, then the base with the
-lexicographically largest coefficient tuple.
+only those and their subsets.  Its cycle tables, and so its supports,
+are those of the entry nonterminals alone: the start, and each one
+whose rules in do not all come from one other nonterminal.  A walk
+into any other c steps in from its one predecessor p, so a closed walk
+at c rotates into one at p with the same vector and size, and every
+run that visits c visits p: c's pool lies in p's, and a query over a
+support holding c reaches nothing that one with p in c's place misses.
+A point is answered by the first query that reaches it (`_first_hit`),
+a box by the union of every query's box points (`_box_union`), so
+neither changes when such queries are left out.  A witness follows one
+rule in both: the first group, then the first period set in
+dense-tuple order, then the base with the lexicographically largest
+coefficient tuple.
 
 The brute-force oracle is the independent cross-check: `dense_oracle`
 is its one search, plain breadth-first expansion of sentential forms,
@@ -647,6 +654,16 @@ class RegularMembership(_Engine):
     box-less read (`_queries`, `miss()`) cuts nothing.  One rule keeps
     the table (`_runs`), and without one-way letters nothing is ever
     cut.  Window sweeps should reuse one instance.
+
+    A cycle table is built only at an anchor: the start, or a
+    nonterminal whose rules in do not all come from one other one.  Any
+    other c is entered from its one predecessor p alone, so every closed
+    walk at c rotates into one at p with the same vector and size (c's
+    pool lies in p's), and every run that visits c visits p (c's run
+    cells lie in p's).  So a query over a support holding c reaches
+    nothing that one with p in c's place misses, and the supports of
+    anchors alone reach every point.  The chain that `normalize` makes
+    of a wide rule has its one anchor where it starts.
     """
 
     def __init__(self, g: Grammar, bound: Optional[int] = None):
@@ -661,14 +678,23 @@ class RegularMembership(_Engine):
         self.note = f"regular-dp with run bound {self.bound}{below}"
         self._unknown = MembershipResult(UNKNOWN, note=f"no witness with base runs of size <= {bound}")
         self.order = g.alphabet
+        # the anchors: the start and every nonterminal whose rules in do not
+        # all come from one other nonterminal (class docstring)
+        cg = t.compiled
+        entered_from: list[set[int]] = [set() for _ in cg.nonterminals]
+        for src, targets in zip(cg.source, cg.targets):
+            for r in targets:
+                entered_from[r].add(src)
+        anchors = [q for r, q in enumerate(cg.nonterminals)
+                   if q == t.start or len(entered_from[r]) != 1 or r in entered_from[r]]
         # per anchor q: the cells of paths into q of size <= N; its cycle
         # vectors (zero included, at size 0) are the cell at (empty support, q)
-        self._paths = {q: _path_cells(t, q, len(t.nonterminals)) for q in t.nonterminals}
-        self._pools = {q: self._paths[q][(frozenset(), q)] for q in t.nonterminals}
+        self._paths = {q: _path_cells(t, q, len(t.nonterminals)) for q in anchors}
+        self._pools = {q: self._paths[q][(frozenset(), q)] for q in anchors}
         # the supports every run table tracks: those that keep a query,
         # with the period sets they keep
         self._periods = _tracked_supports(self._pools, t.start, len(self.order))
-        self._sign = t.compiled.letter_sign
+        self._sign = cg.letter_sign
         self._table: Optional[_Runs] = None
         # the last box asked of `_runs`, (lo, hi, its one-way cut)
         self._asked: Optional[tuple] = None

@@ -292,7 +292,7 @@ class DerivationTree:
                     raise ValueError(f"vertex {i} needs a parent earlier in the order")
         for i in range(len(self.labels)):
             if not self.free(i).nonneg():
-                raise ValueError(f"vertex {i} consumes more than its parent produced")
+                raise ValueError(f"the children of vertex {i} consume more than it produced")
 
     def children(self, v: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.parents) if p == v)

@@ -627,11 +627,13 @@ def supports_up_to(g: Grammar, limit: int) -> set[frozenset]:
     return {frozenset(c) for k in range(limit + 1) for c in combinations(g.nonterminals, k)}
 
 
-def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
+def ref_run_cells(g: Grammar, bound: int, supports, box=None) -> tuple[dict, bool]:
     """Run cells built forwards from the final rules, keyed by the empty
     support and each support in `supports`; level n adds vectors of runs
     of size n.  Also reports whether the frontier emptied before the
-    bound."""
+    bound.  With a box (lo, hi), a vector that cannot reach it
+    (`ref_box_test`) is dropped: every run built from it is past the
+    box too."""
     cg = g.compiled
     names = cg.nonterminals
     zero = (0,) * len(cg.letters)
@@ -643,6 +645,7 @@ def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
         else:
             finals.setdefault(names[src], []).append(out)
 
+    reaches = (lambda vec: True) if box is None else ref_box_test(g, *box)
     cells: dict[Cell, dict[IntTuple, int]] = {}
     frontier: dict[Cell, list[IntTuple]] = {}
     for q, outs in finals.items():
@@ -650,7 +653,7 @@ def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
         cell = cells.setdefault(key, {})
         fresh = []
         for out in outs:
-            if out not in cell:
+            if out not in cell and reaches(out):
                 cell[out] = 1
                 fresh.append(out)
         if fresh:
@@ -670,7 +673,7 @@ def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
                     bucket = None
                     for vec in vecs:
                         new_vec = tuple(map(add, vec, out)) if out != zero else vec
-                        if new_vec not in cell:
+                        if new_vec not in cell and reaches(new_vec):
                             cell[new_vec] = level
                             if bucket is None:
                                 bucket = new_frontier.setdefault(key, [])
@@ -681,7 +684,7 @@ def ref_run_cells(g: Grammar, bound: int, supports) -> tuple[dict, bool]:
             break
     else:
         exhausted = not frontier
-    return cells, exhausted
+    return {key: cell for key, cell in cells.items() if cell}, exhausted
 
 
 def ref_path_cells(g: Grammar, bound: int) -> dict:
@@ -734,13 +737,20 @@ def ref_reaches_box(g: Grammar, v: Sequence[int], lo: Sequence[int], hi: Sequenc
     """Whether the vector v can still be pumped into the box with
     per-letter bounds lo, hi: it is not past hi on a letter no rule
     lowers, nor below lo on one no rule raises."""
+    return ref_box_test(g, lo, hi)(v)
+
+
+def ref_box_test(g: Grammar, lo: Sequence[int], hi: Sequence[int]):
+    """`ref_reaches_box` for the box [lo..hi] as a predicate on v, with
+    the letters' emissions read once."""
+    sides = []
     for j, letter in enumerate(g.alphabet):
         emitted = [t.output.get(letter) for t in g.transitions]
-        if all(x >= 0 for x in emitted) and v[j] > hi[j]:
-            return False
-        if all(x <= 0 for x in emitted) and v[j] < lo[j]:
-            return False
-    return True
+        if all(x >= 0 for x in emitted):
+            sides.append((j, 1, hi[j]))
+        if all(x <= 0 for x in emitted):
+            sides.append((j, -1, -lo[j]))
+    return lambda v: all(s * v[j] <= limit for j, s, limit in sides)
 
 
 def ref_box_certified(state: RegularMembership, lo: Sequence[int], hi: Sequence[int],
@@ -1035,25 +1045,103 @@ def general_query_groups(state: GeneralMembership) -> list:
     return [(supp, bases, sorted(supp)) for supp, bases in state._bases.items()]
 
 
+def ref_period_sets(pool, dim: int, multiples: bool = True) -> list[tuple[IntTuple, ...]]:
+    """Every maximal independent subset of the dense tuples in `pool`, in
+    sorted order (`ref_maximal_independent_subsets`).  With
+    multiples=False a pool vector that is k times another one, k >= 2, is
+    left out first."""
+    letters = "abcdefgh"[:dim]
+    pool = sorted(pool)
+    if not multiples:
+        pool = [v for v in pool if not any(
+            u != v and any(tuple(k * x for x in u) == v for k in range(2, max(map(abs, v)) + 1))
+            for u in pool
+        )]
+    subsets = ref_maximal_independent_subsets([Vec.from_tuple(z, letters) for z in pool])
+    return [tuple(pool[i] for i in subset) for subset in subsets]
+
+
 def ref_queries(groups, pools: dict, dim: int, multiples: bool = True) -> list:
     """One (key, periods, coset index, anchors) query per group and per
     maximal independent subset of the group's whole pool
-    (`ref_maximal_independent_subsets`), each index over a lattice of its
-    own.  With multiples=False a pool vector that is k times another one,
-    k >= 2, is left out first."""
-    letters = "abcdefgh"[:dim]
+    (`ref_period_sets`), each index over a lattice of its own."""
     queries = []
     for key, bases, anchors in groups:
-        pool = sorted({v for q in anchors for v in pools[q]})
-        if not multiples:
-            pool = [v for v in pool if not any(
-                u != v and any(tuple(k * x for x in u) == v for k in range(2, max(map(abs, v)) + 1))
-                for u in pool
-            )]
-        for subset in ref_maximal_independent_subsets([Vec.from_tuple(z, letters) for z in pool]):
-            zs = tuple(pool[i] for i in subset)
+        pool = {v for q in anchors for v in pools[q]}
+        for zs in ref_period_sets(pool, dim, multiples):
             queries.append((key, zs, CosetIndex(PeriodLattice(zs, dim), bases), anchors))
     return queries
+
+
+def ref_cycle_pools(g: Grammar) -> dict[str, dict[IntTuple, int]]:
+    """The cycle vectors at every nonterminal of g, the zero one included:
+    the closed paths of at most N steps (`ref_path_cells`), with their
+    least sizes.  Read on the trimmed grammar, these are the pools of a
+    regular-dp state that anchors cycles everywhere."""
+    paths = ref_path_cells(g, len(g.nonterminals))
+    return {q: paths[(q, q)] for q in g.nonterminals}
+
+
+def ref_anchors(g: Grammar) -> set[str]:
+    """The start and every nonterminal whose rules in do not all come
+    from one other nonterminal: the only ones a regular-dp state needs
+    cycle tables at."""
+    entered_from: dict[str, set[str]] = {q: set() for q in g.nonterminals}
+    for t in g.transitions:
+        for r in t.targets.support():
+            entered_from[r].add(t.source)
+    return {q for q, sources in entered_from.items()
+            if q == g.start or len(sources) != 1 or q in sources}
+
+
+def ref_kept_supports(g: Grammar, pools: dict, supports) -> set[frozenset]:
+    """The supports P in `supports` that keep a query, by definition: some
+    period set of P and the start (`ref_period_sets`, no multiples) lies
+    in the pool of no proper subset of P and the start."""
+    dim = len(g.alphabet)
+
+    def pool(anchors):
+        return {v for q in anchors | {g.start} for v in pools[q]}
+
+    return {
+        supp for supp in supports
+        if any(all(not set(zs) <= pool(supp - {q}) for q in supp)
+               for zs in ref_period_sets(pool(supp), dim, multiples=False))
+    }
+
+
+def ref_every_anchor_statuses(g: Grammar, bound: int, points) -> tuple[list[str], set]:
+    """The regular-dp status of each dense point at `bound`, from cycle
+    tables at every nonterminal of the trimmed grammar
+    (`ref_cycle_pools`) and one query per run cell from the start over
+    every support of at most min(A, N) nonterminals and per period set.
+    A miss is definite at the completeness threshold, or when no run
+    vector first reached at the bound in a cell of a support that keeps
+    a query (`ref_kept_supports`) can reach the point.  The run cells
+    are built on the box around the points, which drops only vectors
+    past it for good.  Also gives those supports."""
+    t = trim(g)
+    dim = len(g.alphabet)
+    pools = ref_cycle_pools(t)
+    every = supports_up_to(t, min(dim, len(t.nonterminals)))
+    box = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
+    cells, _exhausted = ref_run_cells(t, bound, every, box)
+    keys = sorted((key for key in cells if key[1] == t.start),
+                  key=lambda k: (len(k[0]), sorted(k[0])))
+    groups = [(key, cells[key], sorted(key[0] | {t.start})) for key in keys]
+    queries = ref_queries(groups, pools, dim, multiples=False)
+    kept = ref_kept_supports(t, pools, every)
+    last = [v for key, cell in cells.items() if key[0] in kept for v, n in cell.items() if n == bound]
+    complete = bound >= base_run_bound(t).value
+    statuses = []
+    for p in points:
+        if any(index.lookup(p) is not None for _key, _zs, index, _anchors in queries):
+            statuses.append(MEMBER)
+        elif complete or not any(ref_reaches_box(t, v, p, p) for v in last):
+            statuses.append(NON_MEMBER)
+        else:
+            statuses.append(UNKNOWN)
+    return statuses, kept
 
 
 def ref_all_support_groups(state: RegularMembership) -> list:

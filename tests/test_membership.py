@@ -54,7 +54,10 @@ from helpers import (
     random_grammar,
     random_grammar_with_dead_ends,
     ref_all_support_groups,
+    ref_anchors,
     ref_box_members,
+    ref_cycle_pools,
+    ref_every_anchor_statuses,
     ref_full_table_result,
     ref_general_result,
     ref_path_cells,
@@ -586,19 +589,21 @@ class TestQueryStructure:
             if regular:
                 state = RegularMembership(g, 8)
                 groups = regular_query_groups(state)
+                pools = ref_cycle_pools(trim(g))
             else:
                 state = GeneralMembership(g, 6, 4)
                 groups = general_query_groups(state)
+                pools = state._pools
             dim = len(g.alphabet)
             queries = state._queries
-            ref = ref_queries(groups, state._pools, dim)
+            ref = ref_queries(groups, pools, dim)
             for t in product(range(-2, 3), repeat=dim):
                 assert (_first_hit(queries, t) is None) == (_first_hit(ref, t) is None), (g, t)
             assert _box_union(queries, -2, 2) == _box_union(ref, -2, 2), g
             lattices = {}
             for _key, zs, index, _anchors in queries:
                 assert lattices.setdefault(zs, index.lattice) is index.lattice
-            if len(ref) > len(ref_queries(groups, state._pools, dim, multiples=False)):
+            if len(ref) > len(ref_queries(groups, pools, dim, multiples=False)):
                 seen.add("multiples dropped")
             if len(lattices) < len(queries):
                 seen.add("lattice shared")
@@ -692,8 +697,12 @@ class TestTrackedSupports:
         assert seen == {"supports left out", "cut"}
 
     def test_kept_queries_give_the_hits_of_every_query_over_every_support(self):
-        # the first hit (group, base, periods, coefficients, anchors) and
-        # the box union of the full table's and of the cut tables' queries
+        # the reference anchors cycles at every nonterminal and asks one
+        # query per support and period set: the kept queries hit where it
+        # does and have its box union, for the full table and the cut
+        # ones; restricted to the supports of anchors alone, it has the
+        # kept queries and their first hits (group, base, periods,
+        # coefficients, anchors)
         rng = random.Random(2141)
         seen = set()
         for _ in range(40):
@@ -701,16 +710,21 @@ class TestTrackedSupports:
                                neg_prob=0.3, extra_rules=5)
             dim = len(g.alphabet)
             points = list(product(range(-2, 3), repeat=dim))
+            pools = ref_cycle_pools(trim(g))
+            anchors = ref_anchors(trim(g))
             for bound in (3, 8):
                 state = RegularMembership(g, bound)
-                ref = ref_queries(ref_all_support_groups(state), state._pools, dim,
-                                  multiples=False)
-                # kept: exactly the queries whose periods no smaller support has
+                ref = ref_queries(ref_all_support_groups(state), pools, dim, multiples=False)
+                at_anchors = [query for query in ref if query[0][0] <= anchors]
+                # kept: exactly the queries over anchors whose periods no
+                # smaller support has
                 assert [(key, zs) for key, zs, _index, _anchors in state._queries] == [
-                    (key, zs) for key, zs, _index, _anchors in ref
-                    if not any(k[0] < key[0] and z == zs for k, z, _i, _a in ref)
+                    (key, zs) for key, zs, _index, _anchors in at_anchors
+                    if not any(k[0] < key[0] and z == zs for k, z, _i, _a in at_anchors)
                 ]
-                hits = [_first_hit(ref, t) for t in points]
+                hits = [_first_hit(at_anchors, t) for t in points]
+                reached = [_first_hit(ref, t) is not None for t in points]
+                assert [hit is not None for hit in hits] == reached
                 assert [_first_hit(state._queries, t) for t in points] == hits
                 assert _box_union(state._queries, -2, 2) == _box_union(ref, -2, 2)
                 cut = RegularMembership(g, bound)
@@ -721,6 +735,8 @@ class TestTrackedSupports:
                     seen.add("periods dropped at a kept support")
                 if any(len(key[0]) > 1 for key in keys):
                     seen.add("two-member support")
+                if len(at_anchors) < len(ref):
+                    seen.add("support off the anchors")
                 if cut._table.cut:
                     seen.add("cut")
                 if any(hit and any(hit[3]) and hit[0][0] for hit in hits):
@@ -728,9 +744,9 @@ class TestTrackedSupports:
                 if any(x < 0 for t in g.compiled.output for x in t):
                     seen.add("negative letters")
             seen.add(f"{dim} letters")
-        assert seen == {"periods dropped at a kept support", "two-member support", "cut",
-                        "pumped hit off the empty support", "negative letters", "1 letters",
-                        "2 letters", "3 letters"}
+        assert seen == {"periods dropped at a kept support", "two-member support",
+                        "support off the anchors", "cut", "pumped hit off the empty support",
+                        "negative letters", "1 letters", "2 letters", "3 letters"}
 
     def test_sharper_nos_agree_with_an_exhausted_oracle(self):
         # a no that the last frontier of the tracked supports certifies
@@ -773,6 +789,75 @@ class TestTrackedSupports:
         assert 0 < len(built) <= 20
         assert state.result(Vec.unit("b", 5)) == MembershipResult(
             UNKNOWN, note="no witness with base runs of size <= 200")
+
+
+def wide_rule_grammar(k: int):
+    """`S -> a^k b : S`, `S -> a^-3 : S`, `S -> :`, whose normal form is
+    a chain of k nonterminals entered from one other each."""
+    return parse_grammar(f"alphabet: a b\nstart: S\nS -> a^{k} b : S\nS -> a^-3 : S\nS -> :")
+
+
+class TestEntryAnchors:
+    """A regular-dp state builds cycle tables only at the start and at
+    the nonterminals whose rules in do not all come from one other one.
+    It answers as a state with a cycle table at every nonterminal."""
+
+    def test_statuses_equal_the_every_anchor_reference(self):
+        rng = random.Random(3541)
+        grammars = [random_grammar(rng, max_letters=3, regular=True, neg_prob=0.4)
+                    for _ in range(100)]
+        grammars += [random_grammar(rng, max_nonterminals=7, max_letters=3, regular=True,
+                                    neg_prob=0.4, extra_rules=1) for _ in range(100)]
+        grammars += [normalize(wide_rule_grammar(k)) for k in range(2, 13)]
+        seen = set()
+        for g in grammars:
+            t = trim(g)
+            anchors = ref_anchors(t)
+            points = list(product(range(-2, 3), repeat=len(g.alphabet)))
+            desk = membership.engine(g, "regular-dp").bound
+            for bound in (3, 12, desk):
+                state = RegularMembership(g, bound)
+                assert set(state._pools) == anchors
+                statuses, kept = ref_every_anchor_statuses(g, bound, points)
+                assert set(state._periods) == {supp for supp in kept if supp <= anchors}
+                for p, status in zip(points, statuses):
+                    v = Vec.from_tuple(p, g.alphabet)
+                    res = state.result(v)
+                    assert res.status == status, (g, bound, p)
+                    if res.status == MEMBER:
+                        total = res.witness.expand()
+                        assert is_run(total, g.start) and total.parikh() == v
+                    seen.add(status)
+                if len(anchors) < len(t.nonterminals):
+                    seen.add("nonterminal off the anchors")
+                if len(kept) > len(state._periods):
+                    seen.add("kept support off the anchors")
+        assert seen == {MEMBER, NON_MEMBER, UNKNOWN, "nonterminal off the anchors",
+                        "kept support off the anchors"}
+
+    def test_wide_rule_builds_one_cycle_table(self, monkeypatch):
+        # the normal form of a^50 b is a chain S -> a : S__1, ..., entered
+        # at S alone: S is the one anchor
+        ends = []
+        original = membership._path_cells
+
+        def counting(g, end, *args):
+            ends.append(end)
+            return original(g, end, *args)
+
+        monkeypatch.setattr(membership, "_path_cells", counting)
+        state = membership.engine(wide_rule_grammar(50), "regular-dp")
+        assert len(state._trimmed.nonterminals) > 50
+        assert state.result(Vec({"a": 97, "b": 2})).status == MEMBER
+        assert [end for end in ends if end != FINAL] == ["S"]
+
+    def test_long_wide_rule_answers_its_member_query(self):
+        state = membership.engine(wide_rule_grammar(1000), "regular-dp")
+        v = Vec({"a": 1997, "b": 2})
+        res = state.result(v)
+        assert res.status == MEMBER
+        total = res.witness.expand()
+        assert is_run(total, state.grammar.start) and total.parikh() == v
 
 
 class TestMemberGeneral:

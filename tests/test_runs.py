@@ -194,11 +194,11 @@ class TestTrees:
         (("t1",), (None, 0), "labels and parents disagree in length"),
         (("t1", "t2"), (1, 0), "vertex 0 must be the root"),
         (("t1", "t1", "t2"), (None, 2, 0), "vertex 1 needs a parent earlier in the order"),
-        # t2 (S -> :) produces no S for its child to consume
-        (("t2", "t2"), (None, 0), "consumes more than its parent produced"),
+        # t2 (S -> :) at the root produces no S for its child to consume
+        (("t2", "t2"), (None, 0), "the children of vertex 0 consume more than it produced"),
     ])
     def test_invalid_trees_are_rejected(self, labels, parents, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             DerivationTree(ga(), labels, parents)
 
 
